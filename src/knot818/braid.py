@@ -92,14 +92,37 @@ class BraidWord:
         return tuple(cur)
 
     @property
-    def is_knot_closure(self) -> bool:
+    def closure_components(self) -> int:
+        """Number of components of the closure: cycles of the permutation."""
         perm = self.closure_permutation()
-        seen = 1
-        p = perm[0]
-        while p != 1:
-            p = perm[p - 1]
-            seen += 1
-        return seen == self.strands
+        seen = [False] * self.strands
+        count = 0
+        for start in range(self.strands):
+            if not seen[start]:
+                count += 1
+                p = start
+                while not seen[p]:
+                    seen[p] = True
+                    p = perm[p] - 1
+        return count
+
+    @property
+    def is_knot_closure(self) -> bool:
+        return self.closure_components == 1
+
+
+def require_knot_closure(braid: BraidWord) -> None:
+    """Raise :class:`NotAKnotError` unless the closure is a single knot.
+
+    The message gives sizes, not the word, so it stays short however
+    long the word is.
+    """
+    components = braid.closure_components
+    if components != 1:
+        raise NotAKnotError(
+            f"closure of a {len(braid)}-letter braid on {braid.strands} strands"
+            f" has {components} components, so it is not a knot"
+        )
 
 
 # The main diagram: four turns of the alternating two-generator pattern.
@@ -194,8 +217,7 @@ def closure_diagram(
     the :func:`cyclic_equivalent` witness so callers see that word
     verbatim.
     """
-    if not braid.is_knot_closure:
-        raise NotAKnotError(f"closure of {braid.letters} on {braid.strands} strands is not a knot")
+    require_knot_closure(braid)
     eligible = _vertex_rule_applies(braid)
     if insert_vertices and not eligible:
         raise VertexRuleInapplicableError("branch vertices are only defined on the annular 3-strand shape")

@@ -72,6 +72,16 @@ def _resolve_format(value: Optional[str]) -> str:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _parse_state(text: str) -> trav.StartSpec:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (2, 3) or not all(parts):
@@ -177,12 +187,11 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     braid = _braid_from_args(args)
     poly = alexander_from_braid(braid)
-    _, crossings = closure_diagram(braid)
     radii = tuple(range(1, braid.strands + 1))
     phase = winding_phase(annular_embed(braid, radii, slots_per_letter=64))
     determinant = abs(poly.evaluate(-1))
     print(f"alexander: {poly}")
-    print(f"writhe: {writhe(crossings)}")
+    print(f"writhe: {braid.exponent_sum}")
     print(f"phase: {_format_phase(phase, args.radians)}")
     print(f"determinant: {determinant}")
     return 0
@@ -312,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_braid_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--radii", default=None, help="comma separated radii (default 1..strands)")
-    p.add_argument("--points-per-slot", type=int, default=64)
+    p.add_argument("--points-per-slot", type=_positive_int, default=64)
     p.add_argument("--radians", action="store_true")
     p.set_defaults(func=cmd_embed)
 

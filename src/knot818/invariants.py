@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, NotAKnotError
+from .braid import BraidWord, require_knot_closure
 from .laurent import ONE, LaurentPoly, T
 
 
@@ -74,59 +74,58 @@ class PolyMatrix:
         )
 
     def det(self) -> LaurentPoly:
-        """Cofactor expansion; fine at the small dimensions used here."""
+        """Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+
+        Step k replaces each entry below and right of the pivot by
+        (pivot * a[i][j] - a[i][k] * a[k][j]) / previous pivot.  Sylvester's
+        identity makes that division exact; ``exact_div`` raises rather
+        than return a wrong value if it is not.  A zero pivot is swapped
+        with the first lower row that is nonzero in its column, flipping
+        the sign; when there is none the determinant is zero.
+        """
         n = self.dim
         if n == 0:
             return ONE
-        if n == 1:
-            return self.rows[0][0]
-        total = LaurentPoly()
-        for j, head in enumerate(self.rows[0]):
-            if head.is_zero:
-                continue
-            minor = PolyMatrix(
-                tuple(row[:j] + row[j + 1 :] for row in self.rows[1:])
-            )
-            term = head * minor.det()
-            total = total + (term if j % 2 == 0 else -term)
-        return total
-
-
-def _burau_generator(letter: int, strands: int) -> PolyMatrix:
-    """Reduced Burau image of one letter, an (n-1)x(n-1) matrix.
-
-    Positive generator i acts on basis row i-1 by
-        row[i-2] <- t,   row[i-1] <- -t,   row[i] <- 1
-    (entries outside the band omitted); the inverse replaces them with
-        1, -t^-1, t^-1.
-    """
-    dim = strands - 1
-    i = abs(letter)
-    rows = [
-        [ONE if r == c else LaurentPoly() for c in range(dim)] for r in range(dim)
-    ]
-    r = i - 1
-    if letter > 0:
-        if i > 1:
-            rows[r][r - 1] = T
-        rows[r][r] = -T
-        if i < strands - 1:
-            rows[r][r + 1] = ONE
-    else:
-        if i > 1:
-            rows[r][r - 1] = ONE
-        rows[r][r] = -LaurentPoly.t_power(-1)
-        if i < strands - 1:
-            rows[r][r + 1] = LaurentPoly.t_power(-1)
-    return PolyMatrix(tuple(tuple(row) for row in rows))
+        a = [list(row) for row in self.rows]
+        negate = False
+        prev = ONE
+        for k in range(n - 1):
+            if a[k][k].is_zero:
+                swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+                if swap is None:
+                    return LaurentPoly()
+                a[k], a[swap] = a[swap], a[k]
+                negate = not negate
+            pivot, pivot_row = a[k][k], a[k]
+            for row in a[k + 1 :]:
+                head = row[k]
+                for j in range(k + 1, n):
+                    row[j] = (pivot * row[j] - head * pivot_row[j]).exact_div(prev)
+            prev = pivot
+        return -a[-1][-1] if negate else a[-1][-1]
 
 
 def burau_reduced(braid: BraidWord) -> PolyMatrix:
-    """Reduced Burau matrix of the whole word (identity for the empty word)."""
-    out = PolyMatrix.identity(braid.strands - 1)
+    """Reduced Burau matrix of the whole word (identity for the empty word).
+
+    The image of generator i differs from the identity in row i-1 only,
+    where it holds t, -t, 1 at columns i-2, i-1, i (0-based; the inverse
+    holds 1, -t^-1, t^-1).  Right-multiplying by it therefore rewrites at
+    most those three columns of the product, each from column i-1 by a
+    shift, a negation and an addition, with no polynomial product.
+    """
+    dim = braid.strands - 1
+    cols = [list(col) for col in PolyMatrix.identity(dim).rows]  # symmetric
     for letter in braid.letters:
-        out = out * _burau_generator(letter, braid.strands)
-    return out
+        r = abs(letter) - 1
+        pivot = cols[r]
+        left, right = (1, 0) if letter > 0 else (0, -1)
+        if r > 0:
+            cols[r - 1] = [a + p.shifted(left) for a, p in zip(cols[r - 1], pivot)]
+        if r + 1 < dim:
+            cols[r + 1] = [a + p.shifted(right) for a, p in zip(cols[r + 1], pivot)]
+        cols[r] = [-p.shifted(left + right) for p in pivot]
+    return PolyMatrix(tuple(zip(*cols)))
 
 
 def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:
@@ -141,10 +140,7 @@ def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:
 
 def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of the closure (a knot)."""
-    if not braid.is_knot_closure:
-        raise NotAKnotError(
-            f"closure of {braid.letters} on {braid.strands} strands is not a knot"
-        )
+    require_knot_closure(braid)
     mat = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
     numerator = mat.det() * (ONE - T)
     denominator = ONE - T ** braid.strands

@@ -114,12 +114,15 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return LaurentPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        if min(len(self.coeffs), len(other.coeffs)) >= _KRONECKER_MIN_LEN:
+            out = _kronecker_product(self.coeffs, other.coeffs)
+        else:
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            for i, a in enumerate(self.coeffs):
+                if a == 0:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
         return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -205,6 +208,35 @@ class LaurentPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
+
+
+# Shorter operands multiply faster by the schoolbook loop than by packing.
+_KRONECKER_MIN_LEN = 10
+
+
+def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
+    """Product coefficients by Kronecker substitution.
+
+    Both operands are evaluated at t = 2^k, with k so large that every
+    product coefficient c has |c| < 2^(k-1), and multiplied as two
+    integers.  Adding 2^(k-1) to every base-2^k digit of the result
+    makes each digit nonnegative without carries, so the coefficients
+    read back digit by digit.
+    """
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    width = bound.bit_length() // 8 + 1  # bytes per digit
+    k = 8 * width
+    x = 0
+    for c in reversed(a):
+        x = (x << k) + c
+    y = 0
+    for c in reversed(b):
+        y = (y << k) + c
+    n = len(a) + len(b) - 1
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
+    digits = (x * y + bias).to_bytes(width * n, "little")
+    half = 1 << (k - 1)
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
 
 
 ZERO = LaurentPoly()

@@ -51,6 +51,9 @@ def test_is_knot_closure():
     assert BraidWord(2, (1, 1, 1)).is_knot_closure
     assert not BraidWord(2, (1, 1)).is_knot_closure
     assert not BraidWord(3, (1, -2, 1, -2, 1, -2)).is_knot_closure
+    assert BraidWord(3, (1, -2, 1, -2, 1, -2)).closure_components == 3
+    assert BraidWord(4, (1, 3)).closure_components == 2
+    assert BraidWord(4, ()).closure_components == 4
 
 
 def test_closure_rejects_links():
@@ -58,6 +61,11 @@ def test_closure_rejects_links():
         closure_diagram(BraidWord(2, (1, 1)))
     with pytest.raises(NotAKnotError):
         closure_diagram(BraidWord(3, (1, -2, 1, -2, 1, -2)))
+    with pytest.raises(NotAKnotError) as info:
+        closure_diagram(BraidWord(2, (1,) * 600))
+    assert str(info.value) == (
+        "closure of a 600-letter braid on 2 strands has 2 components, so it is not a knot"
+    )
 
 
 def test_trefoil_closure():

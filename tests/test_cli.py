@@ -70,6 +70,13 @@ def test_invariants_not_a_knot(capsys):
     assert "not a knot" in err
 
 
+def test_invariants_long_link_error_is_short(capsys):
+    code, _, err = run(capsys, "invariants", "--braid", " ".join(["1"] * 600), "--strands", "2")
+    assert code == 3
+    assert "600-letter" in err and "2 components" in err
+    assert len(err) < 200
+
+
 def test_traverse_text(capsys):
     code, out, _ = run(capsys, "traverse", "--start", "K")
     assert code == 0
@@ -209,6 +216,14 @@ def test_embed_writes_csv(capsys, tmp_path):
     loop, x, y = lines[1].split(",")
     assert loop == "0"
     float(x), float(y)
+
+
+def test_embed_points_per_slot_must_be_positive(capsys, tmp_path):
+    for value in ("0", "-3", "x"):
+        code, _, err = run(capsys, "embed", "--out", str(tmp_path / "x.csv"), "--points-per-slot", value)
+        assert code == 2
+        assert "--points-per-slot" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_embed_bad_radii_order(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Burau representation and exact Alexander polynomials."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import braid_words
 from knot818.braid import BRAID_818, BraidWord, NotAKnotError
@@ -33,17 +35,38 @@ def test_identity_multiplication():
     assert m * eye == m
 
 
-def test_burau_generators_on_three_strands():
-    # sigma_1 acts on the 2-dimensional reduced module as
-    #   [-t 1]            [  t  0]
-    #   [ 0 1]  sigma_2:  [  t -t]  (second row shifted band)
-    s1 = burau_reduced(BraidWord(3, (1,)))
-    assert s1.rows == ((-T, ONE), (ZERO, ONE))
-    s2 = burau_reduced(BraidWord(3, (2,)))
-    assert s2.rows == ((ONE, ZERO), (T, -T))
-    s1_inv = burau_reduced(BraidWord(3, (-1,)))
+def _generator_image(letter, strands):
+    """Dense reduced Burau image of one letter, built from the band.
+
+    Positive generator i puts t, -t, 1 in row i-1 at columns i-2, i-1, i
+    (0-based, entries past the edge dropped); its inverse puts 1, -t^-1,
+    t^-1 there.  On three strands this is the pair of matrices written
+    out in CONVENTIONS.md.
+    """
+    dim = strands - 1
     t_inv = LaurentPoly.t_power(-1)
-    assert s1_inv.rows == ((-t_inv, t_inv), (ZERO, ONE))
+    band = (T, -T, ONE) if letter > 0 else (ONE, -t_inv, t_inv)
+    r = abs(letter) - 1
+    rows = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
+    for col, entry in zip((r - 1, r, r + 1), band):
+        if 0 <= col < dim:
+            rows[r][col] = entry
+    return PolyMatrix(tuple(tuple(row) for row in rows))
+
+
+def test_generator_images_match_conventions():
+    t_inv = LaurentPoly.t_power(-1)
+    assert _generator_image(1, 3).rows == ((-T, ONE), (ZERO, ONE))
+    assert _generator_image(2, 3).rows == ((ONE, ZERO), (T, -T))
+    assert _generator_image(-1, 3).rows == ((-t_inv, t_inv), (ZERO, ONE))
+
+
+@pytest.mark.parametrize("strands", range(2, 8))
+def test_burau_generator_images(strands):
+    for i in range(1, strands):
+        for letter in (i, -i):
+            image = burau_reduced(BraidWord(strands, (letter,)))
+            assert image == _generator_image(letter, strands)
 
 
 @given(braid_words())
@@ -75,6 +98,79 @@ def test_far_commutation():
     lhs = burau_reduced(BraidWord(4, (1, 3)))
     rhs = burau_reduced(BraidWord(4, (3, 1)))
     assert lhs == rhs
+
+
+def leibniz_det(rows):
+    """Reference determinant: the signed sum over all permutations."""
+    total = ZERO
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
+        term = ONE
+        for row, col in zip(rows, perm):
+            term = term * row[col]
+        total = total + (-term if inversions % 2 else term)
+    return total
+
+
+entries = st.one_of(
+    st.just(ZERO),
+    st.builds(LaurentPoly, st.integers(-2, 2), st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
+)
+
+
+def square_matrices(dim):
+    return st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+
+
+ZERO_LEADING_PIVOT = [[ZERO, ONE, T], [T, ZERO, ONE], [ONE, T, -ONE]]
+ZERO_COLUMN = [[ONE, ZERO, T], [T, ZERO, ONE], [-T, ZERO, poly(-1, 2, 1)]]
+
+
+@given(st.integers(0, 5).flatmap(square_matrices))
+@example(ZERO_LEADING_PIVOT)
+@example(ZERO_COLUMN)
+@settings(max_examples=150)
+def test_det_matches_leibniz(rows):
+    matrix = PolyMatrix(tuple(tuple(row) for row in rows))
+    assert matrix.det() == leibniz_det(matrix.rows)
+
+
+# Alexander polynomials computed independently, by a dense Burau matrix
+# product and a cofactor-expansion determinant.
+# (1 2 ... 7)^9 closes to the torus knot T(8, 9).
+REGRESSION_CASES = [
+    (
+        BraidWord(8, (1, 2, 3, 4, 5, 6, 7) * 9),
+        (1, -1, 0, 0, 0, 0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0, -1, 0, 0, 0, 0, 1, 0, 0, 0, -1,
+         0, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0, -1, 1),
+    ),
+    (
+        BraidWord(6, (5, 1, -2, -4, 3, -2, 5, 3, 1, -4, 3, -2, -4, 1, 5, 5, -2, -4, 3, 1, 5, -4, 3,
+                      -2, 1, -2, 5, -4, 3, -2, 5)),
+        (1, -20, 193, -1199, 5397, -18795, 52834, -123535, 245663, -422545, 636606, -847847,
+         1004449, -1062405, 1004449, -847847, 636606, -422545, 245663, -123535, 52834, -18795,
+         5397, -1199, 193, -20, 1),
+    ),
+    (
+        BraidWord(7, (-6, -4, -2, 3, 1, 5, -6, 1, 3, 5, -4, -2, 1, 5, 3, -2, -6, -4, 1, -4, 3, -6,
+                      5, -2, -4, -6, -2, 1, 5, 3, -2, -4, 3, 1, 1, -6)),
+        (1, -24, 272, -1951, 10015, -39442, 124758, -327599, 732446, -1422483, 2438104, -3734059,
+         5158166, -6469681, 7399881, -7736809, 7399881, -6469681, 5158166, -3734059, 2438104,
+         -1422483, 732446, -327599, 124758, -39442, 10015, -1951, 272, -24, 1),
+    ),
+]
+
+
+@pytest.mark.parametrize("braid, coeffs", REGRESSION_CASES, ids=["torus-8-9", "six-strand", "seven-strand"])
+def test_alexander_regression_values(braid, coeffs):
+    assert alexander_from_braid(braid) == LaurentPoly(0, coeffs)
+
+
+def test_torus_knot_against_closed_form():
+    # Delta of T(p, q) is (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)).
+    p, q = 8, 9
+    closed_form = ((T ** (p * q) - ONE) * (T - ONE)).exact_div((T ** p - ONE) * (T ** q - ONE))
+    assert REGRESSION_CASES[0][1] == closed_form.coeffs
 
 
 def test_normalize_alexander():

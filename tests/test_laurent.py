@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from knot818.laurent import (
@@ -97,3 +97,38 @@ def test_multiply_then_divide_round_trips(a, b):
 def test_evaluate_is_a_homomorphism(a, shift, point):
     shifted = a.shifted(shift)
     assert shifted.evaluate(point) == a.evaluate(point) * Fraction(point) ** shift
+
+
+def schoolbook(a, b):
+    """Reference product: every coefficient pair, one at a time."""
+    out = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return LaurentPoly.from_dict(out)
+
+
+# Long enough that both operands take the packed-integer path, with
+# coefficients well past 64 bits and with zero runs inside.
+wide_polys = st.builds(
+    LaurentPoly,
+    st.integers(-40, 40),
+    st.lists(
+        st.one_of(st.just(0), st.integers(-(2**100), 2**100), st.integers(-3, 3)),
+        min_size=8,
+        max_size=40,
+    ).map(tuple),
+)
+
+
+@given(wide_polys, wide_polys)
+@example(
+    LaurentPoly(-7, (2**70, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -(2**70))),
+    LaurentPoly(-3, (-1,) + (0,) * 12 + (-(2**65),)),
+)
+@example(LaurentPoly(0, (-1,) * 12), LaurentPoly(-5, (1, -1) * 6))
+# Equal coefficients make the middle product coefficient reach the bound
+# the packing width is chosen from.
+@example(LaurentPoly(0, (3 * 2**60,) * 16), LaurentPoly(-2, (-3 * 2**60,) * 16))
+def test_product_matches_schoolbook(a, b):
+    assert a * b == schoolbook(a, b)
