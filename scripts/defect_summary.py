@@ -8,14 +8,9 @@ contrast visible in one screen of text.
 """
 
 import argparse
-from fractions import Fraction
 
 from knot818.allocation import defect_report, ensemble_totals, site_totals
 from knot818.traversal import enumerate_all, enumerate_representatives
-
-
-def fmt(x: Fraction) -> str:
-    return str(x)
 
 
 def main(argv=None) -> int:
@@ -30,8 +25,8 @@ def main(argv=None) -> int:
             report = defect_report(site_totals(table))
             devs = {c.site_class.value: c.max_deviation for c in report.classes}
             print(
-                f"{table.describe():<16} {fmt(devs['branch-center']):<7}"
-                f" {fmt(devs['outer-shoulder']):<7} {fmt(devs['inner-shoulder'])}"
+                f"{table.describe():<16} {devs['branch-center']!s:<7}"
+                f" {devs['outer-shoulder']!s:<7} {devs['inner-shoulder']}"
             )
         print()
 
@@ -41,7 +36,7 @@ def main(argv=None) -> int:
         for stats in report.classes:
             cells = " ".join(f"{site}={total}" for site, total in stats.entries)
             state = "uneven" if stats.mismatch else "balanced"
-            print(f"  {stats.site_class}: {cells}  mean={fmt(stats.mean)}  {state}")
+            print(f"  {stats.site_class}: {cells}  mean={stats.mean}  {state}")
     return 0
 
 

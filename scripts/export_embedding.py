@@ -10,17 +10,17 @@ come out at three full turns.
 import argparse
 import math
 
-from knot818.braid import annular_embed, winding_phase
-from knot818.cli import MAIN_BRAID_TEXT
+from knot818.braid import BRAID_818, annular_embed, winding_phase
+from knot818.cli import positive_int, write_points_csv
 from knot818.notation import parse_braid_word
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--braid", default=MAIN_BRAID_TEXT)
+    parser.add_argument("--braid", default=" ".join(map(str, BRAID_818.letters)))
     parser.add_argument("--strands", type=int, default=3)
     parser.add_argument("--radii", default=None, help="comma separated, default 1..strands")
-    parser.add_argument("--points-per-slot", type=int, default=64)
+    parser.add_argument("--points-per-slot", type=positive_int, default=64)
     parser.add_argument("--out", required=True, help="points CSV path")
     parser.add_argument("--markers", default=None, help="optional crossing marker CSV path")
     args = parser.parse_args(argv)
@@ -31,14 +31,7 @@ def main(argv=None) -> int:
     else:
         radii = tuple(float(r) for r in args.radii.split(","))
     embedding = annular_embed(braid, radii, slots_per_letter=args.points_per_slot)
-
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("loop,x,y\n")
-        for loop_index, loop in enumerate(embedding.loops):
-            for x, y in loop:
-                fh.write(f"{loop_index},{x!r},{y!r}\n")
-    total = sum(len(loop) for loop in embedding.loops)
-    print(f"wrote {total} points in {len(embedding.loops)} loop(s) to {args.out}")
+    write_points_csv(args.out, embedding)
 
     if args.markers:
         with open(args.markers, "w", encoding="utf-8") as fh:

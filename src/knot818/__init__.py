@@ -42,9 +42,7 @@ from .diagram import (
     EquivalenceWitness,
     Role,
     SiteClass,
-    SymmetryOp,
     Visit,
-    apply_symmetry,
     canonical_818,
     cyclic_equivalent,
     site_class,

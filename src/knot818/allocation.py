@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .diagram import BRANCH_SITES, INNER_SITES, OUTER_SITES, SiteClass
-from .traversal import EmptyEnsembleError, StateEnsemble, TraversalTable
+from .traversal import TABLE_KEYS, EmptyEnsembleError, StateEnsemble, TraversalTable
 
 
 class IncompleteAllocationError(ValueError):
@@ -49,23 +49,24 @@ class SiteAllocation:
         return sum(v for _, v in self.totals)
 
 
+def _summed(tables: Iterable[TraversalTable]) -> dict[str, int]:
+    totals: dict[str, int] = {}
+    for table in tables:
+        for (site, _role), value in zip(TABLE_KEYS, table.values):
+            totals[site] = totals.get(site, 0) + value
+    return totals
+
+
 def site_totals(table: TraversalTable) -> SiteAllocation:
     """Allocation of one table: over+under per shoulder, through per branch."""
-    totals: dict[str, int] = {}
-    for (site, _role), value in table.as_dict().items():
-        totals[site] = totals.get(site, 0) + value
-    return SiteAllocation.from_mapping(table.describe(), totals)
+    return SiteAllocation.from_mapping(table.describe(), _summed([table]))
 
 
 def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     """Site totals summed over every table of the ensemble."""
     if not ensemble.tables:
         raise EmptyEnsembleError(f"ensemble {ensemble.label!r} has no tables")
-    totals: dict[str, int] = {}
-    for table in ensemble.tables:
-        for (site, _role), value in table.as_dict().items():
-            totals[site] = totals.get(site, 0) + value
-    return SiteAllocation.from_mapping(ensemble.label, totals)
+    return SiteAllocation.from_mapping(ensemble.label, _summed(ensemble.tables))
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,13 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import allocation as alloc
 from . import traversal as trav
 from .braid import (
     BRAID_818,
+    AnnularEmbedding,
     BadRadiiError,
     NotAKnotError,
     OriginOnCurveError,
@@ -38,8 +38,6 @@ from .diagram import Role
 from .invariants import ZeroPolynomialError, alexander_from_braid
 from .laurent import InexactDivisionError, ZeroArgumentError
 from .notation import BraidTextError, NotationError, emit_extended_gauss, parse_braid_word
-
-MAIN_BRAID_TEXT = "1 -2 1 -2 1 -2 1 -2"
 
 _USAGE_ERRORS = (
     BraidTextError,
@@ -72,7 +70,8 @@ def _resolve_format(value: Optional[str]) -> str:
     return value
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """argparse type for options that must be at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -134,10 +133,6 @@ def _print_table(table: trav.TraversalTable, fmt: str) -> None:
             print(f"{site} {str(role):<7} {value:>2}")
 
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> None:
     if fmt == "csv":
         sys.stdout.write("class,site,total\n")
@@ -152,8 +147,8 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
                 {
                     "class": str(cls.site_class),
                     "totals": {site: total for site, total in cls.entries},
-                    "mean": _frac(cls.mean),
-                    "max_deviation": _frac(cls.max_deviation),
+                    "mean": str(cls.mean),
+                    "max_deviation": str(cls.max_deviation),
                     "mismatch": cls.mismatch,
                 }
                 for cls in report.classes
@@ -166,8 +161,8 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
             cells = " ".join(f"{site}={total}" for site, total in cls.entries)
             flag = "yes" if cls.mismatch else "no"
             print(
-                f"{cls.site_class}: {cells} | mean={_frac(cls.mean)}"
-                f" max-dev={_frac(cls.max_deviation)} mismatch={flag}"
+                f"{cls.site_class}: {cells} | mean={cls.mean}"
+                f" max-dev={cls.max_deviation} mismatch={flag}"
             )
         print(f"total: {grand_total}")
 
@@ -252,6 +247,17 @@ def cmd_check_fixture(args: argparse.Namespace) -> int:
     return 1
 
 
+def write_points_csv(path: str, embedding: AnnularEmbedding) -> None:
+    """Write ``loop,x,y`` rows (floats via repr) and report the count on stdout."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("loop,x,y\n")
+        for loop_index, loop in enumerate(embedding.loops):
+            for x, y in loop:
+                fh.write(f"{loop_index},{x!r},{y!r}\n")
+    points = sum(len(loop) for loop in embedding.loops)
+    print(f"wrote {points} points in {len(embedding.loops)} loop(s) to {path}")
+
+
 def cmd_embed(args: argparse.Namespace) -> int:
     braid = _braid_from_args(args)
     try:
@@ -260,20 +266,18 @@ def cmd_embed(args: argparse.Namespace) -> int:
         print(f"bad radii list {args.radii!r}", file=sys.stderr)
         return 2
     embedding = annular_embed(braid, radii, slots_per_letter=args.points_per_slot)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("loop,x,y\n")
-        for loop_index, loop in enumerate(embedding.loops):
-            for x, y in loop:
-                fh.write(f"{loop_index},{x!r},{y!r}\n")
-    points = sum(len(loop) for loop in embedding.loops)
+    write_points_csv(args.out, embedding)
     phase = winding_phase(embedding)
-    print(f"wrote {points} points in {len(embedding.loops)} loop(s) to {args.out}")
     print(f"phase: {_format_phase(phase, args.radians)}")
     return 0
 
 
 def _add_braid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--braid", default=MAIN_BRAID_TEXT, help="braid word, signed generator indices")
+    parser.add_argument(
+        "--braid",
+        default=" ".join(map(str, BRAID_818.letters)),
+        help="braid word, signed generator indices",
+    )
     parser.add_argument("--strands", type=int, default=3, help="number of strands")
     parser.add_argument("--allow-empty", action="store_true", help="accept the empty braid word")
 
@@ -321,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_braid_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--radii", default=None, help="comma separated radii (default 1..strands)")
-    p.add_argument("--points-per-slot", type=_positive_int, default=64)
+    p.add_argument("--points-per-slot", type=positive_int, default=64)
     p.add_argument("--radians", action="store_true")
     p.set_defaults(func=cmd_embed)
 

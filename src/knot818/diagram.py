@@ -217,40 +217,6 @@ def validate_word(word: DiagramWord) -> list[str]:
 
 
 @dataclass(frozen=True)
-class SymmetryOp:
-    """An element of the projection's symmetry group.
-
-    ``rotation`` counts quarter turns (mod 4); ``reflected`` swaps over
-    and under everywhere.  The group is cyclic-4 times order-2: rotations
-    compose additively and reflection commutes with them.
-    """
-
-    rotation: int
-    reflected: bool = False
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rotation", self.rotation % 4)
-
-    def compose(self, other: "SymmetryOp") -> "SymmetryOp":
-        """The op equal to applying ``other`` first, then ``self``."""
-        return SymmetryOp(self.rotation + other.rotation, self.reflected ^ other.reflected)
-
-    def label_map(self) -> dict[str, str]:
-        mapping = {s: s for s in LETTER_SITES}
-        for _ in range(self.rotation):
-            mapping = {s: ROTATION_RELABEL[t] for s, t in mapping.items()}
-        return mapping
-
-
-def apply_symmetry(word: DiagramWord, op: SymmetryOp) -> DiagramWord:
-    """Act on a letter-labeled word: permute labels, and swap roles if reflected."""
-    out = word.relabeled(op.label_map())
-    if op.reflected:
-        out = out.mirrored()
-    return out
-
-
-@dataclass(frozen=True)
 class EquivalenceWitness:
     """Certificate that two words draw the same closed curve.
 

@@ -3,34 +3,34 @@
 Starting from a chosen site (entering on a chosen role at shoulders) and
 walking the word in one of the two directions, the twenty visits receive
 the values 1..20 in order.  A :class:`TraversalTable` holds one such
-assignment.  Ten starts are enough to represent every table up to the
-quarter-turn relabeling: both directions at one branch center and at one
-shoulder per ring, each shoulder entered on either role.
+assignment as twenty values in :data:`TABLE_KEYS` order.  Ten starts are
+enough to represent every table up to the quarter-turn relabeling: both
+directions at one branch center and at one shoulder per ring, each
+shoulder entered on either role.
 
 The shipped fixture (``data/reference_cases.csv``) lists eleven reference
 tables, cases a..k.  ``check_fixture`` matches them against an ensemble
-and its mirrors, applying shipped errata rows when a case cannot be
-matched raw.
+and its mirrors, applying shipped errata rows (:func:`apply_errata`) when
+a case cannot be matched raw.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .diagram import (
     BRANCH_SITES,
     LETTER_SITES,
     ROTATION_RELABEL,
+    SHOULDER_SITES,
     DiagramWord,
     Role,
     canonical_818,
-    site_class,
-    SiteClass,
 )
 
 
@@ -66,9 +66,18 @@ class Direction(Enum):
 # (K, cw) table reproduces fixture case a.
 _FORWARD = Direction.CW
 
-_ROLE_ORDER = {Role.OVER: 0, Role.UNDER: 1, Role.THROUGH: 2}
-
 REPRESENTATIVE_SITES = ("K", "F", "A")  # one per class: branch, outer, inner
+
+# The twenty (site, role) keys of a table in storage order: shoulders A..H
+# over then under, then branch centers I..L through.
+TABLE_KEYS = tuple((s, r) for s in SHOULDER_SITES for r in (Role.OVER, Role.UNDER)) + tuple(
+    (s, Role.THROUGH) for s in BRANCH_SITES
+)
+_SLOT = {key: i for i, key in enumerate(TABLE_KEYS)}
+
+
+def _labeled(values: tuple[int, ...]) -> tuple[tuple[str, Role, int], ...]:
+    return tuple((site, role, value) for (site, role), value in zip(TABLE_KEYS, values))
 
 
 @dataclass(frozen=True)
@@ -101,53 +110,31 @@ class StartSpec:
 
 @dataclass(frozen=True)
 class TraversalTable:
-    """Values 1..20 assigned to the twenty (site, role) visits."""
+    """Values 1..20 assigned to the twenty visits, in :data:`TABLE_KEYS` order."""
 
     start: StartSpec
-    entries: tuple[tuple[str, Role, int], ...]
+    values: tuple[int, ...]
     mirrored: bool = False
 
-    @classmethod
-    def from_values(
-        cls, start: StartSpec, values: Mapping[tuple[str, Role], int], mirrored: bool = False
-    ) -> "TraversalTable":
-        ordered = tuple(
-            (site, role, values[(site, role)])
-            for site, role in sorted(values, key=lambda k: (k[0], _ROLE_ORDER[k[1]]))
-        )
-        return cls(start, ordered, mirrored)
-
-    def as_dict(self) -> dict[tuple[str, Role], int]:
-        return {(site, role): value for site, role, value in self.entries}
+    @property
+    def entries(self) -> tuple[tuple[str, Role, int], ...]:
+        """``(site, role, value)`` triples in :data:`TABLE_KEYS` order."""
+        return _labeled(self.values)
 
     def value(self, site: str, role: Role) -> int:
-        for s, r, v in self.entries:
-            if s == site and r is role:
-                return v
-        raise KeyError((site, role))
-
-    def over(self, site: str) -> int:
-        return self.value(site, Role.OVER)
-
-    def under(self, site: str) -> int:
-        return self.value(site, Role.UNDER)
-
-    def through(self, site: str) -> int:
-        return self.value(site, Role.THROUGH)
-
-    def same_assignment(self, other: "TraversalTable") -> bool:
-        """Equal as value assignments, ignoring how each was produced."""
-        return self.entries == other.entries
+        return self.values[_SLOT[(site, role)]]
 
     def describe(self) -> str:
         return f"mirror({self.start})" if self.mirrored else str(self.start)
 
 
 def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
-    """Assign 1..len(word) walking from the start occurrence.
+    """Assign 1..20 walking from the start occurrence.
 
     CW walks the stored order forward, CCW backward.  The start visit
-    always receives value 1.
+    always receives value 1.  Tables exist only for 20-visit words of the
+    12-site model: any other word that contains the start raises
+    ``ValueError`` before the walk.
     """
     n = len(word)
     positions = [i for i, v in enumerate(word) if v.site == start.site]
@@ -157,32 +144,36 @@ def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
     at = next((i for i in positions if word[i].role is want), None)
     if at is None:
         raise RoleMissingError(f"site {start.site} has no {want} visit")
+    if n != len(TABLE_KEYS) or {(v.site, v.role) for v in word} != _SLOT.keys():
+        raise ValueError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
     step = 1 if start.direction is _FORWARD else -1
-    values: dict[tuple[str, Role], int] = {}
+    values = [0] * n
     for k in range(n):
         v = word[(at + step * k) % n]
-        key = (v.site, v.role)
-        if key in values:
-            raise ValueError(f"duplicate visit {key}; table undefined for this word")
-        values[key] = k + 1
-    return TraversalTable.from_values(start, values)
+        values[_SLOT[(v.site, v.role)]] = k + 1
+    return TraversalTable(start, tuple(values))
+
+
+def _gather_order(image) -> tuple[int, ...]:
+    """Slot i of the result reads slot order[i] when each key k moves to image(k)."""
+    source = {image(key): i for i, key in enumerate(TABLE_KEYS)}
+    return tuple(source[key] for key in TABLE_KEYS)
+
+
+_MIRROR_ORDER = _gather_order(lambda key: (key[0], key[1].swapped))
 
 
 def mirror_table(table: TraversalTable) -> TraversalTable:
     """The same traversal on the mirror diagram: over and under values swap."""
-    values = {
-        (site, role.swapped): value for (site, role), value in table.as_dict().items()
-    }
-    return TraversalTable.from_values(table.start, values, mirrored=not table.mirrored)
+    values = tuple(table.values[i] for i in _MIRROR_ORDER)
+    return TraversalTable(table.start, values, mirrored=not table.mirrored)
 
 
 def relabel_table(table: TraversalTable, mapping: Mapping[str, str]) -> TraversalTable:
     """Rename sites; the start spec moves with them."""
-    values = {
-        (mapping[site], role): value for (site, role), value in table.as_dict().items()
-    }
+    order = _gather_order(lambda key: (mapping[key[0]], key[1]))
     start = StartSpec(mapping[table.start.site], table.start.direction, table.start.entry_role)
-    return TraversalTable.from_values(start, values, mirrored=table.mirrored)
+    return TraversalTable(start, tuple(table.values[i] for i in order), mirrored=table.mirrored)
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,7 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
             nxt_i = index.get(key(rotated))
             if nxt_i is None:
                 raise ValueError(f"ensemble not closed under rotation at {rotated.start}")
-            if not tables[nxt_i].same_assignment(rotated):
+            if tables[nxt_i].values != rotated.values:
                 raise ValueError(f"rotation equivariance violated at {rotated.start}")
             cur_i, cur = nxt_i, tables[nxt_i]
         orbits.append(tuple(orbit))
@@ -282,19 +273,17 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
 
 @dataclass(frozen=True)
 class FixtureCase:
-    case_id: str
-    entries: tuple[tuple[str, Role, int], ...]
+    """One reference table: values in :data:`TABLE_KEYS` order, like a table's."""
 
-    def as_dict(self) -> dict[tuple[str, Role], int]:
-        return {(site, role): value for site, role, value in self.entries}
+    case_id: str
+    values: tuple[int, ...]
+
+    @property
+    def entries(self) -> tuple[tuple[str, Role, int], ...]:
+        return _labeled(self.values)
 
 
 _ROLE_BY_NAME = {"over": Role.OVER, "under": Role.UNDER, "through": Role.THROUGH}
-
-_ALL_KEYS = frozenset(
-    [(s, Role.THROUGH) for s in BRANCH_SITES]
-    + [(s, r) for s in LETTER_SITES if s not in BRANCH_SITES for r in (Role.OVER, Role.UNDER)]
-)
 
 
 def _parse_row_key(lineno: int, site: str, role_name: str) -> tuple[str, Role]:
@@ -303,8 +292,7 @@ def _parse_row_key(lineno: int, site: str, role_name: str) -> tuple[str, Role]:
     role = _ROLE_BY_NAME.get(role_name)
     if role is None:
         raise FixtureParseError(f"line {lineno}: unknown role {role_name!r}")
-    is_branch = site_class(site) is SiteClass.BRANCH_CENTER
-    if is_branch != (role is Role.THROUGH):
+    if (site, role) not in _SLOT:
         raise FixtureParseError(f"line {lineno}: role {role_name!r} does not fit site {site!r}")
     return site, role
 
@@ -339,18 +327,12 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
                 raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {case_id}")
             entries[key] = value
     for case_id, entries in cases.items():
-        if set(entries) != _ALL_KEYS:
+        if len(entries) != len(TABLE_KEYS):
             raise FixtureParseError(
-                f"line {last_line}: case {case_id} incomplete ({len(entries)} of {len(_ALL_KEYS)} entries)"
+                f"line {last_line}: case {case_id} incomplete ({len(entries)} of {len(TABLE_KEYS)} entries)"
             )
     return tuple(
-        FixtureCase(
-            case_id,
-            tuple(
-                (site, role, entries[(site, role)])
-                for site, role in sorted(entries, key=lambda k: (k[0], _ROLE_ORDER[k[1]]))
-            ),
-        )
+        FixtureCase(case_id, tuple(entries[key] for key in TABLE_KEYS))
         for case_id, entries in cases.items()
     )
 
@@ -380,6 +362,22 @@ def shipped_fixture_path() -> Path:
 
 def shipped_errata_path() -> Path:
     return Path(str(resources.files("knot818").joinpath("data/reference_cases_errata.csv")))
+
+
+def apply_errata(case: FixtureCase, rows: Sequence[tuple[str, Role, int, int]]) -> FixtureCase:
+    """The case with each ``(site, role, value, corrected_value)`` row applied.
+
+    Every row must agree with the value it corrects.
+    """
+    values = list(case.values)
+    for site, role, original, corrected in rows:
+        slot = _SLOT[(site, role)]
+        if values[slot] != original:
+            raise FixtureParseError(
+                f"erratum for case {case.case_id} expects {site} {role} = {original}, fixture has {values[slot]}"
+            )
+        values[slot] = corrected
+    return FixtureCase(case.case_id, tuple(values))
 
 
 def case_multiset_violations(case: FixtureCase) -> list[str]:
@@ -428,13 +426,6 @@ class FixtureReport:
         return all(r.status is not MatchStatus.UNMATCHED for r in self.results)
 
 
-def _find_match(pool: Iterable[TraversalTable], entries: dict) -> Optional[TraversalTable]:
-    for table in pool:
-        if table.as_dict() == entries:
-            return table
-    return None
-
-
 def check_fixture(
     ensemble: StateEnsemble,
     fixture: Sequence[FixtureCase],
@@ -448,26 +439,19 @@ def check_fixture(
     """
     if not ensemble.tables:
         raise EmptyEnsembleError("cannot match against an empty ensemble")
-    pool = with_mirrors(ensemble)
+    by_values: dict[tuple[int, ...], TraversalTable] = {}
+    for table in with_mirrors(ensemble):
+        by_values.setdefault(table.values, table)
     results = []
     for case in fixture:
         violations = tuple(case_multiset_violations(case))
-        entries = case.as_dict()
-        witness = _find_match(pool, entries)
+        witness = by_values.get(case.values)
         if witness is not None:
             results.append(CaseResult(case.case_id, MatchStatus.MATCHED, witness, violations))
             continue
-        corrections = (errata or {}).get(case.case_id)
-        if corrections:
-            corrected = dict(entries)
-            for site, role, original, new_value in corrections:
-                stored = corrected.get((site, role))
-                if stored != original:
-                    raise FixtureParseError(
-                        f"erratum for case {case.case_id} expects {site} {role} = {original}, fixture has {stored}"
-                    )
-                corrected[(site, role)] = new_value
-            witness = _find_match(pool, corrected)
+        rows = (errata or {}).get(case.case_id)
+        if rows:
+            witness = by_values.get(apply_errata(case, rows).values)
             if witness is not None:
                 results.append(
                     CaseResult(case.case_id, MatchStatus.MATCHED_WITH_ERRATUM, witness, violations, True)

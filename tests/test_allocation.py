@@ -130,6 +130,6 @@ def test_site_totals_uses_through_values():
     table = case_a_table()
     alloc = site_totals(table).as_dict()
     for site in "IJKL":
-        assert alloc[site] == table.through(site)
+        assert alloc[site] == table.value(site, Role.THROUGH)
     for site in "ABCDEFGH":
         assert alloc[site] == table.value(site, Role.OVER) + table.value(site, Role.UNDER)

@@ -14,9 +14,7 @@ from knot818.diagram import (
     DiagramWord,
     Role,
     SiteClass,
-    SymmetryOp,
     Visit,
-    apply_symmetry,
     canonical_818,
     cyclic_equivalent,
     site_class,
@@ -104,32 +102,36 @@ def test_rotation_relabel_is_a_class_preserving_4_cycle_product():
 def test_quarter_turn_matches_basepoint_shift():
     # Relabeling by one quarter turn is the same word five visits later.
     word = canonical_818()
-    assert apply_symmetry(word, SymmetryOp(1)) == word.rotated(5)
-    assert apply_symmetry(word, SymmetryOp(2)) == word.rotated(10)
-    assert apply_symmetry(word, SymmetryOp(4)) == word
+    turned = word
+    for quarter_turns in range(1, 5):
+        turned = turned.relabeled(ROTATION_RELABEL)
+        assert turned == word.rotated(5 * quarter_turns)
+    assert turned == word
 
 
 def test_reflection_swaps_roles_only():
     word = canonical_818()
-    reflected = apply_symmetry(word, SymmetryOp(0, reflected=True))
+    reflected = word.mirrored()
     assert reflected.sites() == word.sites()
     for a, b in zip(word, reflected):
         assert b.role is a.role.swapped
 
 
-ops = st.builds(SymmetryOp, st.integers(0, 3), st.booleans())
+def quarter_turn(word):
+    return word.relabeled(ROTATION_RELABEL)
 
 
-@given(valid_words, ops, ops)
-def test_symmetry_is_a_group_action(word, op1, op2):
-    assert apply_symmetry(apply_symmetry(word, op2), op1) == apply_symmetry(
-        word, op1.compose(op2)
-    )
+@given(valid_words)
+def test_symmetry_is_a_group_action(word):
+    # Quarter turns have order 4 and commute with the mirror.
+    assert quarter_turn(word).mirrored() == quarter_turn(word.mirrored())
+    assert quarter_turn(quarter_turn(quarter_turn(quarter_turn(word)))) == word
 
 
-@given(valid_words, ops)
-def test_symmetry_preserves_validity(word, op):
-    assert validate_word(apply_symmetry(word, op)) == []
+@given(valid_words)
+def test_symmetry_preserves_validity(word):
+    assert validate_word(quarter_turn(word)) == []
+    assert validate_word(quarter_turn(word).mirrored()) == []
 
 
 @given(valid_words)

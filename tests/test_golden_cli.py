@@ -1,0 +1,68 @@
+"""Golden gate for the table paths of the command line.
+
+``data/cli_golden.json`` holds the stdout and exit code of ``traverse``
+for every start spec (csv and json) and of ``analyze`` for every
+ensemble (all three formats).  Re-capture it only when a change to that
+output is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from knot818 import cli
+from knot818.diagram import BRANCH_SITES, LETTER_SITES
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+_START_ARGS = [
+    ["--start", site, "--dir", direction] + (["--role", role] if role else [])
+    for site in LETTER_SITES
+    for direction in ("cw", "ccw")
+    for role in ((None,) if site in BRANCH_SITES else ("over", "under"))
+]
+
+INVOCATIONS = [
+    ["traverse", *start, "--format", fmt] for start in _START_ARGS for fmt in ("csv", "json")
+] + [
+    ["analyze", "--ensemble", ensemble, "--format", fmt]
+    for ensemble in ("reps10", "all40", "with-mirrors")
+    for fmt in ("text", "csv", "json")
+]
+
+
+def _run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return {"exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+def test_cli_output_matches_golden(golden, argv):
+    assert _run(argv) == golden[" ".join(argv)]
+
+
+def test_golden_lists_every_invocation(golden):
+    assert len(_START_ARGS) == 40
+    assert list(golden) == [" ".join(argv) for argv in INVOCATIONS]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    captured = {" ".join(argv): _run(argv) for argv in INVOCATIONS}
+    GOLDEN.write_text(json.dumps(captured, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(captured)} invocations to {GOLDEN}", file=sys.stderr)

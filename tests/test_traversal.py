@@ -23,8 +23,10 @@ from knot818.traversal import (
     RoleMissingError,
     StartNotFoundError,
     StartSpec,
+    TABLE_KEYS,
     StateEnsemble,
     TraversalTable,
+    apply_errata,
     case_multiset_violations,
     check_fixture,
     enumerate_all,
@@ -58,6 +60,10 @@ CASE_A = {
 }
 
 
+def assignment(table_or_case):
+    return {(site, role): value for site, role, value in table_or_case.entries}
+
+
 def all_specs():
     return [t.start for t in enumerate_all().tables]
 
@@ -80,25 +86,35 @@ def test_start_spec_text():
 
 def test_case_a_values():
     table = traverse(canonical_818(), StartSpec("K", CW))
-    assert table.as_dict() == CASE_A
-    assert table.through("K") == 1
-    assert table.over("C") == 3
+    assert assignment(table) == CASE_A
+    assert table.value("K", Role.THROUGH) == 1
+    assert table.value("C", Role.OVER) == 3
     assert not table.mirrored
+
+
+def test_table_keys_order():
+    shoulders = [(s, r) for s in "ABCDEFGH" for r in (Role.OVER, Role.UNDER)]
+    assert list(TABLE_KEYS) == shoulders + [(s, Role.THROUGH) for s in "IJKL"]
+    table = traverse(canonical_818(), StartSpec("K", CW))
+    assert table.values == tuple(CASE_A[key] for key in TABLE_KEYS)
+    assert [(site, role) for site, role, _ in table.entries] == list(TABLE_KEYS)
+    with pytest.raises(KeyError):
+        table.value("K", Role.OVER)
 
 
 def test_ccw_reverses_cw():
     cw = traverse(canonical_818(), StartSpec("K", CW))
     ccw = traverse(canonical_818(), StartSpec("K", CCW))
-    for key, value in cw.as_dict().items():
+    for key, value in assignment(cw).items():
         expected = 1 if value == 1 else 22 - value
-        assert ccw.as_dict()[key] == expected
+        assert ccw.value(*key) == expected
 
 
 def test_every_start_is_a_permutation_with_value_one_at_start():
     word = canonical_818()
     for spec in all_specs():
         table = traverse(word, spec)
-        assert sorted(table.as_dict().values()) == list(range(1, 21))
+        assert sorted(table.values) == list(range(1, 21))
         role = Role.THROUGH if spec.entry_role is None else spec.entry_role
         assert table.value(spec.site, role) == 1
 
@@ -125,17 +141,17 @@ def test_mirror_swaps_over_and_under():
     table = traverse(canonical_818(), StartSpec("F", CW, Role.OVER))
     mirrored = mirror_table(table)
     for site in "ABCDEFGH":
-        assert mirrored.over(site) == table.under(site)
-        assert mirrored.under(site) == table.over(site)
+        assert mirrored.value(site, Role.OVER) == table.value(site, Role.UNDER)
+        assert mirrored.value(site, Role.UNDER) == table.value(site, Role.OVER)
     for site in "IJKL":
-        assert mirrored.through(site) == table.through(site)
+        assert mirrored.value(site, Role.THROUGH) == table.value(site, Role.THROUGH)
     assert mirrored.describe() == "mirror(F,cw,over)"
 
 
 def test_mirror_is_an_involution():
     for table in enumerate_all().tables:
         back = mirror_table(mirror_table(table))
-        assert back.same_assignment(table)
+        assert back.values == table.values
         assert back.mirrored == table.mirrored
 
 
@@ -143,14 +159,14 @@ def test_relabel_moves_start_spec():
     table = traverse(canonical_818(), StartSpec("K", CW))
     rotated = relabel_table(table, ROTATION_RELABEL)
     assert rotated.start == StartSpec("J", CW)
-    assert rotated.through("J") == 1
+    assert rotated.value("J", Role.THROUGH) == 1
 
 
 def test_rotation_equivariance():
     word = canonical_818()
     table = traverse(word, StartSpec("A", CCW, Role.UNDER))
     direct = traverse(word, StartSpec(ROTATION_RELABEL["A"], CCW, Role.UNDER))
-    assert relabel_table(table, ROTATION_RELABEL).same_assignment(direct)
+    assert relabel_table(table, ROTATION_RELABEL).values == direct.values
 
 
 def test_rotation_orbits_on_all40():
@@ -181,6 +197,12 @@ def test_traverse_errors():
     doubled = DiagramWord((Visit("A", Role.OVER), Visit("A", Role.OVER)))
     with pytest.raises(ValueError):
         traverse(doubled, StartSpec("A", CW, Role.OVER))
+    nineteen = DiagramWord(canonical_818().visits[:19])
+    with pytest.raises(ValueError, match="20-visit"):
+        traverse(nineteen, StartSpec("K", CW))
+    digit = canonical_818().relabeled({**{s: s for s in LETTER_SITES}, "A": "1"})
+    with pytest.raises(ValueError, match="20-visit"):
+        traverse(digit, StartSpec("K", CW))
 
 
 def test_ensemble_rejects_duplicate_specs():
@@ -198,7 +220,7 @@ def test_shipped_fixture_shape():
 
 def test_case_a_in_fixture_matches_traversal():
     cases = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
-    assert cases["a"].as_dict() == CASE_A
+    assert assignment(cases["a"]) == CASE_A
 
 
 def test_fixture_raw_statuses():
@@ -257,7 +279,7 @@ def test_fixture_witnesses_name_the_start_states():
 def test_mirror_of_case_a_is_case_k():
     cases = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
     mirrored = mirror_table(traverse(canonical_818(), StartSpec("K", CW)))
-    assert mirrored.as_dict() == cases["k"].as_dict()
+    assert mirrored.values == cases["k"].values
 
 
 def test_check_fixture_requires_tables():
@@ -329,6 +351,16 @@ def test_errata_row_must_agree_with_fixture(tmp_path):
         )
 
 
+def test_apply_errata_corrects_case_h():
+    cases = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
+    corrected = apply_errata(cases["h"], load_errata(shipped_errata_path())["h"])
+    assert corrected.case_id == "h"
+    assert corrected.values != cases["h"].values
+    assert corrected.values == traverse(canonical_818(), StartSpec("A", CCW, Role.UNDER)).values
+    assert case_multiset_violations(corrected) == []
+    assert apply_errata(cases["a"], ()) == cases["a"]
+
+
 def test_errata_parse_bad_header(tmp_path):
     path = _write(tmp_path, "errata.csv", "case,site,role,value\n")
     with pytest.raises(FixtureParseError, match="line 1"):
@@ -344,5 +376,5 @@ def test_mirror_commutes_with_rotation(site, ccw):
     table = traverse(canonical_818(), StartSpec(site, direction, role))
     one = mirror_table(relabel_table(table, ROTATION_RELABEL))
     two = relabel_table(mirror_table(table), ROTATION_RELABEL)
-    assert one.same_assignment(two)
+    assert one.values == two.values
     assert one.start == two.start
