@@ -89,8 +89,16 @@ class DefectReport:
 
 
 def defect_report(allocation: SiteAllocation) -> DefectReport:
-    """Exact per-class statistics of an allocation over all twelve sites."""
-    totals = allocation.as_dict()
+    """Exact per-class statistics of an allocation over all twelve sites.
+
+    For a class of n totals v summing to S, the mean is ``Fraction(S, n)``
+    and the largest deviation is ``Fraction(max |n*v - S|, n)``: since
+    ``|v - S/n| = |n*v - S| / n``, every deviation is an integer over the
+    same denominator n, so the maximum of the integers divided once by n
+    is exactly the maximum of the rational deviations, reduced the same
+    way by ``Fraction``.
+    """
+    totals = dict(allocation.totals)
     missing = [
         site
         for _cls, sites in CLASS_SITES
@@ -102,14 +110,13 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
     stats = []
     for cls, sites in CLASS_SITES:
         values = [totals[s] for s in sites]
-        mean = Fraction(sum(values), len(values))
-        deviations = [abs(Fraction(v) - mean) for v in values]
+        n, total = len(values), sum(values)
         stats.append(
             ClassStats(
                 site_class=cls,
                 entries=tuple(zip(sites, values)),
-                mean=mean,
-                max_deviation=max(deviations),
+                mean=Fraction(total, n),
+                max_deviation=Fraction(max(abs(n * v - total) for v in values), n),
                 mismatch=len(set(values)) > 1,
             )
         )

@@ -39,7 +39,13 @@ from .invariants import ZeroPolynomialError, alexander_from_braid
 from .laurent import InexactDivisionError, ZeroArgumentError
 from .notation import BraidTextError, NotationError, emit_extended_gauss, parse_braid_word
 
+
+class FormatError(ValueError):
+    """Output format is not one of text, csv, json."""
+
+
 _USAGE_ERRORS = (
+    FormatError,
     BraidTextError,
     NotationError,
     trav.FixtureParseError,
@@ -66,7 +72,7 @@ def _resolve_format(value: Optional[str]) -> str:
     if value is None:
         value = os.environ.get("KNOT818_FORMAT", "text")
     if value not in ("text", "csv", "json"):
-        raise trav.InvalidStartSpecError(f"unknown format {value!r}")  # usage error, exit 2
+        raise FormatError(f"unknown format {value!r}")
     return value
 
 

@@ -128,6 +128,37 @@ class TraversalTable:
         return f"mirror({self.start})" if self.mirrored else str(self.start)
 
 
+def _slots(word: DiagramWord) -> Optional[tuple[int, ...]]:
+    """The :data:`TABLE_KEYS` slot of each visit, in word order.
+
+    ``None`` unless the word is a 20-visit word of the 12-site model,
+    i.e. every key occurs exactly once.
+    """
+    if len(word) != len(TABLE_KEYS):
+        return None
+    slots = tuple(_SLOT.get(v) for v in word)
+    if None in slots or len(set(slots)) != len(TABLE_KEYS):
+        return None
+    return slots
+
+
+def _traverse(word: DiagramWord, slots: Optional[tuple[int, ...]], start: StartSpec) -> TraversalTable:
+    positions = [i for i, v in enumerate(word) if v.site == start.site]
+    if not positions:
+        raise StartNotFoundError(f"site {start.site} does not occur in the word")
+    want = Role.THROUGH if start.entry_role is None else start.entry_role
+    at = next((i for i in positions if word[i].role is want), None)
+    if at is None:
+        raise RoleMissingError(f"site {start.site} has no {want} visit")
+    if slots is None:
+        raise ValueError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
+    walk = slots[at:] + slots[:at] if start.direction is _FORWARD else slots[at::-1] + slots[:at:-1]
+    values = [0] * len(walk)
+    for value, slot in enumerate(walk, 1):
+        values[slot] = value
+    return TraversalTable(start, tuple(values))
+
+
 def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
     """Assign 1..20 walking from the start occurrence.
 
@@ -136,22 +167,7 @@ def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
     12-site model: any other word that contains the start raises
     ``ValueError`` before the walk.
     """
-    n = len(word)
-    positions = [i for i, v in enumerate(word) if v.site == start.site]
-    if not positions:
-        raise StartNotFoundError(f"site {start.site} does not occur in the word")
-    want = Role.THROUGH if start.entry_role is None else start.entry_role
-    at = next((i for i in positions if word[i].role is want), None)
-    if at is None:
-        raise RoleMissingError(f"site {start.site} has no {want} visit")
-    if n != len(TABLE_KEYS) or {(v.site, v.role) for v in word} != _SLOT.keys():
-        raise ValueError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
-    step = 1 if start.direction is _FORWARD else -1
-    values = [0] * n
-    for k in range(n):
-        v = word[(at + step * k) % n]
-        values[_SLOT[(v.site, v.role)]] = k + 1
-    return TraversalTable(start, tuple(values))
+    return _traverse(word, _slots(word), start)
 
 
 def _gather_order(image) -> tuple[int, ...]:
@@ -210,8 +226,9 @@ def enumerate_representatives(word: Optional[DiagramWord] = None) -> StateEnsemb
     (over first).
     """
     word = canonical_818() if word is None else word
+    slots = _slots(word)
     tables = tuple(
-        traverse(word, spec)
+        _traverse(word, slots, spec)
         for site in REPRESENTATIVE_SITES
         for spec in _start_specs_for(site)
     )
@@ -221,8 +238,9 @@ def enumerate_representatives(word: Optional[DiagramWord] = None) -> StateEnsemb
 def enumerate_all(word: Optional[DiagramWord] = None) -> StateEnsemble:
     """All forty tables, sites in letter order, then direction, then role."""
     word = canonical_818() if word is None else word
+    slots = _slots(word)
     tables = tuple(
-        traverse(word, spec)
+        _traverse(word, slots, spec)
         for site in LETTER_SITES
         for spec in _start_specs_for(site)
     )
@@ -246,6 +264,7 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
     index = {key(t): i for i, t in enumerate(tables)}
     if len(index) != len(tables):
         raise ValueError("duplicate start specs")
+    order = _gather_order(lambda k: (ROTATION_RELABEL[k[0]], k[1]))
     seen: set[int] = set()
     orbits: list[tuple[int, ...]] = []
     for i, table in enumerate(tables):
@@ -256,13 +275,15 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
         while cur_i not in seen:
             seen.add(cur_i)
             orbit.append(cur_i)
-            rotated = relabel_table(cur, ROTATION_RELABEL)
-            nxt_i = index.get(key(rotated))
+            site, direction, role, mirrored = key(cur)
+            nxt_i = index.get((ROTATION_RELABEL[site], direction, role, mirrored))
             if nxt_i is None:
-                raise ValueError(f"ensemble not closed under rotation at {rotated.start}")
-            if tables[nxt_i].values != rotated.values:
-                raise ValueError(f"rotation equivariance violated at {rotated.start}")
-            cur_i, cur = nxt_i, tables[nxt_i]
+                rotated = StartSpec(ROTATION_RELABEL[site], direction, role)
+                raise ValueError(f"ensemble not closed under rotation at {rotated}")
+            nxt = tables[nxt_i]
+            if nxt.values != tuple(cur.values[j] for j in order):
+                raise ValueError(f"rotation equivariance violated at {nxt.start}")
+            cur_i, cur = nxt_i, nxt
         orbits.append(tuple(orbit))
     return tuple(orbits)
 

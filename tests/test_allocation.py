@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from knot818.allocation import (
     CLASS_SITES,
+    ClassStats,
     IncompleteAllocationError,
     SiteAllocation,
     defect_report,
@@ -95,8 +98,8 @@ def test_all40_totals_balance_exactly():
 
 
 def test_mirror_preserves_site_totals():
-    table = case_a_table()
-    assert site_totals(mirror_table(table)).as_dict() == site_totals(table).as_dict()
+    for table in enumerate_all().tables:
+        assert site_totals(mirror_table(table)).as_dict() == site_totals(table).as_dict()
 
 
 def test_mirrored_source_string():
@@ -133,3 +136,27 @@ def test_site_totals_uses_through_values():
         assert alloc[site] == table.value(site, Role.THROUGH)
     for site in "ABCDEFGH":
         assert alloc[site] == table.value(site, Role.OVER) + table.value(site, Role.UNDER)
+
+
+def _rational_class_stats(site_class, sites, values):
+    """The defining statistics, computed on rationals throughout."""
+    mean = Fraction(sum(values), len(values))
+    max_deviation = max(abs(Fraction(v) - mean) for v in values)
+    return ClassStats(site_class, tuple(zip(sites, values)), mean, max_deviation, len(set(values)) > 1)
+
+
+_TOTAL = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@given(st.lists(_TOTAL, min_size=12, max_size=12))
+def test_defect_report_matches_rational_definition(drawn):
+    totals = dict(zip("ABCDEFGHIJKL", drawn))
+    report = defect_report(SiteAllocation.from_mapping("drawn", totals))
+    assert report.source == "drawn"
+    assert len(report.classes) == len(CLASS_SITES)
+    for stats, (cls, sites) in zip(report.classes, CLASS_SITES):
+        expected = _rational_class_stats(cls, sites, [totals[s] for s in sites])
+        assert stats == expected
+        assert type(stats.mean) is type(expected.mean) is Fraction
+        assert type(stats.max_deviation) is type(expected.max_deviation) is Fraction
+        assert type(stats.mismatch) is bool

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from knot818 import cli
+from knot818 import traversal as trav
 
 
 def run(capsys, *argv):
@@ -130,7 +131,10 @@ def test_bad_env_format_is_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("KNOT818_FORMAT", "yaml")
     code, _, err = run(capsys, "traverse", "--start", "K")
     assert code == 2
-    assert "yaml" in err
+    assert err == "error: unknown format 'yaml'\n"
+    with pytest.raises(cli.FormatError) as info:
+        cli._resolve_format(None)
+    assert not isinstance(info.value, trav.InvalidStartSpecError)
 
 
 def test_analyze_single_state_csv(capsys):

@@ -1,9 +1,11 @@
 """Golden gate for the table paths of the command line.
 
 ``data/cli_golden.json`` holds the stdout and exit code of ``traverse``
-for every start spec (csv and json) and of ``analyze`` for every
-ensemble (all three formats).  Re-capture it only when a change to that
-output is intended:
+for every start spec (csv and json), of ``analyze`` for every ensemble
+(all three formats) and of ``analyze --state`` for every start spec
+(json).  A mirror table has the same site totals as its table, so the
+per-state reports cover all eighty tables.  Re-capture it only when a
+change to that output is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -23,12 +25,17 @@ from knot818.diagram import BRANCH_SITES, LETTER_SITES
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
-_START_ARGS = [
-    ["--start", site, "--dir", direction] + (["--role", role] if role else [])
+_STARTS = [
+    (site, direction, role)
     for site in LETTER_SITES
     for direction in ("cw", "ccw")
     for role in ((None,) if site in BRANCH_SITES else ("over", "under"))
 ]
+_START_ARGS = [
+    ["--start", site, "--dir", direction] + (["--role", role] if role else [])
+    for site, direction, role in _STARTS
+]
+_STATE_SPECS = [",".join(filter(None, start)) for start in _STARTS]
 
 INVOCATIONS = [
     ["traverse", *start, "--format", fmt] for start in _START_ARGS for fmt in ("csv", "json")
@@ -36,6 +43,8 @@ INVOCATIONS = [
     ["analyze", "--ensemble", ensemble, "--format", fmt]
     for ensemble in ("reps10", "all40", "with-mirrors")
     for fmt in ("text", "csv", "json")
+] + [
+    ["analyze", "--state", spec, "--format", "json"] for spec in _STATE_SPECS
 ]
 
 
@@ -57,7 +66,7 @@ def test_cli_output_matches_golden(golden, argv):
 
 
 def test_golden_lists_every_invocation(golden):
-    assert len(_START_ARGS) == 40
+    assert len(_START_ARGS) == len(_STATE_SPECS) == 40
     assert list(golden) == [" ".join(argv) for argv in INVOCATIONS]
 
 

@@ -1,5 +1,7 @@
 """Start-state traversal tables, the reference fixture, and its errata."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -178,8 +180,19 @@ def test_rotation_orbits_on_all40():
 
 
 def test_rotation_orbits_need_a_closed_ensemble():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         rotation_orbits(enumerate_representatives().tables)
+    assert str(info.value) == "ensemble not closed under rotation at J,cw"
+
+
+def test_rotation_orbits_check_every_table():
+    tables = with_mirrors(enumerate_all())
+    first = tables[0]
+    swapped = (first.values[1], first.values[0]) + first.values[2:]
+    tables[0] = replace(first, values=swapped)
+    relabeled = StartSpec(ROTATION_RELABEL[first.start.site], first.start.direction, first.start.entry_role)
+    with pytest.raises(ValueError, match=f"^rotation equivariance violated at {relabeled}$"):
+        rotation_orbits(tables)
 
 
 def test_traverse_errors():
@@ -203,6 +216,12 @@ def test_traverse_errors():
     digit = canonical_818().relabeled({**{s: s for s in LETTER_SITES}, "A": "1"})
     with pytest.raises(ValueError, match="20-visit"):
         traverse(digit, StartSpec("K", CW))
+    with pytest.raises(ValueError, match="20-visit"):
+        enumerate_all(nineteen)
+    with pytest.raises(ValueError, match="20-visit"):
+        enumerate_representatives(digit)
+    with pytest.raises(StartNotFoundError):
+        enumerate_all(trefoil)
 
 
 def test_ensemble_rejects_duplicate_specs():
