@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Time the exact Alexander polynomial on a ladder of growing braids.
+
+Each rung is one knot-closure braid; the script prints the best of
+``--repeat`` wall times for the three stages of the Alexander path:
+``burau_reduced``, the determinant of (rho - I), and the whole
+``alexander_from_braid``.  The rungs:
+
+- 3 strands at 50, 200, 800 and 3000 letters: generators alternate
+  1, 2 with seeded random signs (when that closes to a link, the last
+  letter becomes 1, which makes it a knot);
+- full-cycle words on 4..8 strands: (1 -2 3 ... ±(n-1))^(n+1);
+- torus words (1 2 ... 7)^k on 8 strands, k = 9, 35, 71, 143 (up to
+  1001 letters), closing to the torus knots T(8, k).
+
+``det_bits`` is the bit length of the largest coefficient of
+det(rho - I).  Run from a checkout with ``PYTHONPATH=src``::
+
+    python scripts/alexander_ladder.py [--quick] [--repeat K]
+"""
+
+import argparse
+import random
+from time import perf_counter
+
+from knot818.braid import BraidWord
+from knot818.cli import positive_int
+from knot818.invariants import PolyMatrix, alexander_from_braid, burau_reduced
+
+
+def three_strand(length: int) -> BraidWord:
+    rng = random.Random(f"alexander_ladder/{length}")
+    letters = [g * rng.choice((1, -1)) for g in (1, 2) * (length // 2)]
+    braid = BraidWord(3, tuple(letters))
+    if not braid.is_knot_closure:
+        letters[-1] = 1
+        braid = BraidWord(3, tuple(letters))
+    return braid
+
+
+def full_cycle(strands: int) -> BraidWord:
+    cycle = tuple(i if i % 2 else -i for i in range(1, strands))
+    return BraidWord(strands, cycle * (strands + 1))
+
+
+def torus(k: int) -> BraidWord:
+    return BraidWord(8, tuple(range(1, 8)) * k)
+
+
+def ladder() -> list[tuple[str, BraidWord]]:
+    return (
+        [(f"3-strand/{n}", three_strand(n)) for n in (50, 200, 800, 3000)]
+        + [(f"full-cycle/{s}", full_cycle(s)) for s in range(4, 9)]
+        + [(f"torus-8/{k}", torus(k)) for k in (9, 35, 71, 143)]
+    )
+
+
+def best_ms(fn, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        start = perf_counter()
+        fn()
+        best = min(best, perf_counter() - start)
+    return best * 1e3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="run only the two smallest 3-strand rungs")
+    parser.add_argument("--repeat", type=positive_int, default=3, help="runs per stage; the best is printed (default 3)")
+    args = parser.parse_args(argv)
+
+    rungs = ladder()[:2] if args.quick else ladder()
+    print(f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12} {'det_bits':>8}")
+    for name, braid in rungs:
+        matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
+        det = matrix.det()
+        bits = max(abs(c).bit_length() for c in det.coeffs)
+        burau = best_ms(lambda: burau_reduced(braid), args.repeat)
+        det_ms = best_ms(matrix.det, args.repeat)
+        alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
+        print(
+            f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f} {bits:>8}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -19,6 +19,7 @@ from .braid import (
     BRAID_818,
     AnnularEmbedding,
     BadRadiiError,
+    BadSamplingError,
     BraidWord,
     CrossingMarker,
     NotAKnotError,

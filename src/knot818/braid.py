@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .diagram import (
     BRANCH_SITES,
@@ -42,6 +42,10 @@ class VertexRuleInapplicableError(ValueError):
 
 class BadRadiiError(ValueError):
     """Radii must be positive, strictly increasing, one per strand."""
+
+
+class BadSamplingError(ValueError):
+    """Each letter slot needs at least one sample point."""
 
 
 class OriginOnCurveError(ValueError):
@@ -144,8 +148,7 @@ class SignedCrossing:
     site: str
 
 
-@dataclass(frozen=True)
-class _Pass:
+class _Pass(NamedTuple):
     """One trip through one angular slot."""
 
     slot: int
@@ -351,7 +354,7 @@ def annular_embed(
     ):
         raise BadRadiiError(f"need {braid.strands} positive strictly increasing radii, got {radii}")
     if slots_per_letter < 1:
-        raise ValueError("slots_per_letter must be at least 1")
+        raise BadSamplingError(f"slots_per_letter must be at least 1, got {slots_per_letter}")
 
     if not braid.letters:
         pts_per = max(3, slots_per_letter)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .braid import BraidWord, require_knot_closure
-from .laurent import ONE, LaurentPoly, T
+from .laurent import ONE, LaurentPoly, T, _digit_width, _unpack
 
 
 class ZeroPolynomialError(ValueError):
@@ -105,6 +105,10 @@ class PolyMatrix:
         return -a[-1][-1] if negate else a[-1][-1]
 
 
+# Letters between two trims of the packed Burau entries (see burau_reduced).
+_TRIM_EVERY = 64
+
+
 def burau_reduced(braid: BraidWord) -> PolyMatrix:
     """Reduced Burau matrix of the whole word (identity for the empty word).
 
@@ -113,19 +117,66 @@ def burau_reduced(braid: BraidWord) -> PolyMatrix:
     holds 1, -t^-1, t^-1).  Right-multiplying by it therefore rewrites at
     most those three columns of the product, each from column i-1 by a
     shift, a negation and an addition, with no polynomial product.
+
+    Entries are carried as ``(min_exp, x)`` with the coefficients packed
+    into x as signed base-2^(8*width) digits (``laurent._pack``), so a
+    shift moves min_exp, a negation is -x and an addition is one aligning
+    left shift and one integer sum.  The digit width is fixed up front by
+    a bound: with L1 the sum of |coefficients|, every entry of column j
+    has L1 at most bound[j], where bound starts at all ones and each
+    letter adds bound[i-1] into its two neighbours, as the update adds
+    column i-1 into them.  The bound never decreases, so its final
+    maximum bounds every coefficient of every intermediate entry.
+
+    Cancellation can zero the low digits of a sum; every
+    ``_TRIM_EVERY`` letters each entry sheds its zero low digits into
+    min_exp, or the dead digits would ride along in every later sum.
     """
     dim = braid.strands - 1
-    cols = [list(col) for col in PolyMatrix.identity(dim).rows]  # symmetric
+    bound = [1] * dim
     for letter in braid.letters:
+        r = abs(letter) - 1
+        if r > 0:
+            bound[r - 1] += bound[r]
+        if r + 1 < dim:
+            bound[r + 1] += bound[r]
+    width = _digit_width(max(bound))
+    k = 8 * width
+
+    def plus(a: tuple[int, int], e: int, x: int) -> tuple[int, int]:
+        ea, xa = a
+        if not x:
+            return a
+        if not xa:
+            return e, x
+        if ea <= e:
+            return ea, xa + (x << (e - ea) * k)
+        return e, x + (xa << (ea - e) * k)
+
+    def trim(e: int, x: int) -> tuple[int, int]:
+        if not x:
+            return 0, 0
+        zeros = ((x & -x).bit_length() - 1) // k
+        return e + zeros, x >> zeros * k
+
+    cols = [[(0, int(i == j)) for i in range(dim)] for j in range(dim)]
+    for n, letter in enumerate(braid.letters, 1):
         r = abs(letter) - 1
         pivot = cols[r]
         left, right = (1, 0) if letter > 0 else (0, -1)
         if r > 0:
-            cols[r - 1] = [a + p.shifted(left) for a, p in zip(cols[r - 1], pivot)]
+            cols[r - 1] = [plus(a, e + left, x) for a, (e, x) in zip(cols[r - 1], pivot)]
         if r + 1 < dim:
-            cols[r + 1] = [a + p.shifted(right) for a, p in zip(cols[r + 1], pivot)]
-        cols[r] = [-p.shifted(left + right) for p in pivot]
-    return PolyMatrix(tuple(zip(*cols)))
+            cols[r + 1] = [plus(a, e + right, x) for a, (e, x) in zip(cols[r + 1], pivot)]
+        cols[r] = [(e + left + right, -x) for e, x in pivot]
+        if n % _TRIM_EVERY == 0:
+            cols = [[trim(e, x) for e, x in col] for col in cols]
+
+    def unpacked(e: int, x: int) -> LaurentPoly:
+        # With every digit under half a base, the top one is digit bit_length // k.
+        return LaurentPoly(e, tuple(_unpack(x, abs(x).bit_length() // k + 1, width)))
+
+    return PolyMatrix(tuple(tuple(unpacked(e, x) for e, x in row) for row in zip(*cols)))
 
 
 def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -214,29 +214,50 @@ class LaurentPoly:
 _KRONECKER_MIN_LEN = 10
 
 
+def _bias(count: int, width: int) -> int:
+    # 2^(8*width - 1) in each of ``count`` base-2^(8*width) digits
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _digit_width(bound: int) -> int:
+    """Fewest bytes per digit that hold every c with |c| <= bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """Evaluate ``sum(c * B**i)`` at B = 2^(8*width) in one pass.
+
+    Every coefficient needs -2^(8*width - 1) <= c < 2^(8*width - 1):
+    biased by that half it becomes one unsigned ``width``-byte digit, the
+    digits are joined and read as one integer, and the bias of all digits
+    is taken back off.
+    """
+    half = 1 << (8 * width - 1)
+    digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(digits, "little") - _bias(len(coeffs), width)
+
+
+def _unpack(x: int, count: int, width: int) -> list[int]:
+    """Inverse of :func:`_pack`: the ``count`` signed digits of ``x``.
+
+    Exact when ``x`` is ``sum(c * B**i)`` over ``count`` coefficients in
+    the range :func:`_pack` accepts; adding the bias then makes every
+    digit nonnegative without carries.
+    """
+    half = 1 << (8 * width - 1)
+    digits = (x + _bias(count, width)).to_bytes(width * count, "little")
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
+
+
 def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     """Product coefficients by Kronecker substitution.
 
-    Both operands are evaluated at t = 2^k, with k so large that every
-    product coefficient c has |c| < 2^(k-1), and multiplied as two
-    integers.  Adding 2^(k-1) to every base-2^k digit of the result
-    makes each digit nonnegative without carries, so the coefficients
-    read back digit by digit.
+    Both operands are evaluated at t = 2^k by :func:`_pack`, with k so
+    large that every product coefficient c has |c| < 2^(k-1), multiplied
+    as two integers, and read back by :func:`_unpack`.
     """
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-    width = bound.bit_length() // 8 + 1  # bytes per digit
-    k = 8 * width
-    x = 0
-    for c in reversed(a):
-        x = (x << k) + c
-    y = 0
-    for c in reversed(b):
-        y = (y << k) + c
-    n = len(a) + len(b) - 1
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * n, "little")
-    digits = (x * y + bias).to_bytes(width * n, "little")
-    half = 1 << (k - 1)
-    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * n, width)]
+    width = _digit_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 ZERO = LaurentPoly()

@@ -305,6 +305,8 @@ class FixtureCase:
 
 
 _ROLE_BY_NAME = {"over": Role.OVER, "under": Role.UNDER, "through": Role.THROUGH}
+# The TABLE_KEYS slot of each (site, role) pair as a fixture row spells it.
+_SLOT_BY_TEXT = {(site, role.value): i for (site, role), i in _SLOT.items()}
 
 
 def _parse_row_key(lineno: int, site: str, role_name: str) -> tuple[str, Role]:
@@ -327,7 +329,7 @@ def _parse_int(lineno: int, text: str, column: str) -> int:
 
 def load_table_fixture(path) -> tuple[FixtureCase, ...]:
     """Read a case table from CSV with header ``case,site,role,value``."""
-    cases: dict[str, dict[tuple[str, Role], int]] = {}
+    cases: dict[str, list[Optional[int]]] = {}  # values by TABLE_KEYS slot
     last_line = 1
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -341,21 +343,24 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
             case_id, site, role_name, value_text = row
             if not case_id:
                 raise FixtureParseError(f"line {lineno}: empty case id")
-            key = _parse_row_key(lineno, site, role_name)
+            slot = _SLOT_BY_TEXT.get((site, role_name))
+            if slot is None:
+                slot = _SLOT[_parse_row_key(lineno, site, role_name)]
             value = _parse_int(lineno, value_text, "value")
-            entries = cases.setdefault(case_id, {})
-            if key in entries:
+            entries = cases.get(case_id)
+            if entries is None:
+                entries = cases[case_id] = [None] * len(TABLE_KEYS)
+            if entries[slot] is not None:
                 raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {case_id}")
-            entries[key] = value
+            entries[slot] = value
     for case_id, entries in cases.items():
-        if len(entries) != len(TABLE_KEYS):
+        missing = entries.count(None)
+        if missing:
             raise FixtureParseError(
-                f"line {last_line}: case {case_id} incomplete ({len(entries)} of {len(TABLE_KEYS)} entries)"
+                f"line {last_line}: case {case_id} incomplete"
+                f" ({len(TABLE_KEYS) - missing} of {len(TABLE_KEYS)} entries)"
             )
-    return tuple(
-        FixtureCase(case_id, tuple(entries[key] for key in TABLE_KEYS))
-        for case_id, entries in cases.items()
-    )
+    return tuple(FixtureCase(case_id, tuple(entries)) for case_id, entries in cases.items())
 
 
 def load_errata(path) -> dict[str, list[tuple[str, Role, int, int]]]:

@@ -10,6 +10,7 @@ from knot818.braid import (
     BRAID_818,
     AnnularEmbedding,
     BadRadiiError,
+    BadSamplingError,
     BraidWord,
     NotAKnotError,
     OriginOnCurveError,
@@ -141,6 +142,15 @@ def test_bad_radii():
         annular_embed(BRAID_818, (3.0, 2.0, 1.0))
     with pytest.raises(BadRadiiError):
         annular_embed(BRAID_818, (0.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("braid", [BRAID_818, BraidWord(2, ())], ids=["main", "empty"])
+@pytest.mark.parametrize("slots", [0, -4])
+def test_bad_sampling(braid, slots):
+    with pytest.raises(BadSamplingError) as exc:
+        annular_embed(braid, tuple(range(1, braid.strands + 1)), slots_per_letter=slots)
+    assert type(exc.value) is BadSamplingError
+    assert str(exc.value) == f"slots_per_letter must be at least 1, got {slots}"
 
 
 def test_main_embedding_is_one_closed_loop():

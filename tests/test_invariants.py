@@ -1,7 +1,9 @@
 """Burau representation and exact Alexander polynomials."""
 
 import itertools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +69,67 @@ def test_burau_generator_images(strands):
         for letter in (i, -i):
             image = burau_reduced(BraidWord(strands, (letter,)))
             assert image == _generator_image(letter, strands)
+
+
+def dense_burau(braid):
+    """Reference Burau matrix: the product of the dense generator images."""
+    product = PolyMatrix.identity(braid.strands - 1)
+    for letter in braid.letters:
+        product = product * _generator_image(letter, braid.strands)
+    return product
+
+
+def column_bound(braid):
+    """The L1 bound ``burau_reduced`` fixes its digit width from."""
+    dim = braid.strands - 1
+    bound = [1] * dim
+    for letter in braid.letters:
+        r = abs(letter) - 1
+        if r > 0:
+            bound[r - 1] += bound[r]
+        if r + 1 < dim:
+            bound[r + 1] += bound[r]
+    return max(bound)
+
+
+@st.composite
+def long_braid_words(draw):
+    """Braids on 2-8 strands up to 120 letters.
+
+    Alternating ones (generator i with sign (-1)^(i+1)) barely cancel, so
+    on 3 strands their Burau coefficients pass 64 bits and the packed
+    digits are wider than 8 bytes.
+    """
+    strands = draw(st.integers(2, 8))
+    length = draw(st.integers(0, 120))
+    gens = draw(st.lists(st.integers(1, strands - 1), min_size=length, max_size=length))
+    if draw(st.booleans()):
+        signs = [1 if g % 2 else -1 for g in gens]
+    else:
+        signs = draw(st.lists(st.sampled_from((1, -1)), min_size=length, max_size=length))
+    return BraidWord(strands, tuple(g * s for g, s in zip(gens, signs)))
+
+
+# The bound of this prefix of (1 -2)^n has exactly 64 bits: the edge
+# where the digit width steps from 8 bytes to 9.
+WIDTH_EDGE = BraidWord(3, ((1, -2) * 46)[:91])
+# Largest Burau coefficient 79 bits.
+WIDE_DIGITS = BraidWord(3, (1, -2) * 60)
+
+
+def test_examples_sit_where_claimed():
+    assert column_bound(WIDTH_EDGE).bit_length() == 64
+    rho = burau_reduced(WIDE_DIGITS)
+    assert max(abs(c).bit_length() for row in rho.rows for p in row for c in p.coeffs) == 79
+
+
+@given(long_braid_words())
+@example(WIDTH_EDGE)
+@example(WIDE_DIGITS)
+@example(BraidWord(8, (1, -2, 3, -4, 5, -6, 7) * 17))
+@settings(max_examples=30, deadline=None)
+def test_packed_burau_matches_dense_product(braid):
+    assert burau_reduced(braid) == dense_burau(braid)
 
 
 @given(braid_words())
@@ -161,16 +224,38 @@ REGRESSION_CASES = [
 ]
 
 
-@pytest.mark.parametrize("braid, coeffs", REGRESSION_CASES, ids=["torus-8-9", "six-strand", "seven-strand"])
+def _captured(name):
+    # Captured from the LaurentPoly column walk that preceded the packed one.
+    data = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text(encoding="utf-8"))
+    letters = tuple(int(l) for l in data["letters"].split())
+    return BraidWord(data["strands"], letters), tuple(data["delta"])
+
+
+# A 400-letter alternating 3-strand word (generator 1 positive, 2
+# negative, in a seeded random order): Delta of degree 398 with 228-bit
+# coefficients.
+REGRESSION_CASES.append(_captured("alexander_alternating_400"))
+
+
+@pytest.mark.parametrize(
+    "braid, coeffs", REGRESSION_CASES, ids=["torus-8-9", "six-strand", "seven-strand", "alternating-400"]
+)
 def test_alexander_regression_values(braid, coeffs):
     assert alexander_from_braid(braid) == LaurentPoly(0, coeffs)
 
 
-def test_torus_knot_against_closed_form():
+def torus_knot_alexander(p, q):
     # Delta of T(p, q) is (t^pq - 1)(t - 1) / ((t^p - 1)(t^q - 1)).
-    p, q = 8, 9
-    closed_form = ((T ** (p * q) - ONE) * (T - ONE)).exact_div((T ** p - ONE) * (T ** q - ONE))
-    assert REGRESSION_CASES[0][1] == closed_form.coeffs
+    return ((T ** (p * q) - ONE) * (T - ONE)).exact_div((T ** p - ONE) * (T ** q - ONE))
+
+
+def test_torus_knot_against_closed_form():
+    assert REGRESSION_CASES[0][1] == torus_knot_alexander(8, 9).coeffs
+
+
+def test_long_torus_knot_against_closed_form():
+    # (1 2)^400 closes to T(3, 400).
+    assert alexander_from_braid(BraidWord(3, (1, 2) * 400)) == torus_knot_alexander(3, 400)
 
 
 def test_normalize_alexander():

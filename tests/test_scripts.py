@@ -64,3 +64,20 @@ def test_export_embedding_points_per_slot_must_be_positive(capsys, tmp_path, val
     assert exc.value.code == 2
     assert "--points-per-slot" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_alexander_ladder_quick(capsys):
+    script = load_script("alexander_ladder")
+    assert script.main(["--quick", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["rung", "strands", "letters", "burau_ms", "det_ms", "alexander_ms", "det_bits"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[:3] for row in rows] == [["3-strand/50", "3", "50"], ["3-strand/200", "3", "200"]]
+    assert [int(row[6]) for row in rows] == [4, 41]
+
+
+def test_alexander_ladder_rungs_close_to_knots():
+    script = load_script("alexander_ladder")
+    rungs = script.ladder()
+    assert [len(braid) for _, braid in rungs] == [50, 200, 800, 3000, 15, 24, 35, 48, 63, 63, 245, 497, 1001]
+    assert all(braid.is_knot_closure for _, braid in rungs)

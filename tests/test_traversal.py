@@ -357,6 +357,30 @@ def test_fixture_parse_incomplete_case(tmp_path):
         load_table_fixture(path)
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("case,site,role\n", "line 1: expected header case,site,role,value"),
+        ("case,site,role,value\nx,A,over\n", "line 2: expected 4 fields, got 3"),
+        ("case,site,role,value\n,A,over,1\n", "line 2: empty case id"),
+        ("case,site,role,value\nx,Q,over,1\n", "line 2: unknown site 'Q'"),
+        ("case,site,role,value\nx,a,over,1\n", "line 2: unknown site 'a'"),
+        ("case,site,role,value\nx,A,sideways,1\n", "line 2: unknown role 'sideways'"),
+        ("case,site,role,value\nx,A,Over,1\n", "line 2: unknown role 'Over'"),
+        ("case,site,role,value\nx,A,through,1\n", "line 2: role 'through' does not fit site 'A'"),
+        ("case,site,role,value\nx,I,over,1\n", "line 2: role 'over' does not fit site 'I'"),
+        ("case,site,role,value\nx,A,over,seven\n", "line 2: value 'seven' is not an integer"),
+        ("case,site,role,value\nx,A,over,1\nx,A,over,2\n", "line 3: duplicate entry A over in case x"),
+        ("case,site,role,value\nx,A,over,1\nx,I,through,2\n", "line 3: case x incomplete (2 of 20 entries)"),
+    ],
+)
+def test_fixture_parse_messages(tmp_path, body, message):
+    path = _write(tmp_path, "bad.csv", body)
+    with pytest.raises(FixtureParseError) as exc:
+        load_table_fixture(path)
+    assert str(exc.value) == message
+
+
 def test_errata_row_must_agree_with_fixture(tmp_path):
     errata_path = _write(
         tmp_path, "errata.csv",
