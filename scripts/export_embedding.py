@@ -11,7 +11,7 @@ import argparse
 import math
 
 from knot818.braid import BRAID_818, annular_embed, winding_phase
-from knot818.cli import positive_int, write_points_csv
+from knot818.cli import positive_int, radii_list, write_points_csv
 from knot818.notation import parse_braid_word
 
 
@@ -19,18 +19,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--braid", default=" ".join(map(str, BRAID_818.letters)))
     parser.add_argument("--strands", type=int, default=3)
-    parser.add_argument("--radii", default=None, help="comma separated, default 1..strands")
+    parser.add_argument("--radii", type=radii_list, help="comma separated, default 1..strands")
     parser.add_argument("--points-per-slot", type=positive_int, default=64)
     parser.add_argument("--out", required=True, help="points CSV path")
     parser.add_argument("--markers", default=None, help="optional crossing marker CSV path")
     args = parser.parse_args(argv)
 
     braid = parse_braid_word(args.braid, args.strands)
-    if args.radii is None:
-        radii = tuple(float(r) for r in range(1, braid.strands + 1))
-    else:
-        radii = tuple(float(r) for r in args.radii.split(","))
-    embedding = annular_embed(braid, radii, slots_per_letter=args.points_per_slot)
+    embedding = annular_embed(braid, args.radii, slots_per_letter=args.points_per_slot)
+    phase = winding_phase(embedding)
     write_points_csv(args.out, embedding)
 
     if args.markers:
@@ -44,7 +41,6 @@ def main(argv=None) -> int:
                 )
         print(f"wrote {len(embedding.markers)} markers to {args.markers}")
 
-    phase = winding_phase(embedding)
     print(f"winding phase: {phase!r} ({phase / math.pi:.6f} pi)")
     return 0
 

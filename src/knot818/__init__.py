@@ -22,6 +22,7 @@ from .braid import (
     BadSamplingError,
     BraidWord,
     CrossingMarker,
+    InvalidBraidError,
     NotAKnotError,
     OriginOnCurveError,
     ParallelStrandsError,
@@ -49,6 +50,7 @@ from .diagram import (
     site_class,
     validate_word,
 )
+from .errors import DomainError, Knot818Error, UsageError
 from .invariants import (
     PolyMatrix,
     ZeroPolynomialError,

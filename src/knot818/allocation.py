@@ -15,10 +15,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .diagram import BRANCH_SITES, INNER_SITES, OUTER_SITES, SiteClass
+from .errors import DomainError
 from .traversal import TABLE_KEYS, EmptyEnsembleError, StateEnsemble, TraversalTable
 
 
-class IncompleteAllocationError(ValueError):
+class IncompleteAllocationError(DomainError, ValueError):
     """Totals are missing one or more of the twelve sites."""
 
 

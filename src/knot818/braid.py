@@ -30,29 +30,34 @@ from .diagram import (
     canonical_818,
     cyclic_equivalent,
 )
+from .errors import DomainError, UsageError
 
 
-class NotAKnotError(ValueError):
+class InvalidBraidError(UsageError, ValueError):
+    """Fewer than two strands, or a letter outside the generators."""
+
+
+class NotAKnotError(DomainError, ValueError):
     """Closure has more than one component."""
 
 
-class VertexRuleInapplicableError(ValueError):
+class VertexRuleInapplicableError(DomainError, ValueError):
     """Branch-vertex insertion requested for a braid it is not defined on."""
 
 
-class BadRadiiError(ValueError):
-    """Radii must be positive, strictly increasing, one per strand."""
+class BadRadiiError(DomainError, ValueError):
+    """Radii must be finite, positive, strictly increasing, one per strand."""
 
 
-class BadSamplingError(ValueError):
+class BadSamplingError(DomainError, ValueError):
     """Each letter slot needs at least one sample point."""
 
 
-class OriginOnCurveError(ValueError):
+class OriginOnCurveError(DomainError, ValueError):
     """A polyline vertex sits on the winding center."""
 
 
-class ParallelStrandsError(ValueError):
+class ParallelStrandsError(DomainError, ValueError):
     """Crossing direction vectors do not span the plane."""
 
 
@@ -69,11 +74,11 @@ class BraidWord:
 
     def __post_init__(self) -> None:
         if self.strands < 2:
-            raise ValueError("a braid needs at least 2 strands")
+            raise InvalidBraidError("a braid needs at least 2 strands")
         letters = tuple(int(l) for l in self.letters)
         for l in letters:
             if l == 0 or abs(l) > self.strands - 1:
-                raise ValueError(f"letter {l} out of range for {self.strands} strands")
+                raise InvalidBraidError(f"letter {l} out of range for {self.strands} strands")
         object.__setattr__(self, "letters", letters)
 
     def __len__(self) -> int:
@@ -338,21 +343,21 @@ class AnnularEmbedding:
 
 
 def annular_embed(
-    braid: BraidWord, radii: Sequence[float], slots_per_letter: int = 64
+    braid: BraidWord, radii: Optional[Sequence[float]] = None, slots_per_letter: int = 64
 ) -> AnnularEmbedding:
     """Sample the closure as concentric arcs with cosine-eased strand swaps.
 
-    Strand position p rides at radii[p-1]; each letter occupies one
-    angular slot of width 2*pi/len(letters), and the two strands it
-    swaps trade radii across the slot, meeting at its midpoint.
+    Strand position p rides at radii[p-1] (default p); each letter
+    occupies one angular slot of width 2*pi/len(letters), and the two
+    strands it swaps trade radii across the slot, meeting at its midpoint.
     """
-    radii = tuple(float(r) for r in radii)
+    radii = tuple(float(r) for r in (range(1, braid.strands + 1) if radii is None else radii))
     if (
         len(radii) != braid.strands
-        or any(r <= 0.0 for r in radii)
+        or not all(0.0 < r < math.inf for r in radii)
         or any(a >= b for a, b in zip(radii, radii[1:]))
     ):
-        raise BadRadiiError(f"need {braid.strands} positive strictly increasing radii, got {radii}")
+        raise BadRadiiError(f"need {braid.strands} finite positive strictly increasing radii, got {radii}")
     if slots_per_letter < 1:
         raise BadSamplingError(f"slots_per_letter must be at least 1, got {slots_per_letter}")
 

@@ -5,7 +5,9 @@ traverse (one table), analyze (allocation defects), check-fixture
 (match the shipped reference tables), embed (write sampled coordinates).
 
 Exit codes: 0 success, 1 mismatch or internal error, 2 usage or parse
-error, 3 domain precondition violated.  Output format for tabular
+error (a :class:`~knot818.errors.UsageError` or an unreadable or
+unwritable file), 3 domain precondition violated (a
+:class:`~knot818.errors.DomainError`).  Output format for tabular
 subcommands comes from --format, falling back to the KNOT818_FORMAT
 environment variable, then to plain text.
 """
@@ -21,51 +23,15 @@ from typing import Optional, Sequence
 
 from . import allocation as alloc
 from . import traversal as trav
-from .braid import (
-    BRAID_818,
-    AnnularEmbedding,
-    BadRadiiError,
-    NotAKnotError,
-    OriginOnCurveError,
-    ParallelStrandsError,
-    VertexRuleInapplicableError,
-    annular_embed,
-    closure_diagram,
-    winding_phase,
-    writhe,
-)
+from .braid import BRAID_818, AnnularEmbedding, annular_embed, closure_diagram, winding_phase, writhe
 from .diagram import Role
-from .invariants import ZeroPolynomialError, alexander_from_braid
-from .laurent import InexactDivisionError, ZeroArgumentError
-from .notation import BraidTextError, NotationError, emit_extended_gauss, parse_braid_word
+from .errors import DomainError, UsageError
+from .invariants import alexander_from_braid
+from .notation import emit_extended_gauss, parse_braid_word
 
 
-class FormatError(ValueError):
+class FormatError(UsageError, ValueError):
     """Output format is not one of text, csv, json."""
-
-
-_USAGE_ERRORS = (
-    FormatError,
-    BraidTextError,
-    NotationError,
-    trav.FixtureParseError,
-    trav.InvalidStartSpecError,
-)
-
-_DOMAIN_ERRORS = (
-    NotAKnotError,
-    VertexRuleInapplicableError,
-    BadRadiiError,
-    OriginOnCurveError,
-    ParallelStrandsError,
-    trav.StartNotFoundError,
-    trav.RoleMissingError,
-    trav.EmptyEnsembleError,
-    alloc.IncompleteAllocationError,
-    InexactDivisionError,
-    ZeroArgumentError,
-    ZeroPolynomialError,
-)
 
 
 def _resolve_format(value: Optional[str]) -> str:
@@ -85,6 +51,14 @@ def positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def radii_list(text: str) -> tuple[float, ...]:
+    """argparse type for a comma separated list of radii."""
+    try:
+        return tuple(float(r) for r in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad radii list {text!r}") from None
 
 
 def _parse_state(text: str) -> trav.StartSpec:
@@ -188,8 +162,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     braid = _braid_from_args(args)
     poly = alexander_from_braid(braid)
-    radii = tuple(range(1, braid.strands + 1))
-    phase = winding_phase(annular_embed(braid, radii, slots_per_letter=64))
+    phase = winding_phase(annular_embed(braid, slots_per_letter=64))
     determinant = abs(poly.evaluate(-1))
     print(f"alexander: {poly}")
     print(f"writhe: {braid.exponent_sum}")
@@ -265,15 +238,9 @@ def write_points_csv(path: str, embedding: AnnularEmbedding) -> None:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    braid = _braid_from_args(args)
-    try:
-        radii = tuple(float(r) for r in args.radii.split(","))
-    except ValueError:
-        print(f"bad radii list {args.radii!r}", file=sys.stderr)
-        return 2
-    embedding = annular_embed(braid, radii, slots_per_letter=args.points_per_slot)
+    embedding = annular_embed(_braid_from_args(args), args.radii, slots_per_letter=args.points_per_slot)
+    phase = winding_phase(embedding)  # before writing, so a failed run leaves no file
     write_points_csv(args.out, embedding)
-    phase = winding_phase(embedding)
     print(f"phase: {_format_phase(phase, args.radians)}")
     return 0
 
@@ -330,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="write sampled closure coordinates to CSV")
     _add_braid_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--radii", default=None, help="comma separated radii (default 1..strands)")
+    p.add_argument("--radii", type=radii_list, help="comma separated radii (default 1..strands)")
     p.add_argument("--points-per-slot", type=positive_int, default=64)
     p.add_argument("--radians", action="store_true")
     p.set_defaults(func=cmd_embed)
@@ -344,14 +311,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    if getattr(args, "radii", None) is None and args.command == "embed":
-        args.radii = ",".join(str(r) for r in range(1, args.strands + 1))
     try:
         return args.func(args)
-    except _USAGE_ERRORS as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except _DOMAIN_ERRORS as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except Exception as exc:  # internal error contract

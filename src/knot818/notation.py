@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from .braid import BraidWord
 from .diagram import DiagramWord, Role, SiteClass, Visit, site_class
+from .errors import UsageError
 
 
-class NotationError(ValueError):
+class NotationError(UsageError, ValueError):
     """Malformed token stream; ``token_index`` locates the offender."""
 
     def __init__(self, token_index: int, message: str) -> None:
@@ -118,7 +119,7 @@ def gauss_to_dt(word: DiagramWord) -> tuple[int, ...]:
     return tuple(out)
 
 
-class BraidTextError(ValueError):
+class BraidTextError(UsageError, ValueError):
     """Malformed braid word text."""
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .diagram import (
     BRANCH_SITES,
@@ -32,25 +32,26 @@ from .diagram import (
     Role,
     canonical_818,
 )
+from .errors import DomainError, UsageError
 
 
-class InvalidStartSpecError(ValueError):
+class InvalidStartSpecError(UsageError, ValueError):
     pass
 
 
-class StartNotFoundError(ValueError):
+class StartNotFoundError(DomainError, ValueError):
     """Start site does not occur in the word."""
 
 
-class RoleMissingError(ValueError):
+class RoleMissingError(DomainError, ValueError):
     """Start site occurs, but never with the requested entry role."""
 
 
-class EmptyEnsembleError(ValueError):
+class EmptyEnsembleError(DomainError, ValueError):
     pass
 
 
-class FixtureParseError(ValueError):
+class FixtureParseError(UsageError, ValueError):
     pass
 
 
@@ -327,37 +328,42 @@ def _parse_int(lineno: int, text: str, column: str) -> int:
         raise FixtureParseError(f"line {lineno}: {column} {text!r} is not an integer") from None
 
 
+def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, row)`` for each CSV row after ``header``, checked to have its width."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        raise FixtureParseError(f"{path}: not UTF-8 text") from None
+    if rows[:1] != [header]:
+        raise FixtureParseError(f"line 1: expected header {','.join(header)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FixtureParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        yield lineno, row
+
+
 def load_table_fixture(path) -> tuple[FixtureCase, ...]:
     """Read a case table from CSV with header ``case,site,role,value``."""
     cases: dict[str, list[Optional[int]]] = {}  # values by TABLE_KEYS slot
-    last_line = 1
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["case", "site", "role", "value"]:
-            raise FixtureParseError("line 1: expected header case,site,role,value")
-        for lineno, row in enumerate(reader, start=2):
-            last_line = lineno
-            if len(row) != 4:
-                raise FixtureParseError(f"line {lineno}: expected 4 fields, got {len(row)}")
-            case_id, site, role_name, value_text = row
-            if not case_id:
-                raise FixtureParseError(f"line {lineno}: empty case id")
-            slot = _SLOT_BY_TEXT.get((site, role_name))
-            if slot is None:
-                slot = _SLOT[_parse_row_key(lineno, site, role_name)]
-            value = _parse_int(lineno, value_text, "value")
-            entries = cases.get(case_id)
-            if entries is None:
-                entries = cases[case_id] = [None] * len(TABLE_KEYS)
-            if entries[slot] is not None:
-                raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {case_id}")
-            entries[slot] = value
-    for case_id, entries in cases.items():
+    for lineno, (case_id, site, role_name, value_text) in _read_rows(path, ["case", "site", "role", "value"]):
+        if not case_id:
+            raise FixtureParseError(f"line {lineno}: empty case id")
+        slot = _SLOT_BY_TEXT.get((site, role_name))
+        if slot is None:
+            slot = _SLOT[_parse_row_key(lineno, site, role_name)]
+        value = _parse_int(lineno, value_text, "value")
+        entries = cases.get(case_id)
+        if entries is None:
+            entries = cases[case_id] = [None] * len(TABLE_KEYS)
+        if entries[slot] is not None:
+            raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {case_id}")
+        entries[slot] = value
+    for case_id, entries in cases.items():  # any case means lineno is the last row's
         missing = entries.count(None)
         if missing:
             raise FixtureParseError(
-                f"line {last_line}: case {case_id} incomplete"
+                f"line {lineno}: case {case_id} incomplete"
                 f" ({len(TABLE_KEYS) - missing} of {len(TABLE_KEYS)} entries)"
             )
     return tuple(FixtureCase(case_id, tuple(entries)) for case_id, entries in cases.items())
@@ -366,19 +372,12 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
 def load_errata(path) -> dict[str, list[tuple[str, Role, int, int]]]:
     """Read correction rows: ``case,site,role,value,corrected_value``."""
     out: dict[str, list[tuple[str, Role, int, int]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["case", "site", "role", "value", "corrected_value"]:
-            raise FixtureParseError("line 1: expected header case,site,role,value,corrected_value")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 5:
-                raise FixtureParseError(f"line {lineno}: expected 5 fields, got {len(row)}")
-            case_id, site, role_name, value_text, corrected_text = row
-            key = _parse_row_key(lineno, site, role_name)
-            original = _parse_int(lineno, value_text, "value")
-            corrected = _parse_int(lineno, corrected_text, "corrected_value")
-            out.setdefault(case_id, []).append((key[0], key[1], original, corrected))
+    rows = _read_rows(path, ["case", "site", "role", "value", "corrected_value"])
+    for lineno, (case_id, site, role_name, value_text, corrected_text) in rows:
+        key = _parse_row_key(lineno, site, role_name)
+        original = _parse_int(lineno, value_text, "value")
+        corrected = _parse_int(lineno, corrected_text, "corrected_value")
+        out.setdefault(case_id, []).append((key[0], key[1], original, corrected))
     return out
 
 

@@ -12,6 +12,7 @@ from knot818.braid import (
     BadRadiiError,
     BadSamplingError,
     BraidWord,
+    InvalidBraidError,
     NotAKnotError,
     OriginOnCurveError,
     ParallelStrandsError,
@@ -26,12 +27,10 @@ from knot818.diagram import Role, SiteClass, canonical_818, site_class
 
 
 def test_braid_word_validation():
-    with pytest.raises(ValueError):
-        BraidWord(1, (1,))
-    with pytest.raises(ValueError):
-        BraidWord(3, (0,))
-    with pytest.raises(ValueError):
-        BraidWord(3, (3,))
+    for strands, letters in ((1, (1,)), (1, ()), (-5, ()), (3, (0,)), (3, (3,))):
+        with pytest.raises(InvalidBraidError):
+            BraidWord(strands, letters)
+    assert issubclass(InvalidBraidError, ValueError)
     BraidWord(3, (2, -2, 1, -1))  # fine
 
 
@@ -142,6 +141,12 @@ def test_bad_radii():
         annular_embed(BRAID_818, (3.0, 2.0, 1.0))
     with pytest.raises(BadRadiiError):
         annular_embed(BRAID_818, (0.0, 1.0, 2.0))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(BadRadiiError):
+            annular_embed(BRAID_818, (1.0, 2.0, bad))
+        with pytest.raises(BadRadiiError):
+            annular_embed(BRAID_818, (bad, 1.0, 2.0))
+    assert annular_embed(BRAID_818, slots_per_letter=2).radii == (1.0, 2.0, 3.0)
 
 
 @pytest.mark.parametrize("braid", [BRAID_818, BraidWord(2, ())], ids=["main", "empty"])

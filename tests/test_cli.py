@@ -1,11 +1,19 @@
 """End-to-end command line behavior, including the exit code contract."""
 
+import argparse
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import knot818
 from knot818 import cli
 from knot818 import traversal as trav
+from knot818.braid import InvalidBraidError, NotAKnotError
+from knot818.errors import DomainError, Knot818Error, UsageError
+from knot818.invariants import ZeroPolynomialError
+from knot818.laurent import InexactDivisionError, ZeroArgumentError
 
 
 def run(capsys, *argv):
@@ -40,11 +48,6 @@ def test_build_vertices_off(capsys):
     assert "crossings: 8" in out
 
 
-def test_build_vertices_forced_on_wrong_shape(capsys):
-    code, _, err = run(capsys, "build", "--braid", "1 1 1", "--strands", "2", "--vertices", "on")
-    assert code == 3
-    assert "error:" in err
-
 
 def test_invariants_defaults(capsys):
     code, out, _ = run(capsys, "invariants")
@@ -65,17 +68,6 @@ def test_invariants_radians(capsys):
     assert value == pytest.approx(6 * 3.141592653589793, abs=1e-9)
 
 
-def test_invariants_not_a_knot(capsys):
-    code, _, err = run(capsys, "invariants", "--braid", "1 1", "--strands", "2")
-    assert code == 3
-    assert "not a knot" in err
-
-
-def test_invariants_long_link_error_is_short(capsys):
-    code, _, err = run(capsys, "invariants", "--braid", " ".join(["1"] * 600), "--strands", "2")
-    assert code == 3
-    assert "600-letter" in err and "2 components" in err
-    assert len(err) < 200
 
 
 def test_traverse_text(capsys):
@@ -107,11 +99,6 @@ def test_traverse_json(capsys):
     assert len(values) == 20
 
 
-def test_traverse_missing_role_is_usage_error(capsys):
-    code, _, err = run(capsys, "traverse", "--start", "A")
-    assert code == 2
-    assert "error:" in err
-
 
 def test_traverse_env_format(capsys, monkeypatch):
     monkeypatch.setenv("KNOT818_FORMAT", "csv")
@@ -127,13 +114,12 @@ def test_flag_beats_env_format(capsys, monkeypatch):
     assert out.startswith("# start K,cw")
 
 
-def test_bad_env_format_is_usage_error(capsys, monkeypatch):
+def test_bad_env_format_is_usage_error(monkeypatch):
+    # The command line side is the "bad-env-format" row of FAILURES.
     monkeypatch.setenv("KNOT818_FORMAT", "yaml")
-    code, _, err = run(capsys, "traverse", "--start", "K")
-    assert code == 2
-    assert err == "error: unknown format 'yaml'\n"
     with pytest.raises(cli.FormatError) as info:
         cli._resolve_format(None)
+    assert isinstance(info.value, UsageError)
     assert not isinstance(info.value, trav.InvalidStartSpecError)
 
 
@@ -168,15 +154,6 @@ def test_analyze_all40_text(capsys):
     assert "total: 8400" in out
 
 
-def test_analyze_state_and_ensemble_are_exclusive(capsys):
-    code, _, err = run(capsys, "analyze", "--ensemble", "all40", "--state", "K,cw")
-    assert code == 2
-
-
-def test_analyze_bad_state(capsys):
-    code, _, err = run(capsys, "analyze", "--state", "K")
-    assert code == 2
-    assert "SITE,DIR" in err
 
 
 def test_check_fixture_raw(capsys):
@@ -200,13 +177,6 @@ def test_check_fixture_with_errata(capsys):
     assert lines[-1] == "all 11 cases matched"
 
 
-def test_check_fixture_bad_file(capsys, tmp_path):
-    bad = tmp_path / "bad.csv"
-    bad.write_text("case,site\n", encoding="utf-8")
-    code, _, err = run(capsys, "check-fixture", str(bad))
-    assert code == 2
-    assert "header" in err
-
 
 def test_embed_writes_csv(capsys, tmp_path):
     out_path = tmp_path / "points.csv"
@@ -222,40 +192,162 @@ def test_embed_writes_csv(capsys, tmp_path):
     float(x), float(y)
 
 
-def test_embed_points_per_slot_must_be_positive(capsys, tmp_path):
-    for value in ("0", "-3", "x"):
-        code, _, err = run(capsys, "embed", "--out", str(tmp_path / "x.csv"), "--points-per-slot", value)
-        assert code == 2
-        assert "--points-per-slot" in err
-    assert not (tmp_path / "x.csv").exists()
+def _usage_error(command, message):
+    """argparse's stderr for a rejected option of ``knot818 command``."""
+    parser = cli.build_parser()
+    if command is not None:
+        (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = subparsers.choices[command]
+    return f"{parser.format_usage()}{parser.prog}: error: {message}\n"
 
 
-def test_embed_bad_radii_order(capsys, tmp_path):
-    code, _, err = run(capsys, "embed", "--out", str(tmp_path / "x.csv"), "--radii", "3,2,1")
-    assert code == 3
+def fails(name, argv, code, stderr, env=None):
+    return pytest.param(argv, code, stderr, env or {}, id=name)
 
 
-def test_embed_unparseable_radii(capsys, tmp_path):
-    code, _, err = run(capsys, "embed", "--out", str(tmp_path / "x.csv"), "--radii", "1;2;3")
-    assert code == 2
-    assert "bad radii" in err
+OUT = ["--out", "{tmp}/x.csv"]
+LONG_LINK = " ".join(["1"] * 600)
+
+# Every failure path of the command line: (argv, exit code, exact stderr,
+# environment).  "{tmp}" stands for the directory of the files that the
+# failure_files fixture writes.
+FAILURES = [
+    # UsageError, exit 2
+    fails("bad-env-format", ["traverse", "--start", "K"], 2, "error: unknown format 'yaml'\n",
+          {"KNOT818_FORMAT": "yaml"}),
+    fails("non-integer-letter", ["build", "--braid", "1 x"], 2, "error: token 1: 'x' is not an integer\n"),
+    fails("empty-braid", ["build", "--braid", ""], 2,
+          "error: empty braid word (pass allow_empty=True for the trivial braid)\n"),
+    fails("letter-out-of-range", ["build", "--strands", "1", "--braid", "1"], 2,
+          "error: token 0: letter 1 out of range for 1 strands\n"),
+    *[
+        fails(f"{command}-strands-{n}", [command, "--strands", n, "--braid", "", "--allow-empty", *extra], 2,
+              "error: a braid needs at least 2 strands\n")
+        for command, n, extra in [
+            ("build", "1", []), ("build", "-5", []), ("invariants", "1", []), ("embed", "1", OUT),
+        ]
+    ],
+    fails("traverse-missing-role", ["traverse", "--start", "A"], 2,
+          "error: shoulder start A needs an over or under entry role\n"),
+    fails("traverse-unknown-site", ["traverse", "--start", "Z"], 2, "error: start site must be one of A..L, got 'Z'\n"),
+    fails("analyze-bad-state", ["analyze", "--state", "K"], 2, "error: state must be SITE,DIR[,ROLE], got 'K'\n"),
+    fails("analyze-bad-direction", ["analyze", "--state", "K,up"], 2,
+          "error: direction must be cw or ccw, got 'up'\n"),
+    fails("check-fixture-bad-header", ["check-fixture", "{tmp}/bad_header.csv"], 2,
+          "error: line 1: expected header case,site,role,value\n"),
+    fails("check-fixture-not-utf8", ["check-fixture", "{tmp}/not_utf8.csv"], 2,
+          "error: {tmp}/not_utf8.csv: not UTF-8 text\n"),
+    fails("errata-not-utf8", ["check-fixture", "--errata", "{tmp}/not_utf8.csv"], 2,
+          "error: {tmp}/not_utf8.csv: not UTF-8 text\n"),
+    fails("errata-disagrees", ["check-fixture", "--errata", "{tmp}/wrong_errata.csv"], 2,
+          "error: erratum for case h expects D over = 13, fixture has 12\n"),
+    # OSError, exit 2
+    fails("check-fixture-missing", ["check-fixture", "{tmp}/missing.csv"], 2,
+          "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n"),
+    fails("errata-missing", ["check-fixture", "--errata", "{tmp}/missing.csv"], 2,
+          "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n"),
+    fails("check-fixture-directory", ["check-fixture", "{tmp}"], 2, "error: [Errno 21] Is a directory: '{tmp}'\n"),
+    fails("embed-missing-directory", ["embed", "--out", "{tmp}/no-dir/x.csv"], 2,
+          "error: [Errno 2] No such file or directory: '{tmp}/no-dir/x.csv'\n"),
+    # argparse, exit 2
+    fails("no-such-command", ["no-such-command"], 2,
+          _usage_error(None, "argument command: invalid choice: 'no-such-command' (choose from 'build',"
+                       " 'invariants', 'traverse', 'analyze', 'check-fixture', 'embed')")),
+    fails("traverse-missing-start", ["traverse"], 2,
+          _usage_error("traverse", "the following arguments are required: --start")),
+    fails("analyze-state-and-ensemble", ["analyze", "--ensemble", "all40", "--state", "K,cw"], 2,
+          _usage_error("analyze", "argument --state: not allowed with argument --ensemble")),
+    fails("embed-unparseable-radii", ["embed", *OUT, "--radii", "1;2;3"], 2,
+          _usage_error("embed", "argument --radii: bad radii list '1;2;3'")),
+    *[
+        fails(f"embed-points-per-slot-{value}", ["embed", *OUT, "--points-per-slot", value], 2,
+              _usage_error("embed", f"argument --points-per-slot: {message}"))
+        for value, message in [
+            ("0", "must be at least 1, got 0"),
+            ("-3", "must be at least 1, got -3"),
+            ("x", "expected a positive integer, got 'x'"),
+        ]
+    ],
+    # DomainError, exit 3
+    fails("build-not-a-knot", ["build", "--braid", "1 1", "--strands", "2"], 3,
+          "error: closure of a 2-letter braid on 2 strands has 2 components, so it is not a knot\n"),
+    fails("invariants-not-a-knot", ["invariants", "--braid", "1 1", "--strands", "2"], 3,
+          "error: closure of a 2-letter braid on 2 strands has 2 components, so it is not a knot\n"),
+    fails("invariants-long-link", ["invariants", "--braid", LONG_LINK, "--strands", "2"], 3,
+          "error: closure of a 600-letter braid on 2 strands has 2 components, so it is not a knot\n"),
+    fails("vertices-forced-on-wrong-shape", ["build", "--braid", "1 1 1", "--strands", "2", "--vertices", "on"], 3,
+          "error: branch vertices are only defined on the annular 3-strand shape\n"),
+    *[
+        fails(f"embed-radii-{radii}", ["embed", *OUT, "--braid", "1 2", "--radii", radii], 3,
+              f"error: need 3 finite positive strictly increasing radii, got {shown}\n")
+        for radii, shown in [
+            ("3,2,1", "(3.0, 2.0, 1.0)"),
+            ("nan,1,2", "(nan, 1.0, 2.0)"),
+            ("1,2,inf", "(1.0, 2.0, inf)"),
+        ]
+    ],
+    fails("embed-origin-on-curve", ["embed", *OUT, "--radii", "1e-13,2e-13,3e-13"], 3,
+          "error: polyline vertex at the winding center\n"),
+]
 
 
-def test_usage_errors_from_argparse(capsys):
-    assert run(capsys, "traverse")[0] == 2  # missing --start
-    assert run(capsys, "no-such-command")[0] == 2
-    assert run(capsys, "build", "--braid", "1 x")[0] == 2
-    assert run(capsys, "build", "--braid", "")[0] == 2
+@pytest.fixture
+def failure_files(tmp_path):
+    (tmp_path / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
+    (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
+    (tmp_path / "wrong_errata.csv").write_text(
+        "case,site,role,value,corrected_value\nh,D,over,13,2\n", encoding="utf-8"
+    )
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, stderr, env", FAILURES)
+def test_cli_failure(capsys, monkeypatch, failure_files, argv, code, stderr, env):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    before = sorted(failure_files.iterdir())
+    tmp = str(failure_files)
+    assert run(capsys, *(arg.replace("{tmp}", tmp) for arg in argv)) == (code, "", stderr.replace("{tmp}", tmp))
+    assert sorted(failure_files.iterdir()) == before  # a failed command writes no file
+
+
+def _defined_exceptions():
+    for info in pkgutil.iter_modules(knot818.__path__):
+        module = importlib.import_module(f"knot818.{info.name}")
+        for obj in vars(module).values():
+            if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_every_error_class_is_in_one_family():
+    arithmetic = {InexactDivisionError, ZeroArgumentError, ZeroPolynomialError}
+    classes = set(_defined_exceptions()) - {Knot818Error, UsageError, DomainError}
+    assert arithmetic | {cli.FormatError, InvalidBraidError, NotAKnotError} <= classes
+    for cls in classes:
+        families = [family for family in (UsageError, DomainError) if issubclass(cls, family)]
+        if cls in arithmetic:
+            assert families == [], cls
+        else:
+            assert len(families) == 1 and issubclass(cls, ValueError), cls
 
 
 def test_internal_errors_exit_one(capsys, monkeypatch):
-    def boom(*_args, **_kwargs):
-        raise RuntimeError("wires crossed")
+    # No command line input reaches the three arithmetic errors (Delta of
+    # a knot is nonzero, it is only evaluated at -1, and the quotient by
+    # (1 - t^n)/(1 - t) is exact), so meeting one is a bug like any other.
+    for error in (
+        RuntimeError("wires crossed"),
+        InexactDivisionError("wires crossed"),
+        ZeroArgumentError("wires crossed"),
+        ZeroPolynomialError("wires crossed"),
+    ):
+        def boom(*_args, **_kwargs):
+            raise error
 
-    monkeypatch.setattr(cli, "alexander_from_braid", boom)
-    code, _, err = run(capsys, "invariants")
-    assert code == 1
-    assert "internal error: wires crossed" in err
+        monkeypatch.setattr(cli, "alexander_from_braid", boom)
+        code, _, err = run(capsys, "invariants")
+        assert code == 1
+        assert err == "internal error: wires crossed\n"
 
 
 def test_output_is_deterministic(capsys):

@@ -315,6 +315,79 @@ def test_alexander_markov_stability():
     )
 
 
+signs = st.sampled_from((1, -1))
+
+
+@st.composite
+def knot_braids(draw, min_strands=2, max_strands=6):
+    """A braid whose closure is a knot by construction, never by rejection.
+
+    Like ``perfbench/inputs.knot_closure_letters``, it tracks the
+    permutation: each generator once, in any order, merges the n strands
+    into one cycle, and squares of generators permute nothing, so
+    inserting them anywhere keeps the closure a knot.
+    """
+    strands = draw(st.integers(min_strands, max_strands))
+    letters = [g * draw(signs) for g in draw(st.permutations(range(1, strands)))]
+    for _ in range(draw(st.integers(0, 2 * strands))):
+        g = draw(st.integers(1, strands - 1))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [g * draw(signs), g * draw(signs)]
+    return BraidWord(strands, tuple(letters))
+
+
+def _inserted(braid, at, piece):
+    """``braid`` with the letters ``piece`` inserted before position ``at``."""
+    at %= len(braid) + 1
+    return BraidWord(braid.strands, braid.letters[:at] + tuple(piece) + braid.letters[at:])
+
+
+@given(knot_braids(), st.integers(0, 100))
+@settings(max_examples=40)
+def test_alexander_conjugation_invariance(braid, k):
+    k %= len(braid)
+    rotated = BraidWord(braid.strands, braid.letters[k:] + braid.letters[:k])
+    assert alexander_from_braid(rotated) == alexander_from_braid(braid)
+
+
+@given(knot_braids(), signs)
+@settings(max_examples=40)
+def test_alexander_markov_stabilization(braid, sign):
+    # Generalizes test_alexander_markov_stability (Birman, 1974).
+    n = braid.strands
+    stabilized = BraidWord(n + 1, braid.letters + (sign * n,))
+    assert alexander_from_braid(stabilized) == alexander_from_braid(braid)
+
+
+@given(knot_braids(), st.integers(0, 100), st.integers(1, 5), signs)
+@settings(max_examples=40)
+def test_alexander_free_cancellation(braid, at, g, sign):
+    g = sign * (g % (braid.strands - 1) + 1)
+    assert alexander_from_braid(_inserted(braid, at, (g, -g))) == alexander_from_braid(braid)
+
+
+@given(knot_braids(min_strands=4), st.integers(0, 100), st.data())
+@settings(max_examples=40)
+def test_alexander_far_commutation(braid, at, data):
+    # s_a s_b = s_b s_a for |a - b| >= 2: insert the commutator, which
+    # is the trivial braid exactly when the relation holds.
+    a = data.draw(st.integers(1, braid.strands - 3))
+    b = data.draw(st.integers(a + 2, braid.strands - 1))
+    a, b = a * data.draw(signs), b * data.draw(signs)
+    assert alexander_from_braid(_inserted(braid, at, (a, b, -a, -b))) == alexander_from_braid(braid)
+
+
+@given(knot_braids(min_strands=3), st.integers(0, 100), st.data())
+@settings(max_examples=40)
+def test_alexander_braid_relation(braid, at, data):
+    # s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1): insert one side times the
+    # inverse of the other; the mirror relation comes with sign -1.
+    i = data.draw(st.integers(1, braid.strands - 2))
+    e = data.draw(signs)
+    relator = (e * (i + 1), e * i, e * (i + 1), -e * i, -e * (i + 1), -e * i)
+    assert alexander_from_braid(_inserted(braid, at, relator)) == alexander_from_braid(braid)
+
+
 @given(braid_words())
 @settings(max_examples=40)
 def test_alexander_palindrome_and_unit_value(braid):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from knot818 import cli
+from knot818.braid import BadRadiiError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DATA = Path(__file__).parent / "data"
@@ -63,6 +64,18 @@ def test_export_embedding_points_per_slot_must_be_positive(capsys, tmp_path, val
         script.main(["--out", str(out), "--points-per-slot", value])
     assert exc.value.code == 2
     assert "--points-per-slot" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_export_embedding_shares_the_radii_checks(capsys, tmp_path):
+    script = load_script("export_embedding")
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--out", str(out), "--radii", "a,b,c"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: argument --radii: bad radii list 'a,b,c'\n")
+    with pytest.raises(BadRadiiError):
+        script.main(["--out", str(out), "--radii", "1,2,nan"])
     assert not out.exists()
 
 
