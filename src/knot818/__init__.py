@@ -2,7 +2,7 @@
 
 Rebuilds the labeled diagram from its 3-strand braid closure, computes
 exact invariants (Alexander polynomial via reduced Burau, writhe,
-winding phase), regenerates the traversal-order tables, and analyzes
+winding number), regenerates the traversal-order tables, and analyzes
 the per-site allocation defects.
 """
 
@@ -31,6 +31,7 @@ from .braid import (
     annular_embed,
     closure_diagram,
     crossing_sign_from_geometry,
+    winding_number,
     winding_phase,
     writhe,
 )

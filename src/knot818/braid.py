@@ -50,7 +50,7 @@ class BadRadiiError(DomainError, ValueError):
 
 
 class BadSamplingError(DomainError, ValueError):
-    """Each letter slot needs at least one sample point."""
+    """Each letter slot needs a sample point, and each turn three."""
 
 
 class OriginOnCurveError(DomainError, ValueError):
@@ -350,6 +350,11 @@ def annular_embed(
     Strand position p rides at radii[p-1] (default p); each letter
     occupies one angular slot of width 2*pi/len(letters), and the two
     strands it swaps trade radii across the slot, meeting at its midpoint.
+
+    Consecutive samples of a nonempty word are 2*pi/(slots_per_letter *
+    len(letters)) apart in angle.  The polyline winds as often as the
+    curve only while that step is below pi, so fewer than three samples
+    per turn raise :class:`BadSamplingError`.
     """
     radii = tuple(float(r) for r in (range(1, braid.strands + 1) if radii is None else radii))
     if (
@@ -360,6 +365,10 @@ def annular_embed(
         raise BadRadiiError(f"need {braid.strands} finite positive strictly increasing radii, got {radii}")
     if slots_per_letter < 1:
         raise BadSamplingError(f"slots_per_letter must be at least 1, got {slots_per_letter}")
+    if braid.letters and slots_per_letter * len(braid.letters) < 3:
+        raise BadSamplingError(
+            f"slots_per_letter * letters must be at least 3, got {slots_per_letter} * {len(braid.letters)}"
+        )
 
     if not braid.letters:
         pts_per = max(3, slots_per_letter)
@@ -374,32 +383,36 @@ def annular_embed(
         return AnnularEmbedding(tuple(loops), (0.0, 0.0), radii, ())
 
     width = 2.0 * math.pi / len(braid.letters)
+    # Per-sample constants, shared by every pass: the angle offset into
+    # the slot and the cosine easing of a strand swap.
+    fractions = [m / slots_per_letter for m in range(slots_per_letter)]
+    offsets = [s * width for s in fractions]
+    easing = [1.0 - math.cos(math.pi * s) for s in fractions]
+    cos, sin = math.cos, math.sin
     marker_parts: dict[int, dict[Role, tuple]] = {}
     loops = []
     for loop in _walk_loops(braid):
         pts: list[tuple[float, float]] = []
         for k, p in enumerate(loop):
             theta0 = k * width
+            angles = [theta0 + offset for offset in offsets]
             r_in = radii[p.entry - 1]
+            if p.crossing is None:
+                pts += [(r_in * cos(th), r_in * sin(th)) for th in angles]
+                continue
             r_out = radii[p.exit - 1]
-            for m in range(slots_per_letter):
-                s = m / slots_per_letter
-                if p.crossing is None:
-                    r = r_in
-                else:
-                    r = r_in + (r_out - r_in) * (1.0 - math.cos(math.pi * s)) / 2.0
-                th = theta0 + s * width
-                pts.append((r * math.cos(th), r * math.sin(th)))
-            if p.crossing is not None:
-                # tangent at the slot midpoint, where the two strands meet
-                th = theta0 + width / 2.0
-                r_mid = (r_in + r_out) / 2.0
-                dr = (r_out - r_in) * math.pi / 2.0
-                cos_t, sin_t = math.cos(th), math.sin(th)
-                direction = (dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
-                point = (r_mid * cos_t, r_mid * sin_t)
-                assert p.role is not None
-                marker_parts.setdefault(p.slot, {})[p.role] = (point, direction)
+            swap = r_out - r_in
+            radius = [r_in + swap * e / 2.0 for e in easing]
+            pts += [(r * cos(th), r * sin(th)) for r, th in zip(radius, angles)]
+            # tangent at the slot midpoint, where the two strands meet
+            th = theta0 + width / 2.0
+            r_mid = (r_in + r_out) / 2.0
+            dr = swap * math.pi / 2.0
+            cos_t, sin_t = cos(th), sin(th)
+            direction = (dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
+            point = (r_mid * cos_t, r_mid * sin_t)
+            assert p.role is not None
+            marker_parts.setdefault(p.slot, {})[p.role] = (point, direction)
         pts.append(pts[0])
         loops.append(tuple(pts))
 
@@ -420,22 +433,42 @@ def annular_embed(
     return AnnularEmbedding(tuple(loops), (0.0, 0.0), radii, tuple(markers))
 
 
-def winding_phase(embedding: AnnularEmbedding) -> float:
-    """Total angle swept around the origin, summed over all loops.
+def winding_number(embedding: AnnularEmbedding) -> int:
+    """Total winding number of the loops about the origin, exactly.
 
-    For closed loops this is 2*pi times the total winding number.  No
-    polyline vertex may coincide with the origin.
+    Counts the signed crossings of the ray y = 0, x > 0 (Hormann and
+    Agathos, Comput. Geom. 20, 2001), with no trigonometry.  A vertex is
+    up iff y > 0, so a vertex on the ray or an edge along it is counted
+    once or not at all.  Where an edge changes side, the sign of the
+    cross product of its ends tells whether it meets the axis at x > 0;
+    upward there counts +1, downward -1.  Every loop must be closed, and
+    no vertex may be within 1e-12 of the origin.
     """
-    total = 0.0
+    hypot = math.hypot
+    total = 0
     for pts in embedding.loops:
         if len(pts) < 2 or pts[0] != pts[-1]:
             raise ValueError("loop is not a closed polyline")
-        for x, y in pts:
-            if math.hypot(x, y) < 1e-12:
+        x1, y1 = pts[0]
+        up = y1 > 0
+        for x2, y2 in pts:
+            if up is not (y2 > 0):
+                up = not up
+                if up:
+                    if x1 * y2 - x2 * y1 > 0:
+                        total += 1
+                elif x1 * y2 - x2 * y1 < 0:
+                    total -= 1
+            # hypot is at least max(|x|, |y|), so the bounds only skip the call
+            if -1e-12 < y2 < 1e-12 and -1e-12 < x2 < 1e-12 and hypot(x2, y2) < 1e-12:
                 raise OriginOnCurveError("polyline vertex at the winding center")
-        for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-            total += math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2)
+            x1, y1 = x2, y2
     return total
+
+
+def winding_phase(embedding: AnnularEmbedding) -> float:
+    """Total angle swept around the origin: 2*pi times :func:`winding_number`."""
+    return 2.0 * math.pi * winding_number(embedding)
 
 
 def crossing_sign_from_geometry(

@@ -183,14 +183,22 @@ class LaurentPoly:
     # -- evaluation and display ----------------------------------------
 
     def evaluate(self, t0: Scalar) -> Fraction:
-        """Exact value at a nonzero rational point."""
+        """Exact value at a nonzero rational point.
+
+        With t0 = p/q, Horner's rule runs on integers: the numerator
+        sums c_k * p^k * q^(deg - k), and one Fraction takes q^deg.
+        """
         x = Fraction(t0)
         if x == 0:
             raise ZeroArgumentError("cannot evaluate at t = 0")
-        total = Fraction(0)
-        for exp, c in self.terms():
-            total += c * x ** exp
-        return total
+        if self.is_zero:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        num, qk = 0, 1
+        for c in reversed(self.coeffs):
+            num = num * p + c * qk
+            qk *= q
+        return Fraction(num, q ** (len(self.coeffs) - 1)) * x ** self.min_exp
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -458,25 +458,31 @@ def check_fixture(
 ) -> FixtureReport:
     """Match every fixture case against the ensemble and its mirrors.
 
-    A case that fails to match raw is retried with its errata rows
-    applied (each row must agree with the stored value it corrects).
-    Multiset violations are reported for the raw case either way.
+    Every errata row is checked first: it must name a fixture case and
+    agree with the stored value it corrects.  A case that fails to match
+    raw is then retried with its rows applied.  Multiset violations are
+    reported for the raw case either way.
     """
     if not ensemble.tables:
         raise EmptyEnsembleError("cannot match against an empty ensemble")
+    errata = errata or {}
+    case_ids = {case.case_id for case in fixture}
+    for case_id in errata:
+        if case_id not in case_ids:
+            raise FixtureParseError(f"erratum for case {case_id}: the fixture has no such case")
+    corrected = [apply_errata(case, errata[case.case_id]) if case.case_id in errata else None for case in fixture]
     by_values: dict[tuple[int, ...], TraversalTable] = {}
     for table in with_mirrors(ensemble):
         by_values.setdefault(table.values, table)
     results = []
-    for case in fixture:
+    for case, fixed in zip(fixture, corrected):
         violations = tuple(case_multiset_violations(case))
         witness = by_values.get(case.values)
         if witness is not None:
             results.append(CaseResult(case.case_id, MatchStatus.MATCHED, witness, violations))
             continue
-        rows = (errata or {}).get(case.case_id)
-        if rows:
-            witness = by_values.get(apply_errata(case, rows).values)
+        if fixed is not None:
+            witness = by_values.get(fixed.values)
             if witness is not None:
                 results.append(
                     CaseResult(case.case_id, MatchStatus.MATCHED_WITH_ERRATUM, witness, violations, True)

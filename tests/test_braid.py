@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import braid_words
 from knot818.braid import (
@@ -17,9 +18,11 @@ from knot818.braid import (
     OriginOnCurveError,
     ParallelStrandsError,
     VertexRuleInapplicableError,
+    _walk_loops,
     annular_embed,
     closure_diagram,
     crossing_sign_from_geometry,
+    winding_number,
     winding_phase,
     writhe,
 )
@@ -149,13 +152,66 @@ def test_bad_radii():
     assert annular_embed(BRAID_818, slots_per_letter=2).radii == (1.0, 2.0, 3.0)
 
 
-@pytest.mark.parametrize("braid", [BRAID_818, BraidWord(2, ())], ids=["main", "empty"])
-@pytest.mark.parametrize("slots", [0, -4])
-def test_bad_sampling(braid, slots):
+@pytest.mark.parametrize(
+    "braid, slots, message",
+    [
+        *[
+            pytest.param(braid, slots, f"slots_per_letter must be at least 1, got {slots}", id=f"{slots}-{name}")
+            for braid, name in ((BRAID_818, "main"), (BraidWord(2, ()), "empty"))
+            for slots in (0, -4)
+        ],
+        # Under three samples per turn the polyline can wind less than
+        # the curve: one letter at 1 or 2 samples gave 0 or 2*pi, not 4*pi.
+        *[
+            pytest.param(braid, slots, f"slots_per_letter * letters must be at least 3, got {slots} * {len(braid)}",
+                         id=f"{slots}x{len(braid)}-letters")
+            for braid, slots in ((BraidWord(2, (1,)), 1), (BraidWord(2, (1,)), 2), (BraidWord(3, (1, -2)), 1))
+        ],
+    ],
+)
+def test_bad_sampling(braid, slots, message):
     with pytest.raises(BadSamplingError) as exc:
         annular_embed(braid, tuple(range(1, braid.strands + 1)), slots_per_letter=slots)
     assert type(exc.value) is BadSamplingError
-    assert str(exc.value) == f"slots_per_letter must be at least 1, got {slots}"
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("braid, slots", [(BraidWord(2, (1,)), 3), (BraidWord(3, (1, -2)), 2), (BRAID_818, 1)])
+def test_three_samples_per_turn_suffice(braid, slots):
+    emb = annular_embed(braid, tuple(range(1, braid.strands + 1)), slots_per_letter=slots)
+    assert winding_number(emb) == braid.strands
+
+
+def _reference_points(braid, radii, slots_per_letter):
+    """Reference sampler: one point at a time, every constant recomputed per point."""
+    width = 2.0 * math.pi / len(braid.letters)
+    loops = []
+    for loop in _walk_loops(braid):
+        pts = []
+        for k, p in enumerate(loop):
+            theta0 = k * width
+            r_in = radii[p.entry - 1]
+            r_out = radii[p.exit - 1]
+            for m in range(slots_per_letter):
+                s = m / slots_per_letter
+                if p.crossing is None:
+                    r = r_in
+                else:
+                    r = r_in + (r_out - r_in) * (1.0 - math.cos(math.pi * s)) / 2.0
+                th = theta0 + s * width
+                pts.append((r * math.cos(th), r * math.sin(th)))
+        pts.append(pts[0])
+        loops.append(tuple(pts))
+    return tuple(loops)
+
+
+@given(braid_words(max_strands=5, max_len=10).filter(lambda b: b.letters), st.integers(3, 40))
+@settings(max_examples=60, deadline=None)
+def test_embedding_points_match_the_reference_loop(braid, slots):
+    radii = tuple(float(r) for r in range(1, braid.strands + 1))
+    emb = annular_embed(braid, radii, slots_per_letter=slots)
+    # repr tells -0.0 from 0.0, so this is bit for bit
+    assert repr(emb.loops) == repr(_reference_points(braid, radii, slots))
 
 
 def test_main_embedding_is_one_closed_loop():
@@ -194,37 +250,71 @@ def test_quarter_turn_point_symmetry():
         assert nearest < 1e-9
 
 
-def test_winding_of_a_circle():
-    steps = 360
+def _circle(cx, steps=360):
     pts = tuple(
-        (math.cos(2 * math.pi * k / steps), math.sin(2 * math.pi * k / steps))
+        (cx + math.cos(2 * math.pi * k / steps), math.sin(2 * math.pi * k / steps))
         for k in range(steps)
     )
-    emb = AnnularEmbedding(loops=(pts + (pts[0],),))
-    assert winding_phase(emb) == pytest.approx(2 * math.pi, abs=1e-9)
+    return AnnularEmbedding(loops=(pts + (pts[0],),))
+
+
+def test_winding_of_a_circle():
+    emb = _circle(0)
+    assert winding_number(emb) == 1
+    assert winding_phase(emb) == 2 * math.pi
 
 
 def test_winding_of_offset_circle_is_zero():
-    steps = 360
-    pts = tuple(
-        (5 + math.cos(2 * math.pi * k / steps), math.sin(2 * math.pi * k / steps))
-        for k in range(steps)
-    )
-    emb = AnnularEmbedding(loops=(pts + (pts[0],),))
-    assert winding_phase(emb) == pytest.approx(0.0, abs=1e-9)
+    emb = _circle(5)
+    assert winding_number(emb) == 0
+    assert winding_phase(emb) == 0.0
 
 
 def test_main_winding_phase():
     emb = annular_embed(BRAID_818, (1.0, 2.0, 3.0), slots_per_letter=64)
-    assert winding_phase(emb) == pytest.approx(6 * math.pi, abs=1e-9)
+    assert winding_number(emb) == 3
+    assert winding_phase(emb) == 6 * math.pi == 18.84955592153876
 
 
 @given(braid_words())
 @settings(max_examples=40, deadline=None)
 def test_winding_counts_every_strand(braid):
     emb = annular_embed(braid, tuple(range(1, braid.strands + 1)), slots_per_letter=4)
-    expected = 2 * math.pi * braid.strands
-    assert winding_phase(emb) == pytest.approx(expected, abs=1e-8)
+    assert winding_number(emb) == braid.strands
+    assert winding_phase(emb) == 2.0 * math.pi * braid.strands
+
+
+def _swept_angle(pts):
+    """Sum of the signed angles between consecutive vertices."""
+    return sum(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2) for (x1, y1), (x2, y2) in zip(pts, pts[1:]))
+
+
+# Small integer coordinates put many vertices on the x-axis and many
+# edges along it, where the half-open up/down rule decides.
+_vertices = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda v: (float(v[0]), float(v[1])))
+
+
+def _avoids_origin(pts):
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
+        if (x1, y1) == (0.0, 0.0) or (x1 * y2 - y1 * x2 == 0.0 and x1 * x2 + y1 * y2 < 0.0):
+            return False  # a vertex on the origin, or an edge through it
+    return True
+
+
+@given(st.lists(st.lists(_vertices, min_size=1, max_size=12).map(lambda p: (*p, p[0])), min_size=1, max_size=3))
+def test_winding_number_matches_the_swept_angle(loops):
+    loops = [tuple(loop) for loop in loops if _avoids_origin(loop)]
+    emb = AnnularEmbedding(loops=tuple(loops))
+    assert winding_number(emb) == round(sum(_swept_angle(loop) for loop in loops) / (2 * math.pi))
+
+
+def test_winding_counts_vertices_on_the_positive_axis_once():
+    # Through (1, 0) and (2, 0) along the axis, and back up across it.
+    square = ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 0.0))
+    assert winding_number(AnnularEmbedding(loops=(square,))) == 1
+    assert winding_number(AnnularEmbedding(loops=(tuple(reversed(square)),))) == -1
+    touch = ((1.0, 0.0), (2.0, 1.0), (3.0, 0.0), (2.0, -1.0), (1.0, 0.0))
+    assert winding_number(AnnularEmbedding(loops=(touch,))) == 0
 
 
 def test_winding_rejects_origin_on_curve():
@@ -233,10 +323,28 @@ def test_winding_rejects_origin_on_curve():
         winding_phase(emb)
 
 
+@pytest.mark.parametrize(
+    "vertex, rejected",
+    [((0.0, 0.0), True), ((9e-13, 0.0), True), ((7e-13, -7e-13), True), ((0.0, -9.9e-13), True),
+     ((8e-13, 8e-13), False), ((1e-12, 0.0), False), ((0.0, -1e-12), False), ((-2e-12, 1e-13), False)],
+)
+def test_origin_check_is_the_hypot_bound(vertex, rejected):
+    # hypot(8e-13, 8e-13) is above 1e-12 although both coordinates are below it
+    assert (math.hypot(*vertex) < 1e-12) is rejected
+    loop = (vertex, (1.0, 0.0), (0.0, 1.0), vertex)
+    if rejected:
+        with pytest.raises(OriginOnCurveError):
+            winding_number(AnnularEmbedding(loops=(loop,)))
+    else:
+        winding_number(AnnularEmbedding(loops=(loop,)))
+
+
 def test_winding_rejects_open_loop():
     emb = AnnularEmbedding(loops=(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),))
     with pytest.raises(ValueError):
         winding_phase(emb)
+    with pytest.raises(ValueError):
+        winding_number(AnnularEmbedding(loops=(((1.0, 0.0),),)))
 
 
 def test_geometric_sign():

@@ -64,8 +64,7 @@ def test_invariants_radians(capsys):
     code, out, _ = run(capsys, "invariants", "--radians")
     assert code == 0
     phase_line = next(l for l in out.splitlines() if l.startswith("phase:"))
-    value = float(phase_line.split()[1])
-    assert value == pytest.approx(6 * 3.141592653589793, abs=1e-9)
+    assert phase_line == "phase: 18.84955592153876"  # 2.0 * math.pi * 3, exactly
 
 
 
@@ -241,6 +240,13 @@ FAILURES = [
           "error: {tmp}/not_utf8.csv: not UTF-8 text\n"),
     fails("errata-disagrees", ["check-fixture", "--errata", "{tmp}/wrong_errata.csv"], 2,
           "error: erratum for case h expects D over = 13, fixture has 12\n"),
+    # Rows for cases that match raw, or that the fixture lacks, are checked too.
+    fails("errata-three-rows", ["check-fixture", "--errata", "{tmp}/three_row_errata.csv"], 2,
+          "error: erratum for case z: the fixture has no such case\n"),
+    fails("errata-unknown-case", ["check-fixture", "--errata", "{tmp}/unknown_case_errata.csv"], 2,
+          "error: erratum for case z: the fixture has no such case\n"),
+    fails("errata-disagrees-on-raw-match", ["check-fixture", "--errata", "{tmp}/raw_match_errata.csv"], 2,
+          "error: erratum for case a expects A over = 99, fixture has 13\n"),
     # OSError, exit 2
     fails("check-fixture-missing", ["check-fixture", "{tmp}/missing.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n"),
@@ -288,6 +294,11 @@ FAILURES = [
     ],
     fails("embed-origin-on-curve", ["embed", *OUT, "--radii", "1e-13,2e-13,3e-13"], 3,
           "error: polyline vertex at the winding center\n"),
+    *[
+        fails(f"embed-undersampled-{n}", ["embed", *OUT, "--strands", "2", "--braid", "1", "--points-per-slot", n], 3,
+              f"error: slots_per_letter * letters must be at least 3, got {n} * 1\n")
+        for n in ("1", "2")
+    ],
 ]
 
 
@@ -295,9 +306,14 @@ FAILURES = [
 def failure_files(tmp_path):
     (tmp_path / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
-    (tmp_path / "wrong_errata.csv").write_text(
-        "case,site,role,value,corrected_value\nh,D,over,13,2\n", encoding="utf-8"
-    )
+    header = "case,site,role,value,corrected_value\n"
+    for name, rows in [
+        ("wrong_errata", ["h,D,over,13,2"]),
+        ("three_row_errata", ["h,D,over,12,2", "z,D,over,13,2", "a,A,over,99,5"]),
+        ("unknown_case_errata", ["z,D,over,13,2"]),
+        ("raw_match_errata", ["a,A,over,99,5"]),
+    ]:
+        (tmp_path / f"{name}.csv").write_text(header + "".join(f"{row}\n" for row in rows), encoding="utf-8")
     return tmp_path
 
 

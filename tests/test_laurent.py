@@ -61,6 +61,24 @@ def test_evaluate_exact():
     assert p.evaluate(Fraction(1, 3)) == 3 + 1
     with pytest.raises(ZeroArgumentError):
         p.evaluate(0)
+    with pytest.raises(ZeroArgumentError):
+        LaurentPoly().evaluate(Fraction(0, 5))
+    assert LaurentPoly().evaluate(-1) == 0
+
+
+@given(
+    st.integers(-12, 0),
+    st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=12),
+    st.fractions().filter(lambda x: x != 0),
+)
+@example(-3, [1, -5, 10, -13, 10, -5, 1], Fraction(-1))
+@example(-2, [7, 0, 0, 3], Fraction(-3, 5))
+def test_evaluate_matches_the_term_sum(min_exp, coeffs, point):
+    p = LaurentPoly(min_exp, tuple(coeffs))
+    expected = sum((c * point ** (min_exp + k) for k, c in enumerate(coeffs)), Fraction(0))
+    value = p.evaluate(point)
+    assert type(value) is Fraction
+    assert value == expected
 
 
 def test_rendering():

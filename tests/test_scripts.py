@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from knot818 import cli
-from knot818.braid import BadRadiiError
+from knot818.braid import BadRadiiError, BadSamplingError
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DATA = Path(__file__).parent / "data"
@@ -76,6 +76,14 @@ def test_export_embedding_shares_the_radii_checks(capsys, tmp_path):
     assert capsys.readouterr().err.endswith("error: argument --radii: bad radii list 'a,b,c'\n")
     with pytest.raises(BadRadiiError):
         script.main(["--out", str(out), "--radii", "1,2,nan"])
+    assert not out.exists()
+
+
+def test_export_embedding_rejects_undersampling(tmp_path):
+    script = load_script("export_embedding")
+    out = tmp_path / "x.csv"
+    with pytest.raises(BadSamplingError):
+        script.main(["--out", str(out), "--strands", "2", "--braid", "1", "--points-per-slot", "2"])
     assert not out.exists()
 
 

@@ -381,17 +381,24 @@ def test_fixture_parse_messages(tmp_path, body, message):
     assert str(exc.value) == message
 
 
-def test_errata_row_must_agree_with_fixture(tmp_path):
-    errata_path = _write(
-        tmp_path, "errata.csv",
-        "case,site,role,value,corrected_value\nh,B,over,99,2\n",
-    )
-    with pytest.raises(FixtureParseError, match="expects B over = 99"):
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        pytest.param("h,B,over,99,2", "erratum for case h expects B over = 99, fixture has 12", id="disagrees"),
+        # case a matches raw, so its row is never applied, yet still checked
+        pytest.param("a,A,over,99,5", "erratum for case a expects A over = 99, fixture has 13", id="raw-match"),
+        pytest.param("z,D,over,13,2", "erratum for case z: the fixture has no such case", id="absent-case"),
+    ],
+)
+def test_errata_row_must_agree_with_fixture(tmp_path, row, message):
+    errata_path = _write(tmp_path, "errata.csv", f"case,site,role,value,corrected_value\n{row}\n")
+    with pytest.raises(FixtureParseError) as exc:
         check_fixture(
             enumerate_representatives(),
             load_table_fixture(shipped_fixture_path()),
             load_errata(errata_path),
         )
+    assert str(exc.value) == message
 
 
 def test_apply_errata_corrects_case_h():
