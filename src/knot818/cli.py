@@ -162,7 +162,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     braid = _braid_from_args(args)
     poly = alexander_from_braid(braid)
-    phase = winding_phase(annular_embed(braid, slots_per_letter=64))
+    # The winding count is exact, so the fewest samples annular_embed
+    # accepts (three per turn) give the phase of any finer sampling.
+    phase = winding_phase(annular_embed(braid, slots_per_letter=-(-3 // len(braid.letters))))
     determinant = abs(poly.evaluate(-1))
     print(f"alexander: {poly}")
     print(f"writhe: {braid.exponent_sum}")

@@ -13,9 +13,10 @@ term.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .braid import BraidWord, require_knot_closure
-from .laurent import ONE, LaurentPoly, T, _digit_width, _unpack
+from .laurent import ONE, InexactDivisionError, LaurentPoly, T, _digit_width, _pack, _unpack
 
 
 class ZeroPolynomialError(ValueError):
@@ -46,23 +47,6 @@ class PolyMatrix:
             )
         )
 
-    def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        n = self.dim
-        return PolyMatrix(
-            tuple(
-                tuple(
-                    sum(
-                        (self.rows[i][k] * other.rows[k][j] for k in range(n)),
-                        LaurentPoly(),
-                    )
-                    for j in range(n)
-                )
-                for i in range(n)
-            )
-        )
-
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
@@ -74,24 +58,35 @@ class PolyMatrix:
         )
 
     def det(self) -> LaurentPoly:
-        """Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968).
+        """Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on integers.
 
-        Step k replaces each entry below and right of the pivot by
-        (pivot * a[i][j] - a[i][k] * a[k][j]) / previous pivot.  Sylvester's
-        identity makes that division exact; ``exact_div`` raises rather
-        than return a wrong value if it is not.  A zero pivot is swapped
-        with the first lower row that is nonzero in its column, flipping
-        the sign; when there is none the determinant is zero.
+        Each entry p is packed as the integer p(B) / B^lo, at B = 2^(8*width)
+        and lo the least exponent in the matrix (``laurent._pack``); that is a
+        ring map, so the integer determinant is det(B) / B^(n*lo).  The product
+        of the column L1 norms bounds the coefficients of every minor, so at a
+        width that holds it a minor is zero exactly when its integer is, and
+        the result unpacks digit by digit.  Step k sets each entry below and
+        right of the pivot to (pivot * a[i][j] - a[i][k] * a[k][j]) // previous
+        pivot, exact by Sylvester's identity; a remainder raises
+        ``InexactDivisionError``.  A zero pivot is swapped with the first lower
+        row nonzero in its column, flipping the sign; with none, or with a zero
+        column, the determinant is zero.
         """
         n = self.dim
         if n == 0:
             return ONE
-        a = [list(row) for row in self.rows]
+        bound = prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*self.rows))
+        if not bound:
+            return LaurentPoly()
+        lo = min(p.min_exp for row in self.rows for p in row if p.coeffs)
+        width = _digit_width(bound)
+        bits = 8 * width
+        a = [[_pack(p.coeffs, width) << (p.min_exp - lo) * bits if p.coeffs else 0 for p in row] for row in self.rows]
         negate = False
-        prev = ONE
+        prev = 1
         for k in range(n - 1):
-            if a[k][k].is_zero:
-                swap = next((i for i in range(k + 1, n) if not a[i][k].is_zero), None)
+            if not a[k][k]:
+                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
                 if swap is None:
                     return LaurentPoly()
                 a[k], a[swap] = a[swap], a[k]
@@ -100,9 +95,12 @@ class PolyMatrix:
             for row in a[k + 1 :]:
                 head = row[k]
                 for j in range(k + 1, n):
-                    row[j] = (pivot * row[j] - head * pivot_row[j]).exact_div(prev)
+                    row[j], rem = divmod(pivot * row[j] - head * pivot_row[j], prev)
+                    if rem:
+                        raise InexactDivisionError("Bareiss step left a remainder")
             prev = pivot
-        return -a[-1][-1] if negate else a[-1][-1]
+        x = -a[-1][-1] if negate else a[-1][-1]
+        return LaurentPoly(n * lo, tuple(_unpack(x, abs(x).bit_length() // bits + 1, width)))
 
 
 # Letters between two trims of the packed Burau entries (see burau_reduced).

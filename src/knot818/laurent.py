@@ -9,13 +9,17 @@ A polynomial is stored in canonical trimmed form: ``coeffs[k]``
 multiplies ``t**(min_exp + k)``, the first and last coefficients are
 nonzero, and the zero polynomial is ``(min_exp=0, coeffs=())``.  Two
 equal polynomials therefore compare equal as dataclasses.
+
+Products are one schoolbook loop.  The Burau walk and the determinant
+(``knot818.invariants``) carry long polynomials as integers instead,
+through the digit codec :func:`_pack` / :func:`_unpack` below.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -50,14 +54,6 @@ class LaurentPoly:
             object.__setattr__(self, "coeffs", coeffs[lo:hi])
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def from_dict(cls, terms: Mapping[int, int]) -> "LaurentPoly":
-        if not terms:
-            return cls()
-        lo = min(terms)
-        hi = max(terms)
-        return cls(lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)))
 
     @classmethod
     def t_power(cls, k: int) -> "LaurentPoly":
@@ -114,15 +110,12 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.is_zero or other.is_zero:
             return LaurentPoly()
-        if min(len(self.coeffs), len(other.coeffs)) >= _KRONECKER_MIN_LEN:
-            out = _kronecker_product(self.coeffs, other.coeffs)
-        else:
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
         return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
 
     def __pow__(self, k: int) -> "LaurentPoly":
@@ -137,18 +130,9 @@ class LaurentPoly:
             k >>= 1
         return result
 
-    def scaled(self, factor: int) -> "LaurentPoly":
-        return LaurentPoly(self.min_exp, tuple(factor * c for c in self.coeffs))
-
     def shifted(self, k: int) -> "LaurentPoly":
         """Multiply by t**k."""
         return LaurentPoly(self.min_exp + k, self.coeffs)
-
-    def subs_inverse(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(-self.max_exp, tuple(reversed(self.coeffs)))
 
     def exact_div(self, den: "LaurentPoly") -> "LaurentPoly":
         """Divide, requiring a remainder-free integer quotient.
@@ -218,10 +202,6 @@ class LaurentPoly:
         return " ".join(parts)
 
 
-# Shorter operands multiply faster by the schoolbook loop than by packing.
-_KRONECKER_MIN_LEN = 10
-
-
 def _bias(count: int, width: int) -> int:
     # 2^(8*width - 1) in each of ``count`` base-2^(8*width) digits
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
@@ -255,17 +235,6 @@ def _unpack(x: int, count: int, width: int) -> list[int]:
     half = 1 << (8 * width - 1)
     digits = (x + _bias(count, width)).to_bytes(width * count, "little")
     return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
-
-
-def _kronecker_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """Product coefficients by Kronecker substitution.
-
-    Both operands are evaluated at t = 2^k by :func:`_pack`, with k so
-    large that every product coefficient c has |c| < 2^(k-1), multiplied
-    as two integers, and read back by :func:`_unpack`.
-    """
-    width = _digit_width(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width)
 
 
 ZERO = LaurentPoly()

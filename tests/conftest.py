@@ -1,4 +1,5 @@
-"""Shared test helpers: word transformations and hypothesis strategies."""
+"""Shared test helpers: word transformations, hypothesis strategies and
+the polynomial and matrix operations only the tests need."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
+from knot818.braid import BraidWord
 from knot818.diagram import (
     BRANCH_SITES,
     INNER_SITES,
@@ -14,6 +16,31 @@ from knot818.diagram import (
     DiagramWord,
     canonical_818,
 )
+from knot818.invariants import PolyMatrix
+from knot818.laurent import ZERO, LaurentPoly
+
+
+def poly_from_terms(terms: dict[int, int]) -> LaurentPoly:
+    """The polynomial with coefficient ``terms[e]`` on t^e."""
+    if not terms:
+        return ZERO
+    lo, hi = min(terms), max(terms)
+    return LaurentPoly(lo, tuple(terms.get(e, 0) for e in range(lo, hi + 1)))
+
+
+def subs_inverse(p: LaurentPoly) -> LaurentPoly:
+    """p with t replaced by 1/t."""
+    if p.is_zero:
+        return p
+    return LaurentPoly(-p.max_exp, tuple(reversed(p.coeffs)))
+
+
+def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """Matrix product, entry by entry in the Laurent ring."""
+    cols = list(zip(*b.rows))
+    return PolyMatrix(
+        tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in cols) for row in a.rows)
+    )
 
 
 def transformed_canonical(
@@ -66,7 +93,6 @@ valid_words = st.builds(
 
 def braid_words(max_strands: int = 4, max_len: int = 8):
     """Strategy for arbitrary braid words (closures may be links)."""
-    from knot818.braid import BraidWord
 
     def build(strands: int, signs_and_indices: list[tuple[bool, int]]) -> BraidWord:
         letters = tuple(
@@ -79,3 +105,24 @@ def braid_words(max_strands: int = 4, max_len: int = 8):
         st.integers(2, max_strands),
         st.lists(st.tuples(st.booleans(), st.integers(0, 10)), max_size=max_len),
     )
+
+
+signs = st.sampled_from((1, -1))
+
+
+@st.composite
+def knot_braids(draw, min_strands=2, max_strands=6):
+    """A braid whose closure is a knot by construction, never by rejection.
+
+    Like ``perfbench/inputs.knot_closure_letters``, it tracks the
+    permutation: each generator once, in any order, merges the n strands
+    into one cycle, and squares of generators permute nothing, so
+    inserting them anywhere keeps the closure a knot.
+    """
+    strands = draw(st.integers(min_strands, max_strands))
+    letters = [g * draw(signs) for g in draw(st.permutations(range(1, strands)))]
+    for _ in range(draw(st.integers(0, 2 * strands))):
+        g = draw(st.integers(1, strands - 1))
+        at = draw(st.integers(0, len(letters)))
+        letters[at:at] = [g * draw(signs), g * draw(signs)]
+    return BraidWord(strands, tuple(letters))

@@ -1,16 +1,21 @@
 """End-to-end command line behavior, including the exit code contract."""
 
 import argparse
+import contextlib
 import importlib
+import io
 import json
 import pkgutil
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import knot_braids
 import knot818
 from knot818 import cli
 from knot818 import traversal as trav
-from knot818.braid import InvalidBraidError, NotAKnotError
+from knot818.braid import BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_phase
 from knot818.errors import DomainError, Knot818Error, UsageError
 from knot818.invariants import ZeroPolynomialError
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
@@ -67,6 +72,20 @@ def test_invariants_radians(capsys):
     assert phase_line == "phase: 18.84955592153876"  # 2.0 * math.pi * 3, exactly
 
 
+
+
+@given(knot_braids(max_strands=5), st.booleans())
+@example(BraidWord(2, (1,)), False)
+@example(BraidWord(2, (1, 1, 1)), True)
+@example(BraidWord(3, (1, 2)), False)
+@settings(max_examples=40, deadline=None)
+def test_invariants_phase_matches_a_64_slot_embedding(braid, radians):
+    argv = ["invariants", "--braid", " ".join(map(str, braid.letters)), "--strands", str(braid.strands)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv + ["--radians"] * radians) == 0
+    phase = winding_phase(annular_embed(braid, slots_per_letter=64))
+    assert out.getvalue().splitlines()[2] == f"phase: {cli._format_phase(phase, radians)}"
 
 
 def test_traverse_text(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import braid_words
+from conftest import braid_words, knot_braids, matmul, signs, subs_inverse
 from knot818.braid import BRAID_818, BraidWord, NotAKnotError
 from knot818.invariants import (
     PolyMatrix,
@@ -33,8 +34,8 @@ def test_matrix_must_be_square():
 def test_identity_multiplication():
     m = burau_reduced(BraidWord(3, (1, -2)))
     eye = PolyMatrix.identity(2)
-    assert eye * m == m
-    assert m * eye == m
+    assert matmul(eye, m) == m
+    assert matmul(m, eye) == m
 
 
 def _generator_image(letter, strands):
@@ -75,7 +76,7 @@ def dense_burau(braid):
     """Reference Burau matrix: the product of the dense generator images."""
     product = PolyMatrix.identity(braid.strands - 1)
     for letter in braid.letters:
-        product = product * _generator_image(letter, braid.strands)
+        product = matmul(product, _generator_image(letter, braid.strands))
     return product
 
 
@@ -139,14 +140,14 @@ def test_burau_is_a_homomorphism(braid):
     half = len(braid) // 2
     left = BraidWord(n, braid.letters[:half]) if half else BraidWord(n, ())
     right = BraidWord(n, braid.letters[half:]) if half < len(braid) else BraidWord(n, ())
-    assert burau_reduced(left) * burau_reduced(right) == burau_reduced(braid)
+    assert matmul(burau_reduced(left), burau_reduced(right)) == burau_reduced(braid)
 
 
 @given(braid_words(max_len=5))
 @settings(max_examples=50)
 def test_burau_inverse_law(braid):
     inverse = BraidWord(braid.strands, tuple(-l for l in reversed(braid.letters)))
-    product = burau_reduced(braid) * burau_reduced(inverse)
+    product = matmul(burau_reduced(braid), burau_reduced(inverse))
     assert product == PolyMatrix.identity(braid.strands - 1)
 
 
@@ -175,27 +176,60 @@ def leibniz_det(rows):
     return total
 
 
-entries = st.one_of(
-    st.just(ZERO),
-    st.builds(LaurentPoly, st.integers(-2, 2), st.lists(st.integers(-3, 3), max_size=3).map(tuple)),
-)
+coefficients = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 
 
-def square_matrices(dim):
-    return st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 5x5 with zero entries and coefficients past 64 bits.
+
+    The entries of one matrix take their least exponents from a window
+    inside -40..40, so some matrices mix zero entries with entries whose
+    exponents are all positive.
+    """
+    dim = draw(st.integers(0, 5))
+    low = draw(st.integers(-40, 40))
+    high = draw(st.integers(low, 40))
+    entry = st.one_of(
+        st.just(ZERO),
+        st.builds(LaurentPoly, st.integers(low, high), st.lists(coefficients, max_size=3).map(tuple)),
+    )
+    return draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
 
 
 ZERO_LEADING_PIVOT = [[ZERO, ONE, T], [T, ZERO, ONE], [ONE, T, -ONE]]
 ZERO_COLUMN = [[ONE, ZERO, T], [T, ZERO, ONE], [-T, ZERO, poly(-1, 2, 1)]]
+# Monomial matrices: the one coefficient of the determinant equals the
+# product of the column L1 norms that fixes the digit width.
+DIAGONAL_AT_BOUND = [[poly(3, 2**40), ZERO], [ZERO, poly(-2, -(2**40))]]
+# Determinant 2^63 t needs 9-byte digits; 2^63 - 1 is the largest that fits 8.
+ANTI_DIAGONAL_PAST_8_BYTES = [[ZERO, poly(3, 2**31)], [poly(-2, -(2**32)), ZERO]]
+ANTI_DIAGONAL_FILLS_8_BYTES = [[ZERO, poly(3, 1)], [poly(-2, 2**63 - 1), ZERO]]
+# Every exponent positive, so a zero entry sits below the least exponent.
+ZERO_BESIDE_POSITIVE = [[poly(2, 5, -(2**70)), ZERO, ZERO], [poly(7, 1), poly(1, 3), ZERO], [ZERO, T, poly(4, -1, 1)]]
 
 
-@given(st.integers(0, 5).flatmap(square_matrices))
+@given(square_matrices())
 @example(ZERO_LEADING_PIVOT)
 @example(ZERO_COLUMN)
+@example(DIAGONAL_AT_BOUND)
+@example(ANTI_DIAGONAL_PAST_8_BYTES)
+@example(ANTI_DIAGONAL_FILLS_8_BYTES)
+@example(ZERO_BESIDE_POSITIVE)
 @settings(max_examples=150)
 def test_det_matches_leibniz(rows):
     matrix = PolyMatrix(tuple(tuple(row) for row in rows))
     assert matrix.det() == leibniz_det(matrix.rows)
+
+
+def test_det_examples_sit_where_claimed():
+    for rows, coefficient in (
+        (DIAGONAL_AT_BOUND, -(2**80)),
+        (ANTI_DIAGONAL_PAST_8_BYTES, 2**63),
+        (ANTI_DIAGONAL_FILLS_8_BYTES, -(2**63 - 1)),
+    ):
+        assert leibniz_det(rows) == poly(1, coefficient)
+        assert abs(coefficient) == math.prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*rows))
 
 
 # Alexander polynomials computed independently, by a dense Burau matrix
@@ -315,27 +349,6 @@ def test_alexander_markov_stability():
     )
 
 
-signs = st.sampled_from((1, -1))
-
-
-@st.composite
-def knot_braids(draw, min_strands=2, max_strands=6):
-    """A braid whose closure is a knot by construction, never by rejection.
-
-    Like ``perfbench/inputs.knot_closure_letters``, it tracks the
-    permutation: each generator once, in any order, merges the n strands
-    into one cycle, and squares of generators permute nothing, so
-    inserting them anywhere keeps the closure a knot.
-    """
-    strands = draw(st.integers(min_strands, max_strands))
-    letters = [g * draw(signs) for g in draw(st.permutations(range(1, strands)))]
-    for _ in range(draw(st.integers(0, 2 * strands))):
-        g = draw(st.integers(1, strands - 1))
-        at = draw(st.integers(0, len(letters)))
-        letters[at:at] = [g * draw(signs), g * draw(signs)]
-    return BraidWord(strands, tuple(letters))
-
-
 def _inserted(braid, at, piece):
     """``braid`` with the letters ``piece`` inserted before position ``at``."""
     at %= len(braid) + 1
@@ -395,7 +408,7 @@ def test_alexander_palindrome_and_unit_value(braid):
         delta = alexander_from_braid(braid)
     except NotAKnotError:
         return
-    assert normalize_alexander(delta.subs_inverse()) == delta
+    assert normalize_alexander(subs_inverse(delta)) == delta
     assert abs(delta.evaluate(Fraction(1))) == 1
 
 
