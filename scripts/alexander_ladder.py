@@ -4,7 +4,10 @@
 Each rung is one knot-closure braid; the script prints the best of
 ``--repeat`` wall times for the three stages of the Alexander path:
 ``burau_reduced``, the determinant of (rho - I), and the whole
-``alexander_from_braid``.  The rungs:
+``alexander_from_braid``, and for ``annular_embed`` at its default 64
+samples per letter (the sampling of the benchmark and of ``knot818
+embed``), so that an embedding cost superlinear in the word shows on
+the long rungs.  The rungs:
 
 - 3 strands at 50, 200, 800 and 3000 letters: generators alternate
   1, 2 with seeded random signs (when that closes to a link, the last
@@ -23,7 +26,7 @@ import argparse
 import random
 from time import perf_counter
 
-from knot818.braid import BraidWord
+from knot818.braid import BraidWord, annular_embed
 from knot818.cli import positive_int
 from knot818.invariants import PolyMatrix, alexander_from_braid, burau_reduced
 
@@ -71,7 +74,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rungs = ladder()[:2] if args.quick else ladder()
-    print(f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12} {'det_bits':>8}")
+    print(f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12} {'embed_ms':>10} {'det_bits':>8}")
     for name, braid in rungs:
         matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
         det = matrix.det()
@@ -79,8 +82,10 @@ def main(argv=None) -> int:
         burau = best_ms(lambda: burau_reduced(braid), args.repeat)
         det_ms = best_ms(matrix.det, args.repeat)
         alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
+        embed = best_ms(lambda: annular_embed(braid), args.repeat)
         print(
-            f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f} {bits:>8}"
+            f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f}"
+            f" {embed:>10.2f} {bits:>8}"
         )
     return 0
 

@@ -23,7 +23,9 @@ from .braid import (
     BraidWord,
     CrossingMarker,
     InvalidBraidError,
+    MultiLoopError,
     NotAKnotError,
+    OpenLoopError,
     OriginOnCurveError,
     ParallelStrandsError,
     SignedCrossing,

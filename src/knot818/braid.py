@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, cycle, repeat
+from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .diagram import (
@@ -59,6 +61,14 @@ class OriginOnCurveError(DomainError, ValueError):
 
 class ParallelStrandsError(DomainError, ValueError):
     """Crossing direction vectors do not span the plane."""
+
+
+class MultiLoopError(DomainError, ValueError):
+    """One polyline asked of an embedding with other than one loop."""
+
+
+class OpenLoopError(DomainError, ValueError):
+    """A loop handed to the winding count does not end where it starts."""
 
 
 @dataclass(frozen=True)
@@ -239,16 +249,17 @@ def closure_diagram(
         elif use_vertices and p.entry == braid.strands:
             events.append(("arc",))
 
-    xs = [(i, ev) for i, ev in enumerate(events) if ev[0] == "x"]
-    seq: list[tuple] = []  # ("x", slot, role) / ("v",)
-    for k, (at, ev) in enumerate(xs):
-        seq.append(ev)
-        if k + 1 < len(xs):
-            between = events[at + 1 : xs[k + 1][0]]
-        else:
-            between = events[at + 1 :] + events[: xs[0][0]]
-        if any(e[0] == "arc" for e in between):
-            seq.append(("v",))
+    seq: list[tuple] = events  # ("x", slot, role) / ("v",)
+    if use_vertices:
+        # One through vertex in each gap between consecutive crossings
+        # that holds an outermost arc, read from the first crossing on.
+        first = next(i for i, ev in enumerate(events) if ev[0] == "x")
+        seq = []
+        for ev in events[first:] + events[:first]:
+            if ev[0] == "x":
+                seq.append(ev)
+            elif seq[-1][0] == "x":
+                seq.append(("v",))
 
     visits: list[Visit] = []
     slot_label: dict[int, str] = {}
@@ -338,7 +349,7 @@ class AnnularEmbedding:
     @property
     def polyline(self) -> tuple[tuple[float, float], ...]:
         if len(self.loops) != 1:
-            raise ValueError(f"embedding has {len(self.loops)} loops, not a single polyline")
+            raise MultiLoopError(f"embedding has {len(self.loops)} loops, not a single polyline")
         return self.loops[0]
 
 
@@ -388,33 +399,41 @@ def annular_embed(
     fractions = [m / slots_per_letter for m in range(slots_per_letter)]
     offsets = [s * width for s in fractions]
     easing = [1.0 - math.cos(math.pi * s) for s in fractions]
+    # One radius profile per (entry, exit) position pair: constant on a
+    # plain pass, the eased swap on a crossing.
+    profiles: dict[tuple[int, int], list[float]] = {}
+    for entry, r_in in enumerate(radii, 1):
+        profiles[entry, entry] = [r_in] * slots_per_letter
+        for exit_pos in (entry - 1, entry + 1):
+            if 1 <= exit_pos <= braid.strands:
+                swap = radii[exit_pos - 1] - r_in
+                profiles[entry, exit_pos] = [r_in + swap * e / 2.0 for e in easing]
     cos, sin = math.cos, math.sin
     marker_parts: dict[int, dict[Role, tuple]] = {}
     loops = []
     for loop in _walk_loops(braid):
-        pts: list[tuple[float, float]] = []
+        # One pass over the loop; radii and angles stream from C-level
+        # iterators, with no list per pass.  Pass k samples at angles
+        # k * width + offset, its start angle repeated once per offset.
+        rs = chain.from_iterable([profiles[p.entry, p.exit] for p in loop])
+        theta0s = map(mul, range(len(loop)), repeat(width))
+        angles = map(add, chain.from_iterable(map(repeat, theta0s, repeat(slots_per_letter))), cycle(offsets))
+        pts = [(r * cos(th), r * sin(th)) for r, th in zip(rs, angles)]
+        pts.append(pts[0])
+        loops.append(tuple(pts))
         for k, p in enumerate(loop):
-            theta0 = k * width
-            angles = [theta0 + offset for offset in offsets]
-            r_in = radii[p.entry - 1]
             if p.crossing is None:
-                pts += [(r_in * cos(th), r_in * sin(th)) for th in angles]
                 continue
-            r_out = radii[p.exit - 1]
-            swap = r_out - r_in
-            radius = [r_in + swap * e / 2.0 for e in easing]
-            pts += [(r * cos(th), r * sin(th)) for r, th in zip(radius, angles)]
             # tangent at the slot midpoint, where the two strands meet
-            th = theta0 + width / 2.0
+            th = k * width + width / 2.0
+            r_in, r_out = radii[p.entry - 1], radii[p.exit - 1]
             r_mid = (r_in + r_out) / 2.0
-            dr = swap * math.pi / 2.0
+            dr = (r_out - r_in) * math.pi / 2.0
             cos_t, sin_t = cos(th), sin(th)
             direction = (dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
             point = (r_mid * cos_t, r_mid * sin_t)
             assert p.role is not None
             marker_parts.setdefault(p.slot, {})[p.role] = (point, direction)
-        pts.append(pts[0])
-        loops.append(tuple(pts))
 
     markers = []
     for slot in sorted(marker_parts):
@@ -441,14 +460,15 @@ def winding_number(embedding: AnnularEmbedding) -> int:
     up iff y > 0, so a vertex on the ray or an edge along it is counted
     once or not at all.  Where an edge changes side, the sign of the
     cross product of its ends tells whether it meets the axis at x > 0;
-    upward there counts +1, downward -1.  Every loop must be closed, and
-    no vertex may be within 1e-12 of the origin.
+    upward there counts +1, downward -1.  Every loop must be closed (else
+    :class:`OpenLoopError`), and no vertex may be within 1e-12 of the
+    origin.
     """
     hypot = math.hypot
     total = 0
     for pts in embedding.loops:
         if len(pts) < 2 or pts[0] != pts[-1]:
-            raise ValueError("loop is not a closed polyline")
+            raise OpenLoopError("loop is not a closed polyline")
         x1, y1 = pts[0]
         up = y1 > 0
         for x2, y2 in pts:

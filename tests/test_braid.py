@@ -1,9 +1,10 @@
 """Closure walk, crossing bookkeeping, and the sampled annular picture."""
 
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import braid_words
@@ -14,7 +15,9 @@ from knot818.braid import (
     BadSamplingError,
     BraidWord,
     InvalidBraidError,
+    MultiLoopError,
     NotAKnotError,
+    OpenLoopError,
     OriginOnCurveError,
     ParallelStrandsError,
     VertexRuleInapplicableError,
@@ -205,13 +208,65 @@ def _reference_points(braid, radii, slots_per_letter):
     return tuple(loops)
 
 
-@given(braid_words(max_strands=5, max_len=10).filter(lambda b: b.letters), st.integers(3, 40))
-@settings(max_examples=60, deadline=None)
-def test_embedding_points_match_the_reference_loop(braid, slots):
-    radii = tuple(float(r) for r in range(1, braid.strands + 1))
+def _reference_markers(braid, radii):
+    """Reference markers: each crossing's point and tangents, one pass at a time."""
+    width = 2.0 * math.pi / len(braid.letters)
+    parts = {}
+    for loop in _walk_loops(braid):
+        for k, p in enumerate(loop):
+            if p.crossing is None:
+                continue
+            r_in, r_out = radii[p.entry - 1], radii[p.exit - 1]
+            th = k * width + width / 2.0
+            r_mid = (r_in + r_out) / 2.0
+            dr = (r_out - r_in) * math.pi / 2.0
+            point = (r_mid * math.cos(th), r_mid * math.sin(th))
+            tangent = (
+                dr * math.cos(th) - r_mid * width * math.sin(th),
+                dr * math.sin(th) + r_mid * width * math.cos(th),
+            )
+            parts.setdefault(p.slot, {})[p.role] = (point, tangent)
+    return tuple(
+        (slot, 1 if braid.letters[slot] > 0 else -1, parts[slot][Role.OVER][0],
+         parts[slot][Role.OVER][1], parts[slot][Role.UNDER][1])
+        for slot in sorted(parts)
+    )
+
+
+@st.composite
+def embedding_cases(draw):
+    """A nonempty braid, radii, and any sampling annular_embed accepts.
+
+    Radii are either 1..n or cumulative sums of distinct non-integer
+    steps, so that every (entry, exit) radius profile differs.
+    """
+    braid = draw(braid_words(max_strands=5, max_len=10).filter(lambda b: b.letters))
+    if draw(st.booleans()):
+        radii = tuple(float(r) for r in range(1, braid.strands + 1))
+    else:
+        steps = draw(
+            st.lists(st.floats(0.01, 10.0).filter(lambda x: x != int(x)),
+                     min_size=braid.strands, max_size=braid.strands, unique=True)
+        )
+        radii = tuple(itertools.accumulate(steps))
+    slots = draw(st.integers(1, 64).filter(lambda s: s * len(braid.letters) >= 3))
+    return braid, radii, slots
+
+
+@given(embedding_cases())
+@example((BraidWord(2, (1, -1, 1)), (1.0, 2.0), 1))
+@example((BraidWord(3, (1, -2)), (0.3, 1.7, 2.25), 2))
+@example((BRAID_818, (0.5, 1.25, 3.125), 64))
+@settings(max_examples=100, deadline=None)
+def test_embedding_points_match_the_reference_loop(case):
+    braid, radii, slots = case
     emb = annular_embed(braid, radii, slots_per_letter=slots)
     # repr tells -0.0 from 0.0, so this is bit for bit
     assert repr(emb.loops) == repr(_reference_points(braid, radii, slots))
+    markers = tuple(
+        (m.crossing, m.sign, m.point, m.over_direction, m.under_direction) for m in emb.markers
+    )
+    assert repr(markers) == repr(_reference_markers(braid, radii))
 
 
 def test_main_embedding_is_one_closed_loop():
@@ -228,8 +283,10 @@ def test_main_embedding_is_one_closed_loop():
 def test_empty_braid_embeds_as_circles():
     emb = annular_embed(BraidWord(2, ()), (1.0, 2.0))
     assert len(emb.loops) == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(MultiLoopError) as exc:
         emb.polyline
+    assert type(exc.value) is MultiLoopError
+    assert str(exc.value) == "embedding has 2 loops, not a single polyline"
     for pts, radius in zip(emb.loops, (1.0, 2.0)):
         assert pts[0] == pts[-1]
         for x, y in pts:
@@ -341,10 +398,11 @@ def test_origin_check_is_the_hypot_bound(vertex, rejected):
 
 def test_winding_rejects_open_loop():
     emb = AnnularEmbedding(loops=(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),))
-    with pytest.raises(ValueError):
-        winding_phase(emb)
-    with pytest.raises(ValueError):
-        winding_number(AnnularEmbedding(loops=(((1.0, 0.0),),)))
+    for call, embedding in ((winding_phase, emb), (winding_number, AnnularEmbedding(loops=(((1.0, 0.0),),)))):
+        with pytest.raises(OpenLoopError) as exc:
+            call(embedding)
+        assert type(exc.value) is OpenLoopError
+        assert str(exc.value) == "loop is not a closed polyline"
 
 
 def test_geometric_sign():
