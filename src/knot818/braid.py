@@ -180,26 +180,27 @@ def _walk_loops(braid: BraidWord) -> list[list[_Pass]]:
     k-th pass of a loop sits in slot k mod len(letters).
     """
     letters = braid.letters
-    n_slots = len(letters)
-    visited: set[tuple[int, int]] = set()
+    # The walk meets slot 0 once per turn, and a loop closes only there,
+    # so only positions at slot 0 need remembering.
+    seen: set[int] = set()
     loops: list[list[_Pass]] = []
     for pos0 in range(1, braid.strands + 1):
-        if (0, pos0) in visited:
+        if pos0 in seen:
             continue
         loop: list[_Pass] = []
-        slot, pos = 0, pos0
-        while (slot, pos) not in visited:
-            visited.add((slot, pos))
-            letter = letters[slot]
-            i = abs(letter)
-            if pos in (i, i + 1):
-                exit_pos = i + 1 if pos == i else i
-                over = (pos == i) if letter > 0 else (pos == i + 1)
-                loop.append(_Pass(slot, pos, exit_pos, slot, Role.OVER if over else Role.UNDER))
-            else:
-                exit_pos = pos
-                loop.append(_Pass(slot, pos, pos, None, None))
-            slot, pos = (slot + 1) % n_slots, exit_pos
+        pos = pos0
+        while pos not in seen:
+            seen.add(pos)
+            for slot, letter in enumerate(letters):
+                i = abs(letter)
+                if pos == i:
+                    loop.append(_Pass(slot, pos, i + 1, slot, Role.OVER if letter > 0 else Role.UNDER))
+                    pos = i + 1
+                elif pos == i + 1:
+                    loop.append(_Pass(slot, pos, i, slot, Role.UNDER if letter > 0 else Role.OVER))
+                    pos = i
+                else:
+                    loop.append(_Pass(slot, pos, pos, None, None))
         loops.append(loop)
     return loops
 
@@ -263,7 +264,7 @@ def closure_diagram(
 
     visits: list[Visit] = []
     slot_label: dict[int, str] = {}
-    slot_visits: dict[int, dict[Role, int]] = {}
+    slot_visits: dict[int, list[int]] = {}  # slot -> [over index, under index]
     if use_vertices:
         banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
         vertex_bank = iter(BRANCH_SITES)
@@ -279,7 +280,7 @@ def closure_diagram(
             else:
                 label = str(len(slot_label) + 1)
             slot_label[slot] = label
-        slot_visits.setdefault(slot, {})[role] = len(visits)
+        slot_visits.setdefault(slot, [0, 0])[role is Role.UNDER] = len(visits)
         visits.append(Visit(label, role))
 
     word = DiagramWord(tuple(visits))
@@ -295,21 +296,18 @@ def closure_diagram(
                     return (length - 1 - i - witness.offset) % length
                 return (i - witness.offset) % length
 
-            slot_visits = {
-                slot: {role: present(i) for role, i in roles.items()}
-                for slot, roles in slot_visits.items()
-            }
+            slot_visits = {slot: [present(i) for i in pair] for slot, pair in slot_visits.items()}
             word = witness.apply(word)
 
     crossings = tuple(
         SignedCrossing(
             id=slot,
             sign=1 if braid.letters[slot] > 0 else -1,
-            over_strand=slot_visits[slot][Role.OVER],
-            under_strand=slot_visits[slot][Role.UNDER],
-            site=word[slot_visits[slot][Role.OVER]].site,
+            over_strand=over,
+            under_strand=under,
+            site=word[over].site,
         )
-        for slot in sorted(slot_visits)
+        for slot, (over, under) in sorted(slot_visits.items())
     )
     return word, crossings
 
@@ -409,7 +407,7 @@ def annular_embed(
                 swap = radii[exit_pos - 1] - r_in
                 profiles[entry, exit_pos] = [r_in + swap * e / 2.0 for e in easing]
     cos, sin = math.cos, math.sin
-    marker_parts: dict[int, dict[Role, tuple]] = {}
+    marker_parts: dict[int, list] = {}  # slot -> [over part, under part]
     loops = []
     for loop in _walk_loops(braid):
         # One pass over the loop; radii and angles stream from C-level
@@ -433,13 +431,10 @@ def annular_embed(
             direction = (dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
             point = (r_mid * cos_t, r_mid * sin_t)
             assert p.role is not None
-            marker_parts.setdefault(p.slot, {})[p.role] = (point, direction)
+            marker_parts.setdefault(p.slot, [None, None])[p.role is Role.UNDER] = (point, direction)
 
     markers = []
-    for slot in sorted(marker_parts):
-        parts = marker_parts[slot]
-        point, over_dir = parts[Role.OVER]
-        _, under_dir = parts[Role.UNDER]
+    for slot, ((point, over_dir), (_, under_dir)) in sorted(marker_parts.items()):
         markers.append(
             CrossingMarker(
                 crossing=slot,
