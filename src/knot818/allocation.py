@@ -42,9 +42,6 @@ class SiteAllocation:
     def from_mapping(cls, source: str, totals: Mapping[str, int]) -> "SiteAllocation":
         return cls(source, tuple(sorted(totals.items())))
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.totals)
-
     @property
     def grand_total(self) -> int:
         return sum(v for _, v in self.totals)
@@ -83,10 +80,6 @@ class ClassStats:
 class DefectReport:
     source: str
     classes: tuple[ClassStats, ...]
-
-    @property
-    def any_mismatch(self) -> bool:
-        return any(c.mismatch for c in self.classes)
 
 
 def defect_report(allocation: SiteAllocation) -> DefectReport:

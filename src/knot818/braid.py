@@ -264,7 +264,6 @@ def closure_diagram(
 
     visits: list[Visit] = []
     slot_label: dict[int, str] = {}
-    slot_visits: dict[int, list[int]] = {}  # slot -> [over index, under index]
     if use_vertices:
         banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
         vertex_bank = iter(BRANCH_SITES)
@@ -280,7 +279,6 @@ def closure_diagram(
             else:
                 label = str(len(slot_label) + 1)
             slot_label[slot] = label
-        slot_visits.setdefault(slot, [0, 0])[role is Role.UNDER] = len(visits)
         visits.append(Visit(label, role))
 
     word = DiagramWord(tuple(visits))
@@ -288,26 +286,22 @@ def closure_diagram(
         witness = cyclic_equivalent(word, canonical_818())
         if witness is not None:
             # Re-base the walk so the word reads exactly as the stored
-            # one; crossing indices must follow the same move.
-            length = len(word)
-
-            def present(i: int) -> int:
-                if witness.reversed_:
-                    return (length - 1 - i - witness.offset) % length
-                return (i - witness.offset) % length
-
-            slot_visits = {slot: [present(i) for i in pair] for slot, pair in slot_visits.items()}
+            # one; crossing labels follow the same renaming.
             word = witness.apply(word)
+            slot_label = {slot: witness.mapping[label] for slot, label in slot_label.items()}
 
+    # Each crossing site is visited once over and once under.
+    over_at = {site: i for i, (site, role) in enumerate(word) if role is Role.OVER}
+    under_at = {site: i for i, (site, role) in enumerate(word) if role is Role.UNDER}
     crossings = tuple(
         SignedCrossing(
             id=slot,
             sign=1 if braid.letters[slot] > 0 else -1,
-            over_strand=over,
-            under_strand=under,
-            site=word[over].site,
+            over_strand=over_at[label],
+            under_strand=under_at[label],
+            site=label,
         )
-        for slot, (over, under) in sorted(slot_visits.items())
+        for slot, label in sorted(slot_label.items())
     )
     return word, crossings
 
@@ -340,7 +334,6 @@ class AnnularEmbedding:
     """
 
     loops: tuple[tuple[tuple[float, float], ...], ...]
-    origin: tuple[float, float] = (0.0, 0.0)
     radii: tuple[float, ...] = ()
     markers: tuple[CrossingMarker, ...] = ()
 
@@ -389,7 +382,7 @@ def annular_embed(
             ]
             pts.append(pts[0])
             loops.append(tuple(pts))
-        return AnnularEmbedding(tuple(loops), (0.0, 0.0), radii, ())
+        return AnnularEmbedding(tuple(loops), radii, ())
 
     width = 2.0 * math.pi / len(braid.letters)
     # Per-sample constants, shared by every pass: the angle offset into
@@ -444,7 +437,7 @@ def annular_embed(
                 under_direction=under_dir,
             )
         )
-    return AnnularEmbedding(tuple(loops), (0.0, 0.0), radii, tuple(markers))
+    return AnnularEmbedding(tuple(loops), radii, tuple(markers))
 
 
 def winding_number(embedding: AnnularEmbedding) -> int:

@@ -53,12 +53,6 @@ class LaurentPoly:
             object.__setattr__(self, "min_exp", self.min_exp + lo)
             object.__setattr__(self, "coeffs", coeffs[lo:hi])
 
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def t_power(cls, k: int) -> "LaurentPoly":
-        return cls(k, (1,))
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -120,7 +114,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
-            raise ValueError("negative powers only exist for monomials; use t_power")
+            raise ValueError("negative powers only exist for monomials; use shifted")
         result = LaurentPoly(0, (1,))
         base = self
         while k:
@@ -237,6 +231,5 @@ def _unpack(x: int, count: int, width: int) -> list[int]:
     return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
-ZERO = LaurentPoly()
 ONE = LaurentPoly(0, (1,))
 T = LaurentPoly(1, (1,))

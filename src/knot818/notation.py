@@ -100,22 +100,20 @@ def gauss_to_dt(word: DiagramWord) -> tuple[int, ...]:
         count += 1
         numbered.setdefault(v.site, []).append((count, v.role))
 
+    partner: dict[int, tuple[str, int, Role]] = {}  # visit number -> (site, partner number, partner role)
     for site, pair in numbered.items():
         if len(pair) != 2:
             raise ValueError(f"crossing {site!r} visited {len(pair)} times, expected 2")
+        (a, role_a), (b, role_b) = pair
+        partner[a] = (site, b, role_b)
+        partner[b] = (site, a, role_a)
 
     out = []
     for odd in range(1, count, 2):
-        for site, pair in numbered.items():
-            nums = [n for n, _ in pair]
-            if odd in nums:
-                partner, partner_role = pair[1 - nums.index(odd)]
-                if partner % 2 != 0:
-                    raise ValueError(f"crossing {site!r} pairs two odd visits; word is not a knot shadow")
-                out.append(-partner if partner_role is Role.OVER else partner)
-                break
-        else:
-            raise ValueError(f"no crossing visit numbered {odd}")
+        site, even, role = partner[odd]
+        if even % 2 != 0:
+            raise ValueError(f"crossing {site!r} pairs two odd visits; word is not a knot shadow")
+        out.append(-even if role is Role.OVER else even)
     return tuple(out)
 
 

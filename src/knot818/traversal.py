@@ -186,13 +186,6 @@ def mirror_table(table: TraversalTable) -> TraversalTable:
     return TraversalTable(table.start, values, mirrored=not table.mirrored)
 
 
-def relabel_table(table: TraversalTable, mapping: Mapping[str, str]) -> TraversalTable:
-    """Rename sites; the start spec moves with them."""
-    order = _gather_order(lambda key: (mapping[key[0]], key[1]))
-    start = StartSpec(mapping[table.start.site], table.start.direction, table.start.entry_role)
-    return TraversalTable(start, tuple(table.values[i] for i in order), mirrored=table.mirrored)
-
-
 @dataclass(frozen=True)
 class StateEnsemble:
     """A labeled collection of tables with pairwise distinct start specs."""
@@ -219,33 +212,26 @@ def _start_specs_for(site: str) -> list[StartSpec]:
     ]
 
 
-def enumerate_representatives(word: Optional[DiagramWord] = None) -> StateEnsemble:
+def _ensemble(label: str, sites: Sequence[str]) -> StateEnsemble:
+    word = canonical_818()
+    slots = _slots(word)
+    tables = tuple(_traverse(word, slots, spec) for site in sites for spec in _start_specs_for(site))
+    return StateEnsemble(label, tables)
+
+
+def enumerate_representatives() -> StateEnsemble:
     """The ten tables that generate all forty under the quarter-turn relabeling.
 
     One site per class (K, F, A), both directions, shoulders entered on
     both roles; ordered site-major, then direction (cw first), then role
     (over first).
     """
-    word = canonical_818() if word is None else word
-    slots = _slots(word)
-    tables = tuple(
-        _traverse(word, slots, spec)
-        for site in REPRESENTATIVE_SITES
-        for spec in _start_specs_for(site)
-    )
-    return StateEnsemble("reps10", tables)
+    return _ensemble("reps10", REPRESENTATIVE_SITES)
 
 
-def enumerate_all(word: Optional[DiagramWord] = None) -> StateEnsemble:
+def enumerate_all() -> StateEnsemble:
     """All forty tables, sites in letter order, then direction, then role."""
-    word = canonical_818() if word is None else word
-    slots = _slots(word)
-    tables = tuple(
-        _traverse(word, slots, spec)
-        for site in LETTER_SITES
-        for spec in _start_specs_for(site)
-    )
-    return StateEnsemble("all40", tables)
+    return _ensemble("all40", LETTER_SITES)
 
 
 def with_mirrors(ensemble: StateEnsemble) -> list[TraversalTable]:
@@ -305,20 +291,22 @@ class FixtureCase:
         return _labeled(self.values)
 
 
-_ROLE_BY_NAME = {"over": Role.OVER, "under": Role.UNDER, "through": Role.THROUGH}
 # The TABLE_KEYS slot of each (site, role) pair as a fixture row spells it.
 _SLOT_BY_TEXT = {(site, role.value): i for (site, role), i in _SLOT.items()}
 
 
-def _parse_row_key(lineno: int, site: str, role_name: str) -> tuple[str, Role]:
+def _row_slot(lineno: int, site: str, role_name: str) -> int:
+    """The :data:`TABLE_KEYS` slot a fixture row names, or why it names none."""
+    slot = _SLOT_BY_TEXT.get((site, role_name))
+    if slot is not None:
+        return slot
     if site not in LETTER_SITES:
         raise FixtureParseError(f"line {lineno}: unknown site {site!r}")
-    role = _ROLE_BY_NAME.get(role_name)
-    if role is None:
-        raise FixtureParseError(f"line {lineno}: unknown role {role_name!r}")
-    if (site, role) not in _SLOT:
-        raise FixtureParseError(f"line {lineno}: role {role_name!r} does not fit site {site!r}")
-    return site, role
+    try:
+        Role(role_name)
+    except ValueError:
+        raise FixtureParseError(f"line {lineno}: unknown role {role_name!r}") from None
+    raise FixtureParseError(f"line {lineno}: role {role_name!r} does not fit site {site!r}")
 
 
 def _parse_int(lineno: int, text: str, column: str) -> int:
@@ -349,9 +337,7 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
     for lineno, (case_id, site, role_name, value_text) in _read_rows(path, ["case", "site", "role", "value"]):
         if not case_id:
             raise FixtureParseError(f"line {lineno}: empty case id")
-        slot = _SLOT_BY_TEXT.get((site, role_name))
-        if slot is None:
-            slot = _SLOT[_parse_row_key(lineno, site, role_name)]
+        slot = _row_slot(lineno, site, role_name)
         value = _parse_int(lineno, value_text, "value")
         entries = cases.get(case_id)
         if entries is None:
@@ -374,10 +360,10 @@ def load_errata(path) -> dict[str, list[tuple[str, Role, int, int]]]:
     out: dict[str, list[tuple[str, Role, int, int]]] = {}
     rows = _read_rows(path, ["case", "site", "role", "value", "corrected_value"])
     for lineno, (case_id, site, role_name, value_text, corrected_text) in rows:
-        key = _parse_row_key(lineno, site, role_name)
+        site, role = TABLE_KEYS[_row_slot(lineno, site, role_name)]
         original = _parse_int(lineno, value_text, "value")
         corrected = _parse_int(lineno, corrected_text, "corrected_value")
-        out.setdefault(case_id, []).append((key[0], key[1], original, corrected))
+        out.setdefault(case_id, []).append((site, role, original, corrected))
     return out
 
 

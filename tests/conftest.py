@@ -1,5 +1,5 @@
 """Shared test helpers: word transformations, hypothesis strategies and
-the polynomial and matrix operations only the tests need."""
+the polynomial, matrix and table operations only the tests need."""
 
 from __future__ import annotations
 
@@ -17,7 +17,10 @@ from knot818.diagram import (
     canonical_818,
 )
 from knot818.invariants import PolyMatrix
-from knot818.laurent import ZERO, LaurentPoly
+from knot818.laurent import LaurentPoly
+from knot818.traversal import TABLE_KEYS, StartSpec, TraversalTable
+
+ZERO = LaurentPoly()
 
 
 def poly_from_terms(terms: dict[int, int]) -> LaurentPoly:
@@ -41,6 +44,13 @@ def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(
         tuple(tuple(sum((x * y for x, y in zip(row, col)), ZERO) for col in cols) for row in a.rows)
     )
+
+
+def relabel_table(table: TraversalTable, mapping: dict[str, str]) -> TraversalTable:
+    """Rename sites; the start spec moves with them."""
+    moved = {(mapping[site], role): value for (site, role), value in zip(TABLE_KEYS, table.values)}
+    start = StartSpec(mapping[table.start.site], table.start.direction, table.start.entry_role)
+    return TraversalTable(start, tuple(moved[key] for key in TABLE_KEYS), mirrored=table.mirrored)
 
 
 def transformed_canonical(

@@ -29,7 +29,7 @@ from knot818.braid import (
     winding_phase,
     writhe,
 )
-from knot818.diagram import Role, SiteClass, canonical_818, site_class
+from knot818.diagram import Role, SiteClass, Visit, canonical_818, site_class
 
 
 def test_braid_word_validation():
@@ -122,6 +122,17 @@ def test_vertex_rule_inapplicable():
     # count but wrong length for the outermost-arc rule.
     with pytest.raises(VertexRuleInapplicableError):
         closure_diagram(BraidWord(3, (1, -2, 1, -2)), insert_vertices=True)
+
+
+@pytest.mark.parametrize("shape", [(1, -2), (-1, 2), (2, -1), (-2, 1)])
+def test_crossings_tie_back_on_every_vertex_shape(shape):
+    # Each shape walks to the stored word by its own re-basing (offset,
+    # reversal, renaming), and the crossing indices must follow it.
+    word, crossings = closure_diagram(BraidWord(3, shape * 4))
+    assert len(word) == 20 and len(crossings) == 8
+    for c in crossings:
+        assert word[c.over_strand] == Visit(c.site, Role.OVER)
+        assert word[c.under_strand] == Visit(c.site, Role.UNDER)
 
 
 @given(braid_words())

@@ -1,11 +1,14 @@
 """End-to-end command line behavior, including the exit code contract."""
 
 import argparse
+import ast
 import contextlib
 import importlib
 import io
 import json
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -352,6 +355,23 @@ def _defined_exceptions():
         for obj in vars(module).values():
             if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
                 yield obj
+
+
+def test_package_namespace_is_what_perfbench_imports():
+    # The package re-exports only names some caller imports from it;
+    # everything else imports from its own module.
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    imported = set()
+    for path in [perfbench / "workloads.py", *sorted((perfbench / "tests").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "knot818" and node.level == 0:
+                imported.update(alias.name for alias in node.names)
+    bound = {
+        name
+        for name, value in vars(knot818).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound == imported
 
 
 def test_every_error_class_is_in_one_family():

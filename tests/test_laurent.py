@@ -33,7 +33,7 @@ def test_trimming_is_canonical():
 
 def test_small_products():
     assert (ONE - T) * (ONE + T) == LaurentPoly(0, (1, 0, -1))
-    assert LaurentPoly.t_power(-1) * T == ONE
+    assert LaurentPoly(-1, (1,)) * T == ONE
     assert (T * T * T).min_exp == 3
 
 

@@ -1,9 +1,9 @@
 """Text round trips for Gauss-style words, DT conversion, braid-word parsing."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import valid_words
+from conftest import knot_braids, valid_words
 from knot818.braid import BRAID_818, BraidWord, closure_diagram
 from knot818.diagram import DiagramWord, Role, Visit, canonical_818
 from knot818.notation import (
@@ -125,6 +125,17 @@ def test_dt_has_eight_even_entries(word):
     assert len(code) == 8
     assert all(n % 2 == 0 for n in code)
     assert sorted(abs(n) for n in code) == [2, 4, 6, 8, 10, 12, 14, 16]
+
+
+@given(knot_braids(max_strands=8))
+@settings(deadline=None)
+def test_dt_of_every_walked_closure_pairs_odd_with_even(braid):
+    # A planar knot diagram meets each crossing once at an odd and once
+    # at an even visit (Dowker and Thistlethwaite 1983), so the entries
+    # are 2, 4, ..., 2n in some order and sign.
+    word, _ = closure_diagram(braid, insert_vertices=False)
+    code = gauss_to_dt(word)
+    assert sorted(abs(n) for n in code) == list(range(2, 2 * len(braid) + 1, 2))
 
 
 def test_dt_rejects_odd_crossing_count():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import relabel_table
 from knot818.diagram import (
     LETTER_SITES,
     ROTATION_RELABEL,
@@ -36,7 +37,6 @@ from knot818.traversal import (
     load_errata,
     load_table_fixture,
     mirror_table,
-    relabel_table,
     rotation_orbits,
     shipped_errata_path,
     shipped_fixture_path,
@@ -216,12 +216,6 @@ def test_traverse_errors():
     digit = canonical_818().relabeled({**{s: s for s in LETTER_SITES}, "A": "1"})
     with pytest.raises(ValueError, match="20-visit"):
         traverse(digit, StartSpec("K", CW))
-    with pytest.raises(ValueError, match="20-visit"):
-        enumerate_all(nineteen)
-    with pytest.raises(ValueError, match="20-visit"):
-        enumerate_representatives(digit)
-    with pytest.raises(StartNotFoundError):
-        enumerate_all(trefoil)
 
 
 def test_ensemble_rejects_duplicate_specs():
@@ -409,6 +403,21 @@ def test_apply_errata_corrects_case_h():
     assert corrected.values == traverse(canonical_818(), StartSpec("A", CCW, Role.UNDER)).values
     assert case_multiset_violations(corrected) == []
     assert apply_errata(cases["a"], ()) == cases["a"]
+
+
+@pytest.mark.parametrize(
+    "site, role, message",
+    [
+        ("Q", "over", "line 2: unknown site 'Q'"),
+        ("A", "Over", "line 2: unknown role 'Over'"),
+        ("I", "over", "line 2: role 'over' does not fit site 'I'"),
+    ],
+)
+def test_errata_parse_row_key_messages(tmp_path, site, role, message):
+    path = _write(tmp_path, "errata.csv", f"case,site,role,value,corrected_value\nh,{site},{role},1,2\n")
+    with pytest.raises(FixtureParseError) as exc:
+        load_errata(path)
+    assert str(exc.value) == message
 
 
 def test_errata_parse_bad_header(tmp_path):
