@@ -32,7 +32,7 @@ def main(argv=None) -> int:
 
     for ensemble in (enumerate_representatives(), full):
         report = defect_report(ensemble_totals(ensemble))
-        print(f"ensemble {ensemble.label} ({len(ensemble)} tables):")
+        print(f"ensemble {ensemble.label} ({len(ensemble.tables)} tables):")
         for stats in report.classes:
             cells = " ".join(f"{site}={total}" for site, total in stats.entries)
             state = "uneven" if stats.mismatch else "balanced"

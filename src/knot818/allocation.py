@@ -10,9 +10,8 @@ deviation from it, and a mismatch flag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .diagram import BRANCH_SITES, INNER_SITES, OUTER_SITES, SiteClass
 from .errors import DomainError
@@ -31,8 +30,7 @@ CLASS_SITES = (
 )
 
 
-@dataclass(frozen=True)
-class SiteAllocation:
+class SiteAllocation(NamedTuple):
     """Integer totals per site, tagged with where they came from."""
 
     source: str
@@ -67,8 +65,7 @@ def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     return SiteAllocation.from_mapping(ensemble.label, _summed(ensemble.tables))
 
 
-@dataclass(frozen=True)
-class ClassStats:
+class ClassStats(NamedTuple):
     site_class: SiteClass
     entries: tuple[tuple[str, int], ...]
     mean: Fraction
@@ -76,8 +73,7 @@ class ClassStats:
     mismatch: bool
 
 
-@dataclass(frozen=True)
-class DefectReport:
+class DefectReport(NamedTuple):
     source: str
     classes: tuple[ClassStats, ...]
 

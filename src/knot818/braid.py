@@ -17,7 +17,6 @@ the sign of its braid letter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -59,37 +58,29 @@ class OriginOnCurveError(DomainError, ValueError):
     """A polyline vertex sits on the winding center."""
 
 
-class ParallelStrandsError(DomainError, ValueError):
-    """Crossing direction vectors do not span the plane."""
-
-
-class MultiLoopError(DomainError, ValueError):
-    """One polyline asked of an embedding with other than one loop."""
-
-
 class OpenLoopError(DomainError, ValueError):
     """A loop handed to the winding count does not end where it starts."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int, ...])])):
     """A word in the braid group on ``strands`` strands.
 
     Letters are nonzero integers: i means the positive generator at
-    positions (i, i+1), -i its inverse.
+    positions (i, i+1), -i its inverse.  ``len`` counts the letters, so
+    ``_make`` and ``_replace``, which check it against the field count,
+    do not apply.
     """
 
-    strands: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.strands < 2:
+    def __new__(cls, strands: int, letters: Iterable[int] = ()) -> "BraidWord":
+        if strands < 2:
             raise InvalidBraidError("a braid needs at least 2 strands")
-        letters = tuple(int(l) for l in self.letters)
+        letters = tuple(int(l) for l in letters)
         for l in letters:
-            if l == 0 or abs(l) > self.strands - 1:
-                raise InvalidBraidError(f"letter {l} out of range for {self.strands} strands")
-        object.__setattr__(self, "letters", letters)
+            if l == 0 or abs(l) > strands - 1:
+                raise InvalidBraidError(f"letter {l} out of range for {strands} strands")
+        return super().__new__(cls, strands, letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -148,8 +139,7 @@ def require_knot_closure(braid: BraidWord) -> None:
 BRAID_818 = BraidWord(3, (1, -2, 1, -2, 1, -2, 1, -2))
 
 
-@dataclass(frozen=True)
-class SignedCrossing:
+class SignedCrossing(NamedTuple):
     """One crossing of a closure, tied back to the word that walked it.
 
     ``over_strand`` and ``under_strand`` index into the visit list of the
@@ -311,8 +301,7 @@ def writhe(crossings: Iterable[SignedCrossing]) -> int:
     return sum(c.sign for c in crossings)
 
 
-@dataclass(frozen=True)
-class CrossingMarker:
+class CrossingMarker(NamedTuple):
     """Geometry of one crossing in an embedding.
 
     Directions are the curve tangents of the two strands at the shared
@@ -326,8 +315,7 @@ class CrossingMarker:
     under_direction: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class AnnularEmbedding:
+class AnnularEmbedding(NamedTuple):
     """Sampled planar picture of a braid closure around the origin.
 
     Each loop is a closed polyline (first point repeated at the end).
@@ -336,12 +324,6 @@ class AnnularEmbedding:
     loops: tuple[tuple[tuple[float, float], ...], ...]
     radii: tuple[float, ...] = ()
     markers: tuple[CrossingMarker, ...] = ()
-
-    @property
-    def polyline(self) -> tuple[tuple[float, float], ...]:
-        if len(self.loops) != 1:
-            raise MultiLoopError(f"embedding has {len(self.loops)} loops, not a single polyline")
-        return self.loops[0]
 
 
 def annular_embed(
@@ -478,23 +460,3 @@ def winding_phase(embedding: AnnularEmbedding) -> float:
     """Total angle swept around the origin: 2*pi times :func:`winding_number`."""
     return 2.0 * math.pi * winding_number(embedding)
 
-
-def crossing_sign_from_geometry(
-    over_direction: tuple[float, float], under_direction: tuple[float, float]
-) -> int:
-    """Sign of a crossing from the two strand tangents at its point.
-
-    +1 when the under direction sits counterclockwise of the over
-    direction.  Directions are unit-normalized first; a normalized cross
-    product below 1e-12 (including zero vectors) is rejected.
-    """
-    ox, oy = over_direction
-    ux, uy = under_direction
-    norm_o = math.hypot(ox, oy)
-    norm_u = math.hypot(ux, uy)
-    if norm_o == 0.0 or norm_u == 0.0:
-        raise ParallelStrandsError("zero-length direction vector")
-    cross = (ox * uy - oy * ux) / (norm_o * norm_u)
-    if abs(cross) < 1e-12:
-        raise ParallelStrandsError("strand directions are parallel at the crossing")
-    return 1 if cross > 0 else -1

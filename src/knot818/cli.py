@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import allocation as alloc
 from . import traversal as trav
-from .braid import BRAID_818, AnnularEmbedding, annular_embed, closure_diagram, winding_phase, writhe
+from .braid import BRAID_818, AnnularEmbedding, annular_embed, closure_diagram, winding_number, writhe
 from .diagram import Role
 from .errors import DomainError, UsageError
 from .invariants import alexander_from_braid
@@ -83,13 +83,11 @@ def _braid_from_args(args: argparse.Namespace):
     return parse_braid_word(args.braid, args.strands, allow_empty=args.allow_empty)
 
 
-def _format_phase(phase: float, radians: bool) -> str:
+def _format_phase(turns: int, radians: bool) -> str:
+    """The phase 2*pi*turns as a multiple of pi, or as a float under --radians."""
     if radians:
-        return repr(phase)
-    k = round(phase / math.pi)
-    if abs(phase - k * math.pi) < 1e-9:
-        return "0" if k == 0 else f"{k}π"
-    return repr(phase)
+        return repr(2.0 * math.pi * turns)
+    return f"{2 * turns}π" if turns else "0"
 
 
 def _print_table(table: trav.TraversalTable, fmt: str) -> None:
@@ -164,11 +162,11 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     poly = alexander_from_braid(braid)
     # The winding count is exact, so the fewest samples annular_embed
     # accepts (three per turn) give the phase of any finer sampling.
-    phase = winding_phase(annular_embed(braid, slots_per_letter=-(-3 // len(braid.letters))))
+    turns = winding_number(annular_embed(braid, slots_per_letter=-(-3 // len(braid.letters))))
     determinant = abs(poly.evaluate(-1))
     print(f"alexander: {poly}")
     print(f"writhe: {braid.exponent_sum}")
-    print(f"phase: {_format_phase(phase, args.radians)}")
+    print(f"phase: {_format_phase(turns, args.radians)}")
     print(f"determinant: {determinant}")
     return 0
 
@@ -241,9 +239,9 @@ def write_points_csv(path: str, embedding: AnnularEmbedding) -> None:
 
 def cmd_embed(args: argparse.Namespace) -> int:
     embedding = annular_embed(_braid_from_args(args), args.radii, slots_per_letter=args.points_per_slot)
-    phase = winding_phase(embedding)  # before writing, so a failed run leaves no file
+    turns = winding_number(embedding)  # before writing, so a failed run leaves no file
     write_points_csv(args.out, embedding)
-    print(f"phase: {_format_phase(phase, args.radians)}")
+    print(f"phase: {_format_phase(turns, args.radians)}")
     return 0
 
 

@@ -15,9 +15,8 @@ a different rotation are distinct objects but cyclically equivalent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 
 class Role(Enum):
@@ -95,54 +94,43 @@ class Visit(NamedTuple):
 _ROLE_PREFIX = {Role.OVER: "O", Role.UNDER: "U", Role.THROUGH: "V"}
 
 
-@dataclass(frozen=True)
-class DiagramWord:
-    """A closed traversal, one Visit per meeting with a site.
+class DiagramWord(tuple):
+    """A closed traversal: the tuple of its visits, one per meeting with a site.
 
-    The stored order fixes the basepoint and direction.  Identity (==)
-    compares the stored tuple, so serialization round-trips exactly;
-    use :func:`cyclic_equivalent` for basepoint-free comparison.
+    The order fixes the basepoint and direction.  Identity (==) compares
+    the tuples, so serialization round-trips exactly; use
+    :func:`cyclic_equivalent` for basepoint-free comparison.
     """
 
-    visits: tuple[Visit, ...]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.visits)
+    @property
+    def visits(self) -> tuple[Visit, ...]:
+        return tuple(self)
 
-    def __iter__(self) -> Iterator[Visit]:
-        return iter(self.visits)
-
-    def __getitem__(self, i: int) -> Visit:
-        return self.visits[i]
+    def __repr__(self) -> str:
+        return f"DiagramWord(visits={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(_ROLE_PREFIX[v.role] + v.site for v in self.visits)
+        return " ".join(_ROLE_PREFIX[v.role] + v.site for v in self)
 
     def rotated(self, k: int) -> "DiagramWord":
         """Move the basepoint k visits forward."""
-        n = len(self.visits)
-        if n == 0:
+        if not self:
             return self
-        k %= n
-        return DiagramWord(self.visits[k:] + self.visits[:k])
+        k %= len(self)
+        return DiagramWord(self[k:] + self[:k])
 
     def reversed_(self) -> "DiagramWord":
         """The same closed curve walked the other way."""
-        return DiagramWord(tuple(reversed(self.visits)))
+        return DiagramWord(reversed(self))
 
     def relabeled(self, mapping: Mapping[str, str]) -> "DiagramWord":
         """Rename sites through ``mapping``; every present site must be mapped."""
         try:
-            return DiagramWord(tuple(Visit(mapping[v.site], v.role) for v in self.visits))
+            return DiagramWord([Visit(mapping[v.site], v.role) for v in self])
         except KeyError as exc:
             raise ValueError(f"relabeling does not cover site {exc.args[0]!r}") from None
-
-    def mirrored(self) -> "DiagramWord":
-        """Swap over and under at every crossing (the mirror diagram)."""
-        return DiagramWord(tuple(Visit(v.site, v.role.swapped) for v in self.visits))
-
-    def sites(self) -> tuple[str, ...]:
-        return tuple(v.site for v in self.visits)
 
 
 # Traversal of the annular projection, twenty visits from the K branch
@@ -177,6 +165,14 @@ def canonical_818() -> DiagramWord:
     return DiagramWord(_CANONICAL_VISITS)
 
 
+def visits_by_site(visits: Iterable[Visit]) -> dict[str, list[tuple[int, Role]]]:
+    """Each site's ``(index, role)`` visits in order, sites in first-visit order."""
+    by_site: dict[str, list[tuple[int, Role]]] = {}
+    for i, (site, role) in enumerate(visits):
+        by_site.setdefault(site, []).append((i, role))
+    return by_site
+
+
 def validate_word(word: DiagramWord) -> list[str]:
     """Structural diagnostics for a word against the 12-site model.
 
@@ -188,9 +184,7 @@ def validate_word(word: DiagramWord) -> list[str]:
     if len(word) != 20:
         diags.append(f"length {len(word)} != 20")
 
-    by_site: dict[str, list[Role]] = {}
-    for v in word:
-        by_site.setdefault(v.site, []).append(v.role)
+    by_site = {site: [role for _, role in seen] for site, seen in visits_by_site(word).items()}
 
     for label in sorted(set(by_site) - set(LETTER_SITES)):
         diags.append(f"unknown site {label!r}")
@@ -216,8 +210,7 @@ def validate_word(word: DiagramWord) -> list[str]:
     return diags
 
 
-@dataclass(frozen=True)
-class EquivalenceWitness:
+class EquivalenceWitness(NamedTuple):
     """Certificate that two words draw the same closed curve.
 
     ``apply`` replays it: reverse ``w1`` if ``reversed_``, rotate the

@@ -12,8 +12,8 @@ term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
+from typing import NamedTuple
 
 from .braid import BraidWord, require_knot_closure
 from .laurent import ONE, InexactDivisionError, LaurentPoly, T, _digit_width, _pack, _unpack
@@ -23,16 +23,15 @@ class ZeroPolynomialError(ValueError):
     """Normalization target has no nonzero coefficient."""
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
+class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...], ...])])):
     """Square matrix over the integer Laurent ring."""
 
-    rows: tuple[tuple[LaurentPoly, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        dim = len(self.rows)
-        if any(len(row) != dim for row in self.rows):
+    def __new__(cls, rows: tuple[tuple[LaurentPoly, ...], ...]) -> "PolyMatrix":
+        if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
+        return super().__new__(cls, rows)
 
     @property
     def dim(self) -> int:

@@ -7,8 +7,8 @@ when it is exact.
 
 A polynomial is stored in canonical trimmed form: ``coeffs[k]``
 multiplies ``t**(min_exp + k)``, the first and last coefficients are
-nonzero, and the zero polynomial is ``(min_exp=0, coeffs=())``.  Two
-equal polynomials therefore compare equal as dataclasses.
+nonzero, and the zero polynomial is ``(min_exp=0, coeffs=())``.  The
+constructor trims, so two equal polynomials are equal tuples.
 
 Products are one schoolbook loop.  The Burau walk and the determinant
 (``knot818.invariants``) carry long polynomials as integers instead,
@@ -17,9 +17,8 @@ through the digit codec :func:`_pack` / :func:`_unpack` below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -33,13 +32,11 @@ class ZeroArgumentError(ValueError):
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
-    min_exp: int = 0
-    coeffs: tuple[int, ...] = ()
+class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[int, ...])])):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(self.coeffs)
+    def __new__(cls, min_exp: int = 0, coeffs: Sequence[int] = ()) -> "LaurentPoly":
+        coeffs = tuple(coeffs)
         lo = 0
         hi = len(coeffs)
         while hi > lo and coeffs[hi - 1] == 0:
@@ -47,11 +44,8 @@ class LaurentPoly:
         while lo < hi and coeffs[lo] == 0:
             lo += 1
         if lo == hi:
-            object.__setattr__(self, "min_exp", 0)
-            object.__setattr__(self, "coeffs", ())
-        else:
-            object.__setattr__(self, "min_exp", self.min_exp + lo)
-            object.__setattr__(self, "coeffs", coeffs[lo:hi])
+            return super().__new__(cls, 0, ())
+        return super().__new__(cls, min_exp + lo, coeffs[lo:hi])
 
     # -- structure ---------------------------------------------------
 

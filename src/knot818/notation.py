@@ -14,7 +14,7 @@ negated when that visit is the over pass.
 from __future__ import annotations
 
 from .braid import BraidWord
-from .diagram import DiagramWord, Role, SiteClass, Visit, site_class
+from .diagram import DiagramWord, Role, SiteClass, Visit, site_class, visits_by_site
 from .errors import UsageError
 
 
@@ -49,7 +49,6 @@ def parse_extended_gauss(text: str) -> DiagramWord:
     """
     tokens = text.split()
     visits: list[Visit] = []
-    first_index: dict[str, int] = {}
     for idx, token in enumerate(tokens):
         role = _PREFIX_ROLE.get(token[:1])
         label = token[1:]
@@ -61,21 +60,17 @@ def parse_extended_gauss(text: str) -> DiagramWord:
             raise UnknownTokenError(idx, f"unrecognized label in token {token!r}") from None
         if (cls is SiteClass.BRANCH_CENTER) != (role is Role.THROUGH):
             raise RoleMismatchError(idx, f"role prefix {token[0]!r} does not fit site {label!r}")
-        first_index.setdefault(label, idx)
         visits.append(Visit(label, role))
 
-    by_label: dict[str, list[Role]] = {}
-    for v in visits:
-        by_label.setdefault(v.site, []).append(v.role)
-    for label, roles in by_label.items():
-        idx = first_index[label]
+    for label, seen in visits_by_site(visits).items():
+        idx = seen[0][0]  # every token is a visit, so this is the first token naming the label
         if site_class(label) is SiteClass.BRANCH_CENTER:
-            if len(roles) != 1:
-                raise MultiplicityError(idx, f"branch label {label!r} appears {len(roles)} times")
+            if len(seen) != 1:
+                raise MultiplicityError(idx, f"branch label {label!r} appears {len(seen)} times")
         else:
-            if len(roles) != 2:
-                raise MultiplicityError(idx, f"crossing label {label!r} appears {len(roles)} times")
-            if sorted(r.value for r in roles) != ["over", "under"]:
+            if len(seen) != 2:
+                raise MultiplicityError(idx, f"crossing label {label!r} appears {len(seen)} times")
+            if sorted(r.value for _, r in seen) != ["over", "under"]:
                 raise MultiplicityError(idx, f"crossing label {label!r} needs one over and one under visit")
     return DiagramWord(tuple(visits))
 
@@ -92,24 +87,17 @@ def gauss_to_dt(word: DiagramWord) -> tuple[int, ...]:
     is the even partner of odd visit 2k-1, negated when that even visit
     is the over pass.
     """
-    numbered: dict[str, list[tuple[int, Role]]] = {}
-    count = 0
-    for v in word:
-        if v.role is Role.THROUGH:
-            continue
-        count += 1
-        numbered.setdefault(v.site, []).append((count, v.role))
-
+    crossing_visits = [v for v in word if v.role is not Role.THROUGH]
     partner: dict[int, tuple[str, int, Role]] = {}  # visit number -> (site, partner number, partner role)
-    for site, pair in numbered.items():
+    for site, pair in visits_by_site(crossing_visits).items():
         if len(pair) != 2:
             raise ValueError(f"crossing {site!r} visited {len(pair)} times, expected 2")
-        (a, role_a), (b, role_b) = pair
-        partner[a] = (site, b, role_b)
-        partner[b] = (site, a, role_a)
+        (a, role_a), (b, role_b) = pair  # indices, so visit numbers less one
+        partner[a + 1] = (site, b + 1, role_b)
+        partner[b + 1] = (site, a + 1, role_a)
 
     out = []
-    for odd in range(1, count, 2):
+    for odd in range(1, len(crossing_visits), 2):
         site, even, role = partner[odd]
         if even % 2 != 0:
             raise ValueError(f"crossing {site!r} pairs two odd visits; word is not a knot shadow")

@@ -17,11 +17,9 @@ a case cannot be matched raw.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .diagram import (
     BRANCH_SITES,
@@ -81,27 +79,25 @@ def _labeled(values: tuple[int, ...]) -> tuple[tuple[str, Role, int], ...]:
     return tuple((site, role, value) for (site, role), value in zip(TABLE_KEYS, values))
 
 
-@dataclass(frozen=True)
-class StartSpec:
+class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction), ("entry_role", Optional[Role])])):
     """Where and how a traversal begins.
 
     Branch centers take no entry role (the single through visit is the
     start); shoulders need one of over/under to pick the occurrence.
     """
 
-    site: str
-    direction: Direction
-    entry_role: Optional[Role] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.site not in LETTER_SITES:
-            raise InvalidStartSpecError(f"start site must be one of A..L, got {self.site!r}")
-        if self.site in BRANCH_SITES:
-            if self.entry_role is not None:
-                raise InvalidStartSpecError(f"branch start {self.site} takes no entry role")
+    def __new__(cls, site: str, direction: Direction, entry_role: Optional[Role] = None) -> "StartSpec":
+        if site not in LETTER_SITES:
+            raise InvalidStartSpecError(f"start site must be one of A..L, got {site!r}")
+        if site in BRANCH_SITES:
+            if entry_role is not None:
+                raise InvalidStartSpecError(f"branch start {site} takes no entry role")
         else:
-            if self.entry_role not in (Role.OVER, Role.UNDER):
-                raise InvalidStartSpecError(f"shoulder start {self.site} needs an over or under entry role")
+            if entry_role not in (Role.OVER, Role.UNDER):
+                raise InvalidStartSpecError(f"shoulder start {site} needs an over or under entry role")
+        return super().__new__(cls, site, direction, entry_role)
 
     def __str__(self) -> str:
         if self.entry_role is None:
@@ -109,8 +105,7 @@ class StartSpec:
         return f"{self.site},{self.direction},{self.entry_role}"
 
 
-@dataclass(frozen=True)
-class TraversalTable:
+class TraversalTable(NamedTuple):
     """Values 1..20 assigned to the twenty visits, in :data:`TABLE_KEYS` order."""
 
     start: StartSpec
@@ -121,9 +116,6 @@ class TraversalTable:
     def entries(self) -> tuple[tuple[str, Role, int], ...]:
         """``(site, role, value)`` triples in :data:`TABLE_KEYS` order."""
         return _labeled(self.values)
-
-    def value(self, site: str, role: Role) -> int:
-        return self.values[_SLOT[(site, role)]]
 
     def describe(self) -> str:
         return f"mirror({self.start})" if self.mirrored else str(self.start)
@@ -186,20 +178,16 @@ def mirror_table(table: TraversalTable) -> TraversalTable:
     return TraversalTable(table.start, values, mirrored=not table.mirrored)
 
 
-@dataclass(frozen=True)
-class StateEnsemble:
+class StateEnsemble(NamedTuple("StateEnsemble", [("label", str), ("tables", tuple[TraversalTable, ...])])):
     """A labeled collection of tables with pairwise distinct start specs."""
 
-    label: str
-    tables: tuple[TraversalTable, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        specs = [(t.start, t.mirrored) for t in self.tables]
+    def __new__(cls, label: str, tables: tuple[TraversalTable, ...]) -> "StateEnsemble":
+        specs = [(t.start, t.mirrored) for t in tables]
         if len(set(specs)) != len(specs):
             raise ValueError("duplicate start specs in ensemble")
-
-    def __len__(self) -> int:
-        return len(self.tables)
+        return super().__new__(cls, label, tables)
 
 
 def _start_specs_for(site: str) -> list[StartSpec]:
@@ -279,8 +267,7 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
 # Fixture handling
 
 
-@dataclass(frozen=True)
-class FixtureCase:
+class FixtureCase(NamedTuple):
     """One reference table: values in :data:`TABLE_KEYS` order, like a table's."""
 
     case_id: str
@@ -368,11 +355,11 @@ def load_errata(path) -> dict[str, list[tuple[str, Role, int, int]]]:
 
 
 def shipped_fixture_path() -> Path:
-    return Path(str(resources.files("knot818").joinpath("data/reference_cases.csv")))
+    return Path(__file__).with_name("data") / "reference_cases.csv"
 
 
 def shipped_errata_path() -> Path:
-    return Path(str(resources.files("knot818").joinpath("data/reference_cases_errata.csv")))
+    return Path(__file__).with_name("data") / "reference_cases_errata.csv"
 
 
 def apply_errata(case: FixtureCase, rows: Sequence[tuple[str, Role, int, int]]) -> FixtureCase:
@@ -418,8 +405,7 @@ class MatchStatus(Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(NamedTuple):
     case_id: str
     status: MatchStatus
     witness: Optional[TraversalTable]
@@ -427,9 +413,7 @@ class CaseResult:
     erratum_applied: bool = False
 
 
-@dataclass(frozen=True)
-class FixtureReport:
-    ensemble_label: str
+class FixtureReport(NamedTuple):
     results: tuple[CaseResult, ...]
 
     @property
@@ -475,4 +459,4 @@ def check_fixture(
                 )
                 continue
         results.append(CaseResult(case.case_id, MatchStatus.UNMATCHED, None, violations))
-    return FixtureReport(ensemble.label, tuple(results))
+    return FixtureReport(tuple(results))

@@ -1,19 +1,23 @@
 """Shared test helpers: word transformations, hypothesis strategies and
-the polynomial, matrix and table operations only the tests need."""
+the polynomial, matrix, table, word and geometry operations only the
+tests need."""
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Optional
 
 from hypothesis import strategies as st
 
-from knot818.braid import BraidWord
+from knot818.braid import AnnularEmbedding, BraidWord
 from knot818.diagram import (
     BRANCH_SITES,
     INNER_SITES,
     OUTER_SITES,
     DiagramWord,
+    Role,
+    Visit,
     canonical_818,
 )
 from knot818.invariants import PolyMatrix
@@ -21,6 +25,56 @@ from knot818.laurent import LaurentPoly
 from knot818.traversal import TABLE_KEYS, StartSpec, TraversalTable
 
 ZERO = LaurentPoly()
+
+
+class MultiLoopError(ValueError):
+    """One polyline asked of an embedding with other than one loop."""
+
+
+class ParallelStrandsError(ValueError):
+    """Crossing direction vectors do not span the plane."""
+
+
+def polyline(embedding: AnnularEmbedding) -> tuple[tuple[float, float], ...]:
+    """The one loop of a single-loop embedding."""
+    if len(embedding.loops) != 1:
+        raise MultiLoopError(f"embedding has {len(embedding.loops)} loops, not a single polyline")
+    return embedding.loops[0]
+
+
+def crossing_sign_from_geometry(
+    over_direction: tuple[float, float], under_direction: tuple[float, float]
+) -> int:
+    """Sign of a crossing from the two strand tangents at its point.
+
+    +1 when the under direction sits counterclockwise of the over
+    direction.  Directions are unit-normalized first; a normalized cross
+    product below 1e-12 (including zero vectors) is rejected.
+    """
+    ox, oy = over_direction
+    ux, uy = under_direction
+    norm_o = math.hypot(ox, oy)
+    norm_u = math.hypot(ux, uy)
+    if norm_o == 0.0 or norm_u == 0.0:
+        raise ParallelStrandsError("zero-length direction vector")
+    cross = (ox * uy - oy * ux) / (norm_o * norm_u)
+    if abs(cross) < 1e-12:
+        raise ParallelStrandsError("strand directions are parallel at the crossing")
+    return 1 if cross > 0 else -1
+
+
+def table_value(table: TraversalTable, site: str, role: Role) -> int:
+    """The value a table assigns the visit ``(site, role)``; KeyError if there is none."""
+    return dict(zip(TABLE_KEYS, table.values))[site, role]
+
+
+def word_sites(word: DiagramWord) -> tuple[str, ...]:
+    return tuple(v.site for v in word)
+
+
+def mirror_word(word: DiagramWord) -> DiagramWord:
+    """Swap over and under at every crossing (the mirror diagram)."""
+    return DiagramWord(Visit(v.site, v.role.swapped) for v in word)
 
 
 def poly_from_terms(terms: dict[int, int]) -> LaurentPoly:
@@ -75,7 +129,7 @@ def transformed_canonical(
     if reverse:
         word = word.reversed_()
     if mirror:
-        word = word.mirrored()
+        word = mirror_word(word)
     return word.rotated(offset)
 
 

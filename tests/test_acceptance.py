@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import matmul, random_valid_word, subs_inverse
+from conftest import matmul, random_valid_word, subs_inverse, table_value
 from knot818.braid import BRAID_818, BraidWord, annular_embed, closure_diagram, winding_phase, writhe
 from knot818.invariants import (
     PolyMatrix,
@@ -109,7 +109,7 @@ def test_criterion_05_permutation_property():
             assert sorted(table.values) == list(range(1, 21)), table.start
             spec = table.start
             role = spec.entry_role if spec.entry_role is not None else Role.THROUGH
-            assert table.value(spec.site, role) == 1, table.start
+            assert table_value(table, spec.site, role) == 1, table.start
 
     _report(5, "all 40 start specs assign exactly {1..20} with 1 at the start", check)
 

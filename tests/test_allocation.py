@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import table_value
 from knot818.allocation import (
     CLASS_SITES,
     ClassStats,
@@ -131,9 +132,9 @@ def test_site_totals_uses_through_values():
     table = case_a_table()
     alloc = dict(site_totals(table).totals)
     for site in "IJKL":
-        assert alloc[site] == table.value(site, Role.THROUGH)
+        assert alloc[site] == table_value(table, site, Role.THROUGH)
     for site in "ABCDEFGH":
-        assert alloc[site] == table.value(site, Role.OVER) + table.value(site, Role.UNDER)
+        assert alloc[site] == table_value(table, site, Role.OVER) + table_value(table, site, Role.UNDER)
 
 
 def _rational_class_stats(site_class, sites, values):

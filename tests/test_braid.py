@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import braid_words
+from conftest import MultiLoopError, ParallelStrandsError, braid_words, crossing_sign_from_geometry, polyline
 from knot818.braid import (
     BRAID_818,
     AnnularEmbedding,
@@ -15,16 +15,13 @@ from knot818.braid import (
     BadSamplingError,
     BraidWord,
     InvalidBraidError,
-    MultiLoopError,
     NotAKnotError,
     OpenLoopError,
     OriginOnCurveError,
-    ParallelStrandsError,
     VertexRuleInapplicableError,
     _walk_loops,
     annular_embed,
     closure_diagram,
-    crossing_sign_from_geometry,
     winding_number,
     winding_phase,
     writhe,
@@ -37,7 +34,13 @@ def test_braid_word_validation():
         with pytest.raises(InvalidBraidError):
             BraidWord(strands, letters)
     assert issubclass(InvalidBraidError, ValueError)
-    BraidWord(3, (2, -2, 1, -1))  # fine
+    with pytest.raises(InvalidBraidError, match="^a braid needs at least 2 strands$"):
+        BraidWord(1)
+    with pytest.raises(InvalidBraidError, match="^letter -3 out of range for 3 strands$"):
+        BraidWord(3, [1, -3])
+    braid = BraidWord(3, [2, -2, 1, -1])  # fine; letters are stored as a tuple
+    assert repr(braid) == "BraidWord(strands=3, letters=(2, -2, 1, -1))"
+    assert len(braid) == 4
 
 
 def test_exponent_sum():
@@ -283,7 +286,7 @@ def test_embedding_points_match_the_reference_loop(case):
 def test_main_embedding_is_one_closed_loop():
     emb = annular_embed(BRAID_818, (1.0, 2.0, 3.0), slots_per_letter=8)
     assert len(emb.loops) == 1
-    pts = emb.polyline
+    pts = polyline(emb)
     assert pts[0] == pts[-1]
     assert len(pts) == 3 * 8 * 8 + 1
     for x, y in pts:
@@ -295,7 +298,7 @@ def test_empty_braid_embeds_as_circles():
     emb = annular_embed(BraidWord(2, ()), (1.0, 2.0))
     assert len(emb.loops) == 2
     with pytest.raises(MultiLoopError) as exc:
-        emb.polyline
+        polyline(emb)
     assert type(exc.value) is MultiLoopError
     assert str(exc.value) == "embedding has 2 loops, not a single polyline"
     for pts, radius in zip(emb.loops, (1.0, 2.0)):
@@ -310,7 +313,7 @@ def test_quarter_turn_point_symmetry():
     # a rotated slot on a different strand, so this is a set statement,
     # not a statement about sample order.
     emb = annular_embed(BRAID_818, (1.0, 2.0, 3.0), slots_per_letter=16)
-    pts = emb.polyline[:-1]
+    pts = polyline(emb)[:-1]
     for k in range(0, len(pts), 13):
         x, y = pts[k]
         rx, ry = -y, x

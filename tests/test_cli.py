@@ -6,7 +6,10 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import pkgutil
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -18,7 +21,7 @@ from conftest import knot_braids
 import knot818
 from knot818 import cli
 from knot818 import traversal as trav
-from knot818.braid import BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_phase
+from knot818.braid import BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
 from knot818.errors import DomainError, Knot818Error, UsageError
 from knot818.invariants import ZeroPolynomialError
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
@@ -87,8 +90,9 @@ def test_invariants_phase_matches_a_64_slot_embedding(braid, radians):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert cli.main(argv + ["--radians"] * radians) == 0
-    phase = winding_phase(annular_embed(braid, slots_per_letter=64))
-    assert out.getvalue().splitlines()[2] == f"phase: {cli._format_phase(phase, radians)}"
+    turns = winding_number(annular_embed(braid, slots_per_letter=64))
+    expected = repr(2.0 * math.pi * turns) if radians else f"{2 * turns}π" if turns else "0"
+    assert out.getvalue().splitlines()[2] == f"phase: {expected}"
 
 
 def test_traverse_text(capsys):
@@ -355,6 +359,18 @@ def _defined_exceptions():
         for obj in vars(module).values():
             if isinstance(obj, type) and issubclass(obj, BaseException) and obj.__module__ == module.__name__:
                 yield obj
+
+
+def test_cli_import_leaves_out_the_heavy_stdlib_modules():
+    # Under -S no site-packages .pth file imports anything first, so this
+    # sees only what importing the command line front end pulls in.
+    src = Path(knot818.__file__).resolve().parent.parent
+    probe = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import knot818.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_package_namespace_is_what_perfbench_imports():

@@ -27,7 +27,7 @@ def poly(min_exp, *coeffs):
 
 
 def test_matrix_must_be_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix must be square$"):
         PolyMatrix(((ONE, ZERO),))
 
 

@@ -28,6 +28,9 @@ polys = st.builds(
 def test_trimming_is_canonical():
     assert LaurentPoly(2, (0, 1, 0)) == LaurentPoly(3, (1,))
     assert LaurentPoly(5, (0, 0)) == LaurentPoly()
+    # the constructor stores the trimmed fields, whatever sequence it is given
+    assert repr(LaurentPoly(2, [0, 1, 0])) == "LaurentPoly(min_exp=3, coeffs=(1,))"
+    assert repr(LaurentPoly(5, [0, 0])) == "LaurentPoly(min_exp=0, coeffs=())"
     assert LaurentPoly().is_zero
 
 

@@ -1,12 +1,10 @@
 """Start-state traversal tables, the reference fixture, and its errata."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relabel_table
+from conftest import relabel_table, table_value
 from knot818.diagram import (
     LETTER_SITES,
     ROTATION_RELABEL,
@@ -71,13 +69,13 @@ def all_specs():
 
 
 def test_start_spec_validation():
-    with pytest.raises(InvalidStartSpecError):
+    with pytest.raises(InvalidStartSpecError, match="^start site must be one of A..L, got 'Z'$"):
         StartSpec("Z", CW)
-    with pytest.raises(InvalidStartSpecError):
+    with pytest.raises(InvalidStartSpecError, match="^branch start K takes no entry role$"):
         StartSpec("K", CW, Role.OVER)
-    with pytest.raises(InvalidStartSpecError):
+    with pytest.raises(InvalidStartSpecError, match="^shoulder start A needs an over or under entry role$"):
         StartSpec("A", CW)
-    with pytest.raises(InvalidStartSpecError):
+    with pytest.raises(InvalidStartSpecError, match="^shoulder start A needs an over or under entry role$"):
         StartSpec("A", CW, Role.THROUGH)
 
 
@@ -89,8 +87,8 @@ def test_start_spec_text():
 def test_case_a_values():
     table = traverse(canonical_818(), StartSpec("K", CW))
     assert assignment(table) == CASE_A
-    assert table.value("K", Role.THROUGH) == 1
-    assert table.value("C", Role.OVER) == 3
+    assert table_value(table, "K", Role.THROUGH) == 1
+    assert table_value(table, "C", Role.OVER) == 3
     assert not table.mirrored
 
 
@@ -101,7 +99,7 @@ def test_table_keys_order():
     assert table.values == tuple(CASE_A[key] for key in TABLE_KEYS)
     assert [(site, role) for site, role, _ in table.entries] == list(TABLE_KEYS)
     with pytest.raises(KeyError):
-        table.value("K", Role.OVER)
+        table_value(table, "K", Role.OVER)
 
 
 def test_ccw_reverses_cw():
@@ -109,7 +107,7 @@ def test_ccw_reverses_cw():
     ccw = traverse(canonical_818(), StartSpec("K", CCW))
     for key, value in assignment(cw).items():
         expected = 1 if value == 1 else 22 - value
-        assert ccw.value(*key) == expected
+        assert table_value(ccw, *key) == expected
 
 
 def test_every_start_is_a_permutation_with_value_one_at_start():
@@ -118,17 +116,17 @@ def test_every_start_is_a_permutation_with_value_one_at_start():
         table = traverse(word, spec)
         assert sorted(table.values) == list(range(1, 21))
         role = Role.THROUGH if spec.entry_role is None else spec.entry_role
-        assert table.value(spec.site, role) == 1
+        assert table_value(table, spec.site, role) == 1
 
 
 def test_ensembles_have_expected_shapes():
     reps = enumerate_representatives()
     assert reps.label == "reps10"
-    assert len(reps) == 10
+    assert len(reps.tables) == 10
     assert [t.start.site for t in reps.tables] == list("KKFFFFAAAA")
     full = enumerate_all()
     assert full.label == "all40"
-    assert len(full) == 40
+    assert len(full.tables) == 40
     assert REPRESENTATIVE_SITES == ("K", "F", "A")
 
 
@@ -143,10 +141,10 @@ def test_mirror_swaps_over_and_under():
     table = traverse(canonical_818(), StartSpec("F", CW, Role.OVER))
     mirrored = mirror_table(table)
     for site in "ABCDEFGH":
-        assert mirrored.value(site, Role.OVER) == table.value(site, Role.UNDER)
-        assert mirrored.value(site, Role.UNDER) == table.value(site, Role.OVER)
+        assert table_value(mirrored, site, Role.OVER) == table_value(table, site, Role.UNDER)
+        assert table_value(mirrored, site, Role.UNDER) == table_value(table, site, Role.OVER)
     for site in "IJKL":
-        assert mirrored.value(site, Role.THROUGH) == table.value(site, Role.THROUGH)
+        assert table_value(mirrored, site, Role.THROUGH) == table_value(table, site, Role.THROUGH)
     assert mirrored.describe() == "mirror(F,cw,over)"
 
 
@@ -161,7 +159,7 @@ def test_relabel_moves_start_spec():
     table = traverse(canonical_818(), StartSpec("K", CW))
     rotated = relabel_table(table, ROTATION_RELABEL)
     assert rotated.start == StartSpec("J", CW)
-    assert rotated.value("J", Role.THROUGH) == 1
+    assert table_value(rotated, "J", Role.THROUGH) == 1
 
 
 def test_rotation_equivariance():
@@ -189,7 +187,7 @@ def test_rotation_orbits_check_every_table():
     tables = with_mirrors(enumerate_all())
     first = tables[0]
     swapped = (first.values[1], first.values[0]) + first.values[2:]
-    tables[0] = replace(first, values=swapped)
+    tables[0] = first._replace(values=swapped)
     relabeled = StartSpec(ROTATION_RELABEL[first.start.site], first.start.direction, first.start.entry_role)
     with pytest.raises(ValueError, match=f"^rotation equivariance violated at {relabeled}$"):
         rotation_orbits(tables)
@@ -220,7 +218,7 @@ def test_traverse_errors():
 
 def test_ensemble_rejects_duplicate_specs():
     table = traverse(canonical_818(), StartSpec("K", CW))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
         StateEnsemble("dup", (table, table))
 
 
