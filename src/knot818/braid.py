@@ -66,9 +66,7 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
     """A word in the braid group on ``strands`` strands.
 
     Letters are nonzero integers: i means the positive generator at
-    positions (i, i+1), -i its inverse.  ``len`` counts the letters, so
-    ``_make`` and ``_replace``, which check it against the field count,
-    do not apply.
+    positions (i, i+1), -i its inverse.  ``len`` counts the letters.
     """
 
     __slots__ = ()
@@ -82,6 +80,10 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
                 raise InvalidBraidError(f"letter {l} out of range for {strands} strands")
         return super().__new__(cls, strands, letters)
 
+    @classmethod  # so that _replace, too, builds through __new__
+    def _make(cls, fields: Iterable) -> "BraidWord":
+        return cls(*fields)
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -89,50 +91,63 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
     def exponent_sum(self) -> int:
         return sum(1 if l > 0 else -1 for l in self.letters)
 
-    def closure_permutation(self) -> tuple[int, ...]:
-        """Entry p-1 is the position where the strand entering at p exits."""
-        cur = list(range(1, self.strands + 1))
-        for letter in self.letters:
-            i = abs(letter)
-            for k, pos in enumerate(cur):
-                if pos == i:
-                    cur[k] = i + 1
-                elif pos == i + 1:
-                    cur[k] = i
-        return tuple(cur)
-
     @property
     def closure_components(self) -> int:
-        """Number of components of the closure: cycles of the permutation."""
-        perm = self.closure_permutation()
-        seen = [False] * self.strands
-        count = 0
-        for start in range(self.strands):
-            if not seen[start]:
-                count += 1
-                p = start
-                while not seen[p]:
-                    seen[p] = True
-                    p = perm[p] - 1
-        return count
+        """Number of components of the closure: the loops of its walk."""
+        return len(_walk_loops(self))
 
     @property
     def is_knot_closure(self) -> bool:
         return self.closure_components == 1
 
 
-def require_knot_closure(braid: BraidWord) -> None:
-    """Raise :class:`NotAKnotError` unless the closure is a single knot.
+def _walk_loops(braid: BraidWord) -> list[list[int]]:
+    """Decompose the closure into loops, each the list of strand positions
+    at its slot boundaries.
 
+    Every loop starts at slot 0 and ends where it starts, so
+    ``loop[0] == loop[-1]``, and pass k runs from ``loop[k]`` to
+    ``loop[k+1]`` through slot k mod len(letters).  A pass crosses
+    exactly when its two positions differ, and it is the over pass
+    exactly when ``(exit > entry) == (letter > 0)``.  The empty word
+    gives one single-position loop per strand.
+    """
+    mags = [abs(l) for l in braid.letters]
+    # The walk meets slot 0 once per turn, and a loop closes only there,
+    # so only positions at slot 0 need remembering.
+    seen: set[int] = set()
+    loops: list[list[int]] = []
+    for pos0 in range(1, braid.strands + 1):
+        if pos0 in seen:
+            continue
+        loop = [pos0]
+        pos = pos0
+        while pos not in seen:
+            seen.add(pos)
+            for i in mags:
+                if pos == i:
+                    pos = i + 1
+                elif pos == i + 1:
+                    pos = i
+                loop.append(pos)
+        loops.append(loop)
+    return loops
+
+
+def require_knot_closure(braid: BraidWord) -> list[int]:
+    """The one loop of the closure (as :func:`_walk_loops` gives it).
+
+    Raises :class:`NotAKnotError` unless the closure is a single knot.
     The message gives sizes, not the word, so it stays short however
     long the word is.
     """
-    components = braid.closure_components
-    if components != 1:
+    loops = _walk_loops(braid)
+    if len(loops) != 1:
         raise NotAKnotError(
             f"closure of a {len(braid)}-letter braid on {braid.strands} strands"
-            f" has {components} components, so it is not a knot"
+            f" has {len(loops)} components, so it is not a knot"
         )
+    return loops[0]
 
 
 # The main diagram: four turns of the alternating two-generator pattern.
@@ -151,48 +166,6 @@ class SignedCrossing(NamedTuple):
     over_strand: int
     under_strand: int
     site: str
-
-
-class _Pass(NamedTuple):
-    """One trip through one angular slot."""
-
-    slot: int
-    entry: int
-    exit: int
-    crossing: Optional[int]
-    role: Optional[Role]
-
-
-def _walk_loops(braid: BraidWord) -> list[list[_Pass]]:
-    """Decompose the closure into loops of consecutive slot passes.
-
-    Requires at least one letter.  Every loop starts at slot 0, so the
-    k-th pass of a loop sits in slot k mod len(letters).
-    """
-    letters = braid.letters
-    # The walk meets slot 0 once per turn, and a loop closes only there,
-    # so only positions at slot 0 need remembering.
-    seen: set[int] = set()
-    loops: list[list[_Pass]] = []
-    for pos0 in range(1, braid.strands + 1):
-        if pos0 in seen:
-            continue
-        loop: list[_Pass] = []
-        pos = pos0
-        while pos not in seen:
-            seen.add(pos)
-            for slot, letter in enumerate(letters):
-                i = abs(letter)
-                if pos == i:
-                    loop.append(_Pass(slot, pos, i + 1, slot, Role.OVER if letter > 0 else Role.UNDER))
-                    pos = i + 1
-                elif pos == i + 1:
-                    loop.append(_Pass(slot, pos, i, slot, Role.UNDER if letter > 0 else Role.OVER))
-                    pos = i
-                else:
-                    loop.append(_Pass(slot, pos, pos, None, None))
-        loops.append(loop)
-    return loops
 
 
 def _vertex_rule_applies(braid: BraidWord) -> bool:
@@ -226,50 +199,43 @@ def closure_diagram(
     the :func:`cyclic_equivalent` witness so callers see that word
     verbatim.
     """
-    require_knot_closure(braid)
+    loop = require_knot_closure(braid)
     eligible = _vertex_rule_applies(braid)
     if insert_vertices and not eligible:
         raise VertexRuleInapplicableError("branch vertices are only defined on the annular 3-strand shape")
     use_vertices = eligible if insert_vertices is None else bool(insert_vertices)
 
-    passes = _walk_loops(braid)[0]
-    events: list[tuple] = []  # ("x", slot, role) or ("arc",)
-    for p in passes:
-        if p.crossing is not None:
-            events.append(("x", p.slot, p.role))
-        elif use_vertices and p.entry == braid.strands:
-            events.append(("arc",))
-
-    seq: list[tuple] = events  # ("x", slot, role) / ("v",)
-    if use_vertices:
-        # One through vertex in each gap between consecutive crossings
-        # that holds an outermost arc, read from the first crossing on.
-        first = next(i for i, ev in enumerate(events) if ev[0] == "x")
-        seq = []
-        for ev in events[first:] + events[:first]:
-            if ev[0] == "x":
-                seq.append(ev)
-            elif seq[-1][0] == "x":
-                seq.append(("v",))
-
+    letters = braid.letters
+    passes = len(loop) - 1
     visits: list[Visit] = []
     slot_label: dict[int, str] = {}
     if use_vertices:
         banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
         vertex_bank = iter(BRANCH_SITES)
-    for ev in seq:
-        if ev[0] == "v":
-            visits.append(Visit(next(vertex_bank), Role.THROUGH))
+    # One through vertex in each gap between consecutive crossings
+    # that holds an outermost arc, read from the first crossing on.
+    first = next(k for k in range(passes) if loop[k] != loop[k + 1])
+    pending = False  # an outermost arc since the last crossing
+    for k in chain(range(first, passes), range(first)):
+        entry, exit_pos = loop[k], loop[k + 1]
+        if entry == exit_pos:
+            if use_vertices and entry == braid.strands:
+                pending = True
             continue
-        _, slot, role = ev
+        if pending:
+            visits.append(Visit(next(vertex_bank), Role.THROUGH))
+            pending = False
+        slot = k % len(letters)
         label = slot_label.get(slot)
         if label is None:
             if use_vertices:
-                label = next(banks[abs(braid.letters[slot])])
+                label = next(banks[abs(letters[slot])])
             else:
                 label = str(len(slot_label) + 1)
             slot_label[slot] = label
-        visits.append(Visit(label, role))
+        visits.append(Visit(label, Role.OVER if (exit_pos > entry) == (letters[slot] > 0) else Role.UNDER))
+    if pending:
+        visits.append(Visit(next(vertex_bank), Role.THROUGH))
 
     word = DiagramWord(tuple(visits))
     if use_vertices:
@@ -388,25 +354,26 @@ def annular_embed(
         # One pass over the loop; radii and angles stream from C-level
         # iterators, with no list per pass.  Pass k samples at angles
         # k * width + offset, its start angle repeated once per offset.
-        rs = chain.from_iterable([profiles[p.entry, p.exit] for p in loop])
-        theta0s = map(mul, range(len(loop)), repeat(width))
+        rs = chain.from_iterable(map(profiles.__getitem__, zip(loop, loop[1:])))
+        theta0s = map(mul, range(len(loop) - 1), repeat(width))
         angles = map(add, chain.from_iterable(map(repeat, theta0s, repeat(slots_per_letter))), cycle(offsets))
         pts = [(r * cos(th), r * sin(th)) for r, th in zip(rs, angles)]
         pts.append(pts[0])
         loops.append(tuple(pts))
-        for k, p in enumerate(loop):
-            if p.crossing is None:
+        for k, (entry, exit_pos) in enumerate(zip(loop, loop[1:])):
+            if entry == exit_pos:
                 continue
             # tangent at the slot midpoint, where the two strands meet
             th = k * width + width / 2.0
-            r_in, r_out = radii[p.entry - 1], radii[p.exit - 1]
+            r_in, r_out = radii[entry - 1], radii[exit_pos - 1]
             r_mid = (r_in + r_out) / 2.0
             dr = (r_out - r_in) * math.pi / 2.0
             cos_t, sin_t = cos(th), sin(th)
             direction = (dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
             point = (r_mid * cos_t, r_mid * sin_t)
-            assert p.role is not None
-            marker_parts.setdefault(p.slot, [None, None])[p.role is Role.UNDER] = (point, direction)
+            slot = k % len(braid.letters)
+            is_under = (exit_pos > entry) != (braid.letters[slot] > 0)
+            marker_parts.setdefault(slot, [None, None])[is_under] = (point, direction)
 
     markers = []
     for slot, ((point, over_dir), (_, under_dir)) in sorted(marker_parts.items()):

@@ -13,7 +13,7 @@ term.
 from __future__ import annotations
 
 from math import prod
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .braid import BraidWord, require_knot_closure
 from .laurent import ONE, InexactDivisionError, LaurentPoly, T, _digit_width, _pack, _unpack
@@ -32,6 +32,10 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         return super().__new__(cls, rows)
+
+    @classmethod  # so that _replace, too, builds through __new__
+    def _make(cls, fields: Iterable) -> "PolyMatrix":
+        return cls(*fields)
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,7 @@ through the digit codec :func:`_pack` / :func:`_unpack` below.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 
 class InexactDivisionError(ArithmeticError):
@@ -46,6 +46,10 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
         if lo == hi:
             return super().__new__(cls, 0, ())
         return super().__new__(cls, min_exp + lo, coeffs[lo:hi])
+
+    @classmethod  # so that _replace, too, builds through __new__
+    def _make(cls, fields: Iterable) -> "LaurentPoly":
+        return cls(*fields)
 
     # -- structure ---------------------------------------------------
 
@@ -105,6 +109,10 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
+
+    def __rmul__(self, other: object) -> "LaurentPoly":
+        # without it, int * poly would repeat the tuple
+        return NotImplemented
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:

@@ -17,9 +17,9 @@ a case cannot be matched raw.
 from __future__ import annotations
 
 import csv
+import os.path
 from enum import Enum
-from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .diagram import (
     BRANCH_SITES,
@@ -98,6 +98,10 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
             if entry_role not in (Role.OVER, Role.UNDER):
                 raise InvalidStartSpecError(f"shoulder start {site} needs an over or under entry role")
         return super().__new__(cls, site, direction, entry_role)
+
+    @classmethod  # so that _replace, too, builds through __new__
+    def _make(cls, fields: Iterable) -> "StartSpec":
+        return cls(*fields)
 
     def __str__(self) -> str:
         if self.entry_role is None:
@@ -188,6 +192,10 @@ class StateEnsemble(NamedTuple("StateEnsemble", [("label", str), ("tables", tupl
         if len(set(specs)) != len(specs):
             raise ValueError("duplicate start specs in ensemble")
         return super().__new__(cls, label, tables)
+
+    @classmethod  # so that _replace, too, builds through __new__
+    def _make(cls, fields: Iterable) -> "StateEnsemble":
+        return cls(*fields)
 
 
 def _start_specs_for(site: str) -> list[StartSpec]:
@@ -354,12 +362,12 @@ def load_errata(path) -> dict[str, list[tuple[str, Role, int, int]]]:
     return out
 
 
-def shipped_fixture_path() -> Path:
-    return Path(__file__).with_name("data") / "reference_cases.csv"
+def shipped_fixture_path() -> str:
+    return os.path.join(os.path.dirname(__file__), "data", "reference_cases.csv")
 
 
-def shipped_errata_path() -> Path:
-    return Path(__file__).with_name("data") / "reference_cases_errata.csv"
+def shipped_errata_path() -> str:
+    return os.path.join(os.path.dirname(__file__), "data", "reference_cases_errata.csv")
 
 
 def apply_errata(case: FixtureCase, rows: Sequence[tuple[str, Role, int, int]]) -> FixtureCase:

@@ -171,6 +171,22 @@ def braid_words(max_strands: int = 4, max_len: int = 8):
     )
 
 
+def closure_permutation(braid: BraidWord) -> tuple[int, ...]:
+    """Entry p-1 is the position where the strand entering at p exits.
+
+    ``at[q-1]`` is the strand at position q; each letter i swaps
+    ``at[i-1], at[i]`` once, whatever its sign.
+    """
+    at = list(range(1, braid.strands + 1))
+    for letter in braid.letters:
+        i = abs(letter)
+        at[i - 1], at[i] = at[i], at[i - 1]
+    exits = [0] * braid.strands
+    for pos, strand in enumerate(at, 1):
+        exits[strand - 1] = pos
+    return tuple(exits)
+
+
 signs = st.sampled_from((1, -1))
 
 

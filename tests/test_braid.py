@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import MultiLoopError, ParallelStrandsError, braid_words, crossing_sign_from_geometry, polyline
+from conftest import (
+    MultiLoopError,
+    ParallelStrandsError,
+    braid_words,
+    closure_permutation,
+    crossing_sign_from_geometry,
+    polyline,
+)
 from knot818.braid import (
     BRAID_818,
     AnnularEmbedding,
@@ -19,7 +26,6 @@ from knot818.braid import (
     OpenLoopError,
     OriginOnCurveError,
     VertexRuleInapplicableError,
-    _walk_loops,
     annular_embed,
     closure_diagram,
     winding_number,
@@ -43,6 +49,13 @@ def test_braid_word_validation():
     assert len(braid) == 4
 
 
+def test_replace_rechecks_the_braid():
+    assert BraidWord(3, (1, 2, 1))._replace(strands=4) == BraidWord(4, (1, 2, 1))
+    assert type(BraidWord._make((2, [1]))) is BraidWord
+    with pytest.raises(InvalidBraidError, match="^letter 2 out of range for 2 strands$"):
+        BraidWord(3, (1, 2, 1))._replace(strands=2)
+
+
 def test_exponent_sum():
     assert BRAID_818.exponent_sum == 0
     assert BraidWord(2, (1, 1, 1)).exponent_sum == 3
@@ -50,9 +63,29 @@ def test_exponent_sum():
 
 
 def test_closure_permutation():
-    assert BraidWord(2, (1,)).closure_permutation() == (2, 1)
-    assert BraidWord(3, (1, -2)).closure_permutation() == (3, 1, 2)
-    assert BRAID_818.closure_permutation() == (3, 1, 2)
+    assert closure_permutation(BraidWord(2, (1,))) == (2, 1)
+    assert closure_permutation(BraidWord(3, (1, -2))) == (3, 1, 2)
+    assert closure_permutation(BRAID_818) == (3, 1, 2)
+
+
+def _cycle_count(perm):
+    seen, count = set(), 0
+    for start in range(1, len(perm) + 1):
+        if start not in seen:
+            count += 1
+            p = start
+            while p not in seen:
+                seen.add(p)
+                p = perm[p - 1]
+    return count
+
+
+@given(braid_words(max_strands=6, max_len=12))
+@example(BraidWord(2, ()))
+@example(BraidWord(5, ()))
+@settings(max_examples=200)
+def test_components_are_the_permutation_cycles(braid):
+    assert braid.closure_components == _cycle_count(closure_permutation(braid))
 
 
 def test_is_knot_closure():
@@ -199,19 +232,46 @@ def test_three_samples_per_turn_suffice(braid, slots):
     assert winding_number(emb) == braid.strands
 
 
+def _reference_passes(braid):
+    """Each loop of the closure as its passes ``(slot, entry, exit, role)``.
+
+    Follows one strand through the letters at a time, from each position
+    no earlier loop reached, until it is back where it started; role is
+    None off a crossing.
+    """
+    loops, reached = [], set()
+    for start in range(1, braid.strands + 1):
+        if start in reached:
+            continue
+        passes, pos = [], start
+        while not passes or pos != start:
+            reached.add(pos)
+            for slot, letter in enumerate(braid.letters):
+                i = abs(letter)
+                if pos in (i, i + 1):
+                    # positive letter i: the strand from position i is over
+                    role = Role.OVER if (pos == i) == (letter > 0) else Role.UNDER
+                    passes.append((slot, pos, 2 * i + 1 - pos, role))
+                    pos = 2 * i + 1 - pos
+                else:
+                    passes.append((slot, pos, pos, None))
+        loops.append(passes)
+    return loops
+
+
 def _reference_points(braid, radii, slots_per_letter):
     """Reference sampler: one point at a time, every constant recomputed per point."""
     width = 2.0 * math.pi / len(braid.letters)
     loops = []
-    for loop in _walk_loops(braid):
+    for loop in _reference_passes(braid):
         pts = []
-        for k, p in enumerate(loop):
+        for k, (_, entry, exit_pos, role) in enumerate(loop):
             theta0 = k * width
-            r_in = radii[p.entry - 1]
-            r_out = radii[p.exit - 1]
+            r_in = radii[entry - 1]
+            r_out = radii[exit_pos - 1]
             for m in range(slots_per_letter):
                 s = m / slots_per_letter
-                if p.crossing is None:
+                if role is None:
                     r = r_in
                 else:
                     r = r_in + (r_out - r_in) * (1.0 - math.cos(math.pi * s)) / 2.0
@@ -226,11 +286,11 @@ def _reference_markers(braid, radii):
     """Reference markers: each crossing's point and tangents, one pass at a time."""
     width = 2.0 * math.pi / len(braid.letters)
     parts = {}
-    for loop in _walk_loops(braid):
-        for k, p in enumerate(loop):
-            if p.crossing is None:
+    for loop in _reference_passes(braid):
+        for k, (slot, entry, exit_pos, role) in enumerate(loop):
+            if role is None:
                 continue
-            r_in, r_out = radii[p.entry - 1], radii[p.exit - 1]
+            r_in, r_out = radii[entry - 1], radii[exit_pos - 1]
             th = k * width + width / 2.0
             r_mid = (r_in + r_out) / 2.0
             dr = (r_out - r_in) * math.pi / 2.0
@@ -239,7 +299,7 @@ def _reference_markers(braid, radii):
                 dr * math.cos(th) - r_mid * width * math.sin(th),
                 dr * math.sin(th) + r_mid * width * math.cos(th),
             )
-            parts.setdefault(p.slot, {})[p.role] = (point, tangent)
+            parts.setdefault(slot, {})[role] = (point, tangent)
     return tuple(
         (slot, 1 if braid.letters[slot] > 0 else -1, parts[slot][Role.OVER][0],
          parts[slot][Role.OVER][1], parts[slot][Role.UNDER][1])

@@ -307,6 +307,9 @@ FAILURES = [
           "error: closure of a 2-letter braid on 2 strands has 2 components, so it is not a knot\n"),
     fails("invariants-long-link", ["invariants", "--braid", LONG_LINK, "--strands", "2"], 3,
           "error: closure of a 600-letter braid on 2 strands has 2 components, so it is not a knot\n"),
+    # The knot check runs before the vertex-rule check.
+    fails("vertices-forced-on-a-link", ["build", "--braid", "1 -2 1 -2 1 -2", "--vertices", "on"], 3,
+          "error: closure of a 6-letter braid on 3 strands has 3 components, so it is not a knot\n"),
     fails("vertices-forced-on-wrong-shape", ["build", "--braid", "1 1 1", "--strands", "2", "--vertices", "on"], 3,
           "error: branch vertices are only defined on the annular 3-strand shape\n"),
     *[
@@ -367,7 +370,7 @@ def test_cli_import_leaves_out_the_heavy_stdlib_modules():
     src = Path(knot818.__file__).resolve().parent.parent
     probe = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import knot818.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'pathlib'} & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

@@ -29,6 +29,8 @@ def poly(min_exp, *coeffs):
 def test_matrix_must_be_square():
     with pytest.raises(ValueError, match="^matrix must be square$"):
         PolyMatrix(((ONE, ZERO),))
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        PolyMatrix(((ONE,),))._replace(rows=((ONE, ZERO),))
 
 
 def test_identity_multiplication():

@@ -34,6 +34,17 @@ def test_trimming_is_canonical():
     assert LaurentPoly().is_zero
 
 
+def test_replace_trims():
+    assert repr(ONE._replace(coeffs=(0, 1))) == "LaurentPoly(min_exp=1, coeffs=(1,))"
+    assert repr(T._replace(coeffs=[0, 0])) == "LaurentPoly(min_exp=0, coeffs=())"
+    assert repr(LaurentPoly._make((2, [0, 5, 0]))) == "LaurentPoly(min_exp=3, coeffs=(5,))"
+
+
+def test_integer_times_polynomial_is_not_tuple_repetition():
+    with pytest.raises(TypeError):
+        2 * ONE
+
+
 def test_small_products():
     assert (ONE - T) * (ONE + T) == LaurentPoly(0, (1, 0, -1))
     assert LaurentPoly(-1, (1,)) * T == ONE

@@ -77,6 +77,10 @@ def test_start_spec_validation():
         StartSpec("A", CW)
     with pytest.raises(InvalidStartSpecError, match="^shoulder start A needs an over or under entry role$"):
         StartSpec("A", CW, Role.THROUGH)
+    # _replace builds through the same checks
+    assert StartSpec("A", CW, Role.OVER)._replace(direction=CCW) == StartSpec("A", CCW, Role.OVER)
+    with pytest.raises(InvalidStartSpecError, match="^branch start K takes no entry role$"):
+        StartSpec("A", CW, Role.OVER)._replace(site="K")
 
 
 def test_start_spec_text():
@@ -220,6 +224,8 @@ def test_ensemble_rejects_duplicate_specs():
     table = traverse(canonical_818(), StartSpec("K", CW))
     with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
         StateEnsemble("dup", (table, table))
+    with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
+        StateEnsemble("one", (table,))._replace(tables=(table, table))
 
 
 # Fixture: the shipped table of eleven worked cases.
