@@ -15,19 +15,19 @@ environment variable, then to plain text.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import allocation as alloc
-from . import traversal as trav
 from .braid import BRAID_818, AnnularEmbedding, annular_embed, closure_diagram, winding_number, writhe
 from .diagram import Role
 from .errors import DomainError, UsageError
-from .invariants import alexander_from_braid
 from .notation import emit_extended_gauss, parse_braid_word
+
+if TYPE_CHECKING:  # each command imports these only when it runs
+    from . import allocation as alloc
+    from . import traversal as trav
 
 
 class FormatError(UsageError, ValueError):
@@ -62,6 +62,8 @@ def radii_list(text: str) -> tuple[float, ...]:
 
 
 def _parse_state(text: str) -> trav.StartSpec:
+    from . import traversal as trav
+
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (2, 3) or not all(parts):
         raise trav.InvalidStartSpecError(f"state must be SITE,DIR[,ROLE], got {text!r}")
@@ -90,6 +92,12 @@ def _format_phase(turns: int, radians: bool) -> str:
     return f"{2 * turns}π" if turns else "0"
 
 
+def _write_json(payload: dict) -> None:
+    import json
+
+    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+
+
 def _print_table(table: trav.TraversalTable, fmt: str) -> None:
     if fmt == "csv":
         sys.stdout.write("site,role,value\n")
@@ -104,7 +112,7 @@ def _print_table(table: trav.TraversalTable, fmt: str) -> None:
                 for site, role, value in table.entries
             ],
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(payload)
     else:
         print(f"# start {table.describe()}")
         for site, role, value in table.entries:
@@ -132,7 +140,7 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
                 for cls in report.classes
             ],
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+        _write_json(payload)
     else:
         print(f"# allocation {report.source}")
         for cls in report.classes:
@@ -158,6 +166,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_invariants(args: argparse.Namespace) -> int:
+    from .invariants import alexander_from_braid
+
     braid = _braid_from_args(args)
     poly = alexander_from_braid(braid)
     # The winding count is exact, so the fewest samples annular_embed
@@ -172,6 +182,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_traverse(args: argparse.Namespace) -> int:
+    from . import traversal as trav
+
     fmt = _resolve_format(args.format)
     role = Role(args.role) if args.role else None
     spec = trav.StartSpec(args.start.upper(), trav.Direction(args.dir), role)
@@ -181,6 +193,8 @@ def cmd_traverse(args: argparse.Namespace) -> int:
 
 
 def _ensemble_by_name(name: str) -> trav.StateEnsemble:
+    from . import traversal as trav
+
     if name == "reps10":
         return trav.enumerate_representatives()
     if name == "all40":
@@ -190,6 +204,9 @@ def _ensemble_by_name(name: str) -> trav.StateEnsemble:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import allocation as alloc
+    from . import traversal as trav
+
     fmt = _resolve_format(args.format)
     if args.state:
         spec = _parse_state(args.state)
@@ -203,6 +220,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_check_fixture(args: argparse.Namespace) -> int:
+    from . import traversal as trav
+
     fixture_path = args.fixture if args.fixture else trav.shipped_fixture_path()
     fixture = trav.load_table_fixture(fixture_path)
     errata = None

@@ -80,6 +80,8 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented  # a TypeError, never tuple concatenation
         if self.is_zero:
             return other
         if other.is_zero:
@@ -100,6 +102,8 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented  # a TypeError, never tuple repetition
         if self.is_zero or other.is_zero:
             return LaurentPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)

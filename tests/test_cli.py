@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import knot_braids
 import knot818
-from knot818 import cli
+from knot818 import cli, invariants
 from knot818 import traversal as trav
 from knot818.braid import BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
 from knot818.errors import DomainError, Knot818Error, UsageError
@@ -364,16 +364,53 @@ def _defined_exceptions():
                 yield obj
 
 
-def test_cli_import_leaves_out_the_heavy_stdlib_modules():
+def _modules_loaded_by(code, cwd=None):
     # Under -S no site-packages .pth file imports anything first, so this
-    # sees only what importing the command line front end pulls in.
+    # sees only what the code itself pulls in.
     src = Path(knot818.__file__).resolve().parent.parent
-    probe = (
-        f"import sys; sys.path.insert(0, {str(src)!r}); import knot818.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'importlib.resources', 'pathlib'} & set(sys.modules)))"
-    )
-    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    probe = f"import sys; sys.path.insert(0, {str(src)!r}); {code}; print(sorted(sys.modules))"
+    result = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, cwd=cwd)
+    assert result.stderr == ""
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+# what `build` never runs: the table path, the invariants and JSON output
+_NOT_FOR_BUILD = {
+    "knot818.traversal",
+    "knot818.allocation",
+    "knot818.invariants",
+    "knot818.laurent",
+    "fractions",
+    "decimal",
+    "json",
+}
+
+
+def test_cli_import_leaves_out_the_heavy_stdlib_modules():
+    loaded = _modules_loaded_by("import knot818.cli")
+    assert not {"dataclasses", "inspect", "importlib.resources", "pathlib"} & loaded
+    assert not _NOT_FOR_BUILD & loaded
+    assert {m for m in _modules_loaded_by("import knot818") if m.startswith("knot818.")} == set()
+
+
+_BUILD_SET = {"knot818.cli", "knot818.braid", "knot818.diagram", "knot818.notation", "knot818.errors"}
+
+
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["build"], set()),
+        (["embed", "--out", "points.csv"], set()),
+        (["traverse", "--start", "A", "--role", "under"], {"knot818.traversal"}),
+        (["check-fixture"], {"knot818.traversal"}),
+        (["invariants"], {"knot818.invariants", "knot818.laurent", "fractions", "decimal"}),
+        (["analyze", "--format", "json"], {"knot818.traversal", "knot818.allocation", "fractions", "decimal", "json"}),
+    ],
+    ids=["build", "embed", "traverse", "check-fixture", "invariants", "analyze"],
+)
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
+    loaded = _modules_loaded_by(f"import knot818.cli; knot818.cli.main({argv!r})", cwd=tmp_path)
+    assert {m for m in loaded if m.startswith("knot818.")} | (_NOT_FOR_BUILD & loaded) == _BUILD_SET | extra
 
 
 def test_package_namespace_is_what_perfbench_imports():
@@ -385,12 +422,20 @@ def test_package_namespace_is_what_perfbench_imports():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.module == "knot818" and node.level == 0:
                 imported.update(alias.name for alias in node.names)
+    assert set(knot818.__all__) == imported
+    assert dir(knot818) == sorted(imported)
     bound = {
         name
         for name, value in vars(knot818).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert bound == imported
+    assert bound <= imported  # the names resolved so far, whatever ran first
+    for name in knot818.__all__:
+        value = getattr(knot818, name)
+        # the object of that name in the module that defines it
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        knot818.no_such_name
 
 
 def test_every_error_class_is_in_one_family():
@@ -418,7 +463,7 @@ def test_internal_errors_exit_one(capsys, monkeypatch):
         def boom(*_args, **_kwargs):
             raise error
 
-        monkeypatch.setattr(cli, "alexander_from_braid", boom)
+        monkeypatch.setattr(invariants, "alexander_from_braid", boom)
         code, _, err = run(capsys, "invariants")
         assert code == 1
         assert err == "internal error: wires crossed\n"

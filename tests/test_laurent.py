@@ -45,6 +45,18 @@ def test_integer_times_polynomial_is_not_tuple_repetition():
         2 * ONE
 
 
+@pytest.mark.parametrize(
+    "operate",
+    [lambda: ONE + 2, lambda: ONE - 2, lambda: ONE * 2, lambda: ONE + (1,)],
+    ids=["plus-int", "minus-int", "times-int", "plus-tuple"],
+)
+def test_non_polynomial_operand_is_a_type_error(operate):
+    # not an AttributeError from reading the operand, and no tuple
+    # concatenation or repetition
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operate()
+
+
 def test_small_products():
     assert (ONE - T) * (ONE + T) == LaurentPoly(0, (1, 0, -1))
     assert LaurentPoly(-1, (1,)) * T == ONE
