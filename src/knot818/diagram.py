@@ -16,7 +16,7 @@ a different rotation are distinct objects but cyclically equivalent
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 
 class Role(Enum):
@@ -104,10 +104,6 @@ class DiagramWord(tuple):
 
     __slots__ = ()
 
-    @property
-    def visits(self) -> tuple[Visit, ...]:
-        return tuple(self)
-
     def __repr__(self) -> str:
         return f"DiagramWord(visits={tuple(self)!r})"
 
@@ -165,48 +161,46 @@ def canonical_818() -> DiagramWord:
     return DiagramWord(_CANONICAL_VISITS)
 
 
-def visits_by_site(visits: Iterable[Visit]) -> dict[str, list[tuple[int, Role]]]:
-    """Each site's ``(index, role)`` visits in order, sites in first-visit order."""
-    by_site: dict[str, list[tuple[int, Role]]] = {}
-    for i, (site, role) in enumerate(visits):
-        by_site.setdefault(site, []).append((i, role))
-    return by_site
+_BRANCH_ORDERS = ((Role.THROUGH,),)
+_CROSSING_ORDERS = ((Role.OVER, Role.UNDER), (Role.UNDER, Role.OVER))
+
+
+def visit_problem(label: str, roles: Sequence[Role]) -> Optional[str]:
+    """Why a site's visits break the visit rule, or None when they keep it.
+
+    ``roles`` are the label's roles in word order.  A branch center is
+    visited once, as through; any other site twice, once over and once
+    under.
+    """
+    orders = _BRANCH_ORDERS if site_class(label) is SiteClass.BRANCH_CENTER else _CROSSING_ORDERS
+    if tuple(roles) in orders:
+        return None
+    got = ", ".join(sorted(r.value for r in roles))
+    expected = ", ".join(r.value for r in orders[0])
+    return f"site {label} visited as ({got}), expected ({expected})"
 
 
 def validate_word(word: DiagramWord) -> list[str]:
     """Structural diagnostics for a word against the 12-site model.
 
     Returns an empty list when the word is a valid 20-visit traversal:
-    every branch center appears exactly once with a through visit, every
-    shoulder exactly twice with one over and one under visit.
+    each of the twelve sites keeps the visit rule of :func:`visit_problem`
+    and no other label occurs.
     """
     diags: list[str] = []
     if len(word) != 20:
         diags.append(f"length {len(word)} != 20")
 
-    by_site = {site: [role for _, role in seen] for site, seen in visits_by_site(word).items()}
+    by_site: dict[str, list[Role]] = {}
+    for site, role in word:
+        by_site.setdefault(site, []).append(role)
 
     for label in sorted(set(by_site) - set(LETTER_SITES)):
         diags.append(f"unknown site {label!r}")
-
-    for label in BRANCH_SITES:
-        roles = by_site.get(label, [])
-        if not roles:
-            diags.append(f"branch site {label} missing")
-        elif len(roles) != 1:
-            diags.append(f"branch site {label} visited {len(roles)} times, expected 1")
-        elif roles[0] is not Role.THROUGH:
-            diags.append(f"branch site {label} visited with role {roles[0]}, expected through")
-
-    for label in SHOULDER_SITES:
-        roles = by_site.get(label, [])
-        if not roles:
-            diags.append(f"shoulder site {label} missing")
-        elif len(roles) != 2:
-            diags.append(f"shoulder site {label} visited {len(roles)} times, expected 2")
-        elif sorted(r.value for r in roles) != ["over", "under"]:
-            pair = ", ".join(r.value for r in roles)
-            diags.append(f"role-pair violation at {label}: got ({pair}), expected one over and one under")
+    for label in BRANCH_SITES + SHOULDER_SITES:
+        problem = visit_problem(label, by_site.get(label, ()))
+        if problem is not None:
+            diags.append(problem)
     return diags
 
 

@@ -98,7 +98,13 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
 
+    def __radd__(self, other: object) -> "LaurentPoly":
+        # returning NotImplemented would fall through to tuple concatenation
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'LaurentPoly'")
+
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -14,7 +14,7 @@ negated when that visit is the over pass.
 from __future__ import annotations
 
 from .braid import BraidWord
-from .diagram import DiagramWord, Role, SiteClass, Visit, site_class, visits_by_site
+from .diagram import _ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
 from .errors import UsageError
 
 
@@ -38,17 +38,18 @@ class MultiplicityError(NotationError):
     """A label visited the wrong number of times or with duplicate roles."""
 
 
-_PREFIX_ROLE = {"O": Role.OVER, "U": Role.UNDER, "V": Role.THROUGH}
+_PREFIX_ROLE = {prefix: role for role, prefix in _ROLE_PREFIX.items()}
 
 
 def parse_extended_gauss(text: str) -> DiagramWord:
     """Parse token text into a word, checking role/class consistency.
 
-    Every crossing label must appear exactly twice, once over and once
-    under; every branch label exactly once, as a through visit.
+    Every label must keep the visit rule of
+    :func:`~knot818.diagram.visit_problem`.
     """
     tokens = text.split()
     visits: list[Visit] = []
+    roles: dict[str, list[Role]] = {}
     for idx, token in enumerate(tokens):
         role = _PREFIX_ROLE.get(token[:1])
         label = token[1:]
@@ -61,17 +62,12 @@ def parse_extended_gauss(text: str) -> DiagramWord:
         if (cls is SiteClass.BRANCH_CENTER) != (role is Role.THROUGH):
             raise RoleMismatchError(idx, f"role prefix {token[0]!r} does not fit site {label!r}")
         visits.append(Visit(label, role))
+        roles.setdefault(label, []).append(role)
 
-    for label, seen in visits_by_site(visits).items():
-        idx = seen[0][0]  # every token is a visit, so this is the first token naming the label
-        if site_class(label) is SiteClass.BRANCH_CENTER:
-            if len(seen) != 1:
-                raise MultiplicityError(idx, f"branch label {label!r} appears {len(seen)} times")
-        else:
-            if len(seen) != 2:
-                raise MultiplicityError(idx, f"crossing label {label!r} appears {len(seen)} times")
-            if sorted(r.value for _, r in seen) != ["over", "under"]:
-                raise MultiplicityError(idx, f"crossing label {label!r} needs one over and one under visit")
+    for label, seen in roles.items():
+        problem = visit_problem(label, seen)
+        if problem is not None:  # raised at the label's first token, which is its first visit
+            raise MultiplicityError([v.site for v in visits].index(label), problem)
     return DiagramWord(tuple(visits))
 
 
@@ -88,13 +84,16 @@ def gauss_to_dt(word: DiagramWord) -> tuple[int, ...]:
     is the over pass.
     """
     crossing_visits = [v for v in word if v.role is not Role.THROUGH]
+    numbered: dict[str, list[tuple[int, Role]]] = {}  # site -> (visit number, role) per visit
+    for number, (site, role) in enumerate(crossing_visits, 1):
+        numbered.setdefault(site, []).append((number, role))
     partner: dict[int, tuple[str, int, Role]] = {}  # visit number -> (site, partner number, partner role)
-    for site, pair in visits_by_site(crossing_visits).items():
+    for site, pair in numbered.items():
         if len(pair) != 2:
             raise ValueError(f"crossing {site!r} visited {len(pair)} times, expected 2")
-        (a, role_a), (b, role_b) = pair  # indices, so visit numbers less one
-        partner[a + 1] = (site, b + 1, role_b)
-        partner[b + 1] = (site, a + 1, role_a)
+        (a, role_a), (b, role_b) = pair
+        partner[a] = (site, b, role_b)
+        partner[b] = (site, a, role_a)
 
     out = []
     for odd in range(1, len(crossing_visits), 2):

@@ -418,7 +418,10 @@ class CaseResult(NamedTuple):
     status: MatchStatus
     witness: Optional[TraversalTable]
     violations: tuple[str, ...]
-    erratum_applied: bool = False
+
+    @property
+    def erratum_applied(self) -> bool:
+        return self.status is MatchStatus.MATCHED_WITH_ERRATUM
 
 
 class FixtureReport(NamedTuple):
@@ -455,16 +458,10 @@ def check_fixture(
     results = []
     for case, fixed in zip(fixture, corrected):
         violations = tuple(case_multiset_violations(case))
-        witness = by_values.get(case.values)
-        if witness is not None:
-            results.append(CaseResult(case.case_id, MatchStatus.MATCHED, witness, violations))
-            continue
-        if fixed is not None:
-            witness = by_values.get(fixed.values)
-            if witness is not None:
-                results.append(
-                    CaseResult(case.case_id, MatchStatus.MATCHED_WITH_ERRATUM, witness, violations, True)
-                )
-                continue
-        results.append(CaseResult(case.case_id, MatchStatus.UNMATCHED, None, violations))
+        status, witness = MatchStatus.MATCHED, by_values.get(case.values)
+        if witness is None and fixed is not None:
+            status, witness = MatchStatus.MATCHED_WITH_ERRATUM, by_values.get(fixed.values)
+        if witness is None:
+            status = MatchStatus.UNMATCHED
+        results.append(CaseResult(case.case_id, status, witness, violations))
     return FixtureReport(tuple(results))

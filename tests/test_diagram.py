@@ -19,7 +19,10 @@ from knot818.diagram import (
     cyclic_equivalent,
     site_class,
     validate_word,
+    visit_problem,
 )
+from knot818.notation import MultiplicityError, NotationError, parse_extended_gauss
+from knot818.traversal import Direction, StartSpec, traverse
 
 # Independent construction of the canonical word: the reference table's
 # case a assigns each (site, role) visit a position 1..20 along the walk
@@ -65,25 +68,113 @@ def test_site_classes():
 
 def test_validate_empty_word():
     diags = validate_word(DiagramWord(()))
-    assert any("length 0 != 20" in d for d in diags)
+    assert diags == (
+        ["length 0 != 20"]
+        + [f"site {s} visited as (), expected (through)" for s in BRANCH_SITES]
+        + [f"site {s} visited as (), expected (over, under)" for s in INNER_SITES + OUTER_SITES]
+    )
 
 
 def test_validate_role_pair_violation():
-    visits = list(canonical_818().visits)
+    visits = list(canonical_818())
     idx = [i for i, v in enumerate(visits) if v.site == "G"]
     for i in idx:
         visits[i] = Visit("G", Role.OVER)
     diags = validate_word(DiagramWord(tuple(visits)))
-    offenders = [d for d in diags if "G" in d]
-    assert len(offenders) == 1
-    assert "role-pair violation at G" in offenders[0]
+    assert diags == ["site G visited as (over, over), expected (over, under)"]
 
 
 def test_validate_branch_role():
-    visits = list(canonical_818().visits)
+    visits = list(canonical_818())
     visits[0] = Visit("K", Role.OVER)
     diags = validate_word(DiagramWord(tuple(visits)))
-    assert any("branch site K" in d for d in diags)
+    assert diags == ["site K visited as (over), expected (through)"]
+
+
+def test_validate_unknown_and_extra_visits():
+    word = DiagramWord(tuple(canonical_818()) + (Visit("7", Role.OVER), Visit("A", Role.OVER)))
+    assert validate_word(word) == [
+        "length 22 != 20",
+        "unknown site '7'",
+        "site A visited as (over, over, under), expected (over, under)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "label, roles, problem",
+    [
+        ("K", (Role.THROUGH,), None),
+        ("A", (Role.OVER, Role.UNDER), None),
+        ("A", (Role.UNDER, Role.OVER), None),
+        ("12", [Role.UNDER, Role.OVER], None),
+        ("K", (), "site K visited as (), expected (through)"),
+        ("K", (Role.THROUGH, Role.THROUGH), "site K visited as (through, through), expected (through)"),
+        ("K", (Role.UNDER,), "site K visited as (under), expected (through)"),
+        ("G", (Role.UNDER,), "site G visited as (under), expected (over, under)"),
+        ("G", (Role.UNDER, Role.UNDER), "site G visited as (under, under), expected (over, under)"),
+        ("G", (Role.UNDER, Role.THROUGH), "site G visited as (through, under), expected (over, under)"),
+        ("3", (Role.UNDER, Role.OVER, Role.OVER), "site 3 visited as (over, over, under), expected (over, under)"),
+    ],
+)
+def test_visit_problem(label, roles, problem):
+    assert visit_problem(label, roles) == problem
+
+
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("role"), st.integers(0, 40), st.sampled_from(Role)),
+    st.tuples(st.just("drop"), st.integers(0, 40)),
+    st.tuples(st.just("double"), st.integers(0, 40)),
+    st.tuples(st.just("digit"), st.sampled_from(LETTER_SITES)),
+)
+
+
+def _mutated(word: DiagramWord, mutations) -> DiagramWord:
+    """Set a visit's role, drop or double a visit, or rename a site to "7"."""
+    visits = list(word)
+    for kind, *args in mutations:
+        if kind == "digit":
+            visits = [Visit("7", v.role) if v.site == args[0] else v for v in visits]
+        elif visits:
+            i = args[0] % len(visits)
+            if kind == "role":
+                visits[i] = Visit(visits[i].site, args[1])
+            elif kind == "drop":
+                del visits[i]
+            else:
+                visits.insert(i, visits[i])
+    return DiagramWord(visits)
+
+
+@given(st.lists(_MUTATIONS, max_size=3))
+def test_visit_rule_agrees_everywhere(mutations):
+    word = _mutated(canonical_818(), mutations)
+    roles: dict[str, list[Role]] = {}
+    for site, role in word:
+        roles.setdefault(site, []).append(role)
+    broken = {label for label, seen in roles.items() if visit_problem(label, seen) is not None}
+
+    # validate_word and traverse's fast slot check accept the same words.
+    if Visit("K", Role.THROUGH) in word:
+        try:
+            traverse(word, StartSpec("K", Direction.CW))
+            builds = True
+        except ValueError:
+            builds = False
+        assert builds == (validate_word(word) == [])
+
+    # The parser fails exactly on a broken label, at a token naming it.
+    text = str(word)
+    try:
+        parsed = parse_extended_gauss(text)
+    except NotationError as exc:
+        label = text.split()[exc.token_index][1:]
+        assert label in broken
+        if isinstance(exc, MultiplicityError):
+            assert exc.token_index == [v.site for v in word].index(label)
+            assert str(exc) == f"token {exc.token_index}: {visit_problem(label, roles[label])}"
+    else:
+        assert not broken
+        assert parsed == word
 
 
 def test_rotation_relabel_is_a_class_preserving_4_cycle_product():
@@ -145,7 +236,7 @@ def test_cyclic_equivalence_reflexive(word):
 def _asymmetric_word() -> DiagramWord:
     # Exchanging two same-role visits breaks the 4-fold symmetry but
     # keeps the word structurally valid.
-    visits = list(canonical_818().visits)
+    visits = list(canonical_818())
     visits[2], visits[7] = visits[7], visits[2]
     word = DiagramWord(tuple(visits))
     assert validate_word(word) == []

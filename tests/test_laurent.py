@@ -47,14 +47,21 @@ def test_integer_times_polynomial_is_not_tuple_repetition():
 
 @pytest.mark.parametrize(
     "operate",
-    [lambda: ONE + 2, lambda: ONE - 2, lambda: ONE * 2, lambda: ONE + (1,)],
-    ids=["plus-int", "minus-int", "times-int", "plus-tuple"],
+    [lambda: ONE + 2, lambda: ONE - 2, lambda: ONE * 2, lambda: ONE + (1,), lambda: (1,) + ONE, lambda: 2 + ONE],
+    ids=["plus-int", "minus-int", "times-int", "plus-tuple", "tuple-plus", "int-plus"],
 )
 def test_non_polynomial_operand_is_a_type_error(operate):
     # not an AttributeError from reading the operand, and no tuple
     # concatenation or repetition
     with pytest.raises(TypeError, match="unsupported operand"):
         operate()
+
+
+def test_subtraction_error_names_its_operator():
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: 'LaurentPoly' and 'int'$"):
+        ONE - 2
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+: 'tuple' and 'LaurentPoly'$"):
+        (1,) + ONE
 
 
 def test_small_products():

@@ -83,11 +83,19 @@ def test_multiplicity_over_three_visits():
     with pytest.raises(MultiplicityError) as info:
         parse_extended_gauss("O1 U1 O1")
     assert info.value.token_index == 0
+    assert str(info.value) == "token 0: site 1 visited as (over, over, under), expected (over, under)"
 
 
 def test_multiplicity_two_overs():
-    with pytest.raises(MultiplicityError):
+    with pytest.raises(MultiplicityError) as info:
         parse_extended_gauss("O1 U2 O1 O2")
+    assert str(info.value) == "token 0: site 1 visited as (over, over), expected (over, under)"
+
+
+def test_multiplicity_branch_twice():
+    with pytest.raises(MultiplicityError) as info:
+        parse_extended_gauss("O1 VK U1 VK")
+    assert str(info.value) == "token 1: site K visited as (through, through), expected (through)"
 
 
 def test_notation_errors_are_value_errors():
@@ -141,7 +149,7 @@ def test_dt_of_every_walked_closure_pairs_odd_with_even(braid):
 def test_dt_rejects_odd_crossing_count():
     word = DiagramWord((Visit("1", Role.OVER), Visit("1", Role.UNDER)))
     with pytest.raises(ValueError):
-        gauss_to_dt(DiagramWord(word.visits + (Visit("2", Role.OVER),)))
+        gauss_to_dt(DiagramWord(tuple(word) + (Visit("2", Role.OVER),)))
 
 
 # Braid-word text.
