@@ -13,7 +13,7 @@ term.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, NoReturn
 
 from .braid import BraidWord, require_knot_closure
 from .laurent import ONE, InexactDivisionError, LaurentPoly, T, _digit_width, _pack, _unpack
@@ -50,7 +50,22 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
             )
         )
 
+    # tuple's + and * would concatenate or repeat the rows
+    def __add__(self, other: object) -> NoReturn:
+        raise TypeError(f"unsupported operand type(s) for +: 'PolyMatrix' and {type(other).__name__!r}")
+
+    def __radd__(self, other: object) -> NoReturn:
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'PolyMatrix'")
+
+    def __mul__(self, other: object) -> NoReturn:
+        raise TypeError(f"unsupported operand type(s) for *: 'PolyMatrix' and {type(other).__name__!r}")
+
+    def __rmul__(self, other: object) -> NoReturn:
+        raise TypeError(f"unsupported operand type(s) for *: {type(other).__name__!r} and 'PolyMatrix'")
+
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
+        if not isinstance(other, PolyMatrix):
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
         return PolyMatrix(
@@ -61,19 +76,23 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         )
 
     def det(self) -> LaurentPoly:
-        """Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968) on integers.
+        """Determinant by Bareiss elimination on integers at t = B and t = -B.
 
-        Each entry p is packed as the integer p(B) / B^lo, at B = 2^(8*width)
-        and lo the least exponent in the matrix (``laurent._pack``); that is a
-        ring map, so the integer determinant is det(B) / B^(n*lo).  The product
-        of the column L1 norms bounds the coefficients of every minor, so at a
-        width that holds it a minor is zero exactly when its integer is, and
-        the result unpacks digit by digit.  Step k sets each entry below and
-        right of the pivot to (pivot * a[i][j] - a[i][k] * a[k][j]) // previous
-        pivot, exact by Sylvester's identity; a remainder raises
-        ``InexactDivisionError``.  A zero pivot is swapped with the first lower
-        row nonzero in its column, flipping the sign; with none, or with a zero
-        column, the determinant is zero.
+        With lo the least exponent in the matrix, t^-lo * p is a polynomial
+        for each entry p, and its value at +-B is E(B^2) +- B * O(B^2) for
+        its even and odd parts E and O, each packed with ``laurent._pack``
+        at base B^2.  Since t -> +-B is a ring map, the integer
+        determinants of the two evaluated matrices are Q(B) and Q(-B),
+        where Q = t^(-n*lo) det.  Then (Q(B) + Q(-B)) / 2 = Q_even(B^2)
+        and (Q(B) - Q(-B)) / 2B = Q_odd(B^2), which unpack at base B^2
+        into the even and odd coefficients of Q.  This is exact when
+        B^2 / 2 exceeds the product of the column L1 norms, and B^2 =
+        2^(8 * width) for the fewest bytes that make it so: that product
+        bounds every coefficient of the determinant, and, each column norm
+        being at least 1, every coefficient of every entry too, so every
+        packed digit fits.  Nothing else needs the width: integer Bareiss
+        (``_bareiss``) is exact on any integer matrix, so Q(B) or Q(-B)
+        may be 0 while Q is not (Q = t - B vanishes at +B only).
         """
         n = self.dim
         if n == 0:
@@ -82,28 +101,70 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         if not bound:
             return LaurentPoly()
         lo = min(p.min_exp for row in self.rows for p in row if p.coeffs)
-        width = _digit_width(bound)
-        bits = 8 * width
-        a = [[_pack(p.coeffs, width) << (p.min_exp - lo) * bits if p.coeffs else 0 for p in row] for row in self.rows]
-        negate = False
-        prev = 1
-        for k in range(n - 1):
-            if not a[k][k]:
-                swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-                if swap is None:
-                    return LaurentPoly()
-                a[k], a[swap] = a[swap], a[k]
-                negate = not negate
-            pivot, pivot_row = a[k][k], a[k]
-            for row in a[k + 1 :]:
-                head = row[k]
-                for j in range(k + 1, n):
-                    row[j], rem = divmod(pivot * row[j] - head * pivot_row[j], prev)
-                    if rem:
-                        raise InexactDivisionError("Bareiss step left a remainder")
-            prev = pivot
-        x = -a[-1][-1] if negate else a[-1][-1]
-        return LaurentPoly(n * lo, tuple(_unpack(x, abs(x).bit_length() // bits + 1, width)))
+        width = _digit_width(bound)  # bytes per digit at base B^2
+        bits = 8 * width  # B^2 = 2^bits
+        plus, minus = [], []
+        for row in self.rows:
+            at_plus, at_minus = [], []
+            for p in row:
+                if not p.coeffs:
+                    at_plus.append(0)
+                    at_minus.append(0)
+                    continue
+                s = p.min_exp - lo
+                e = s % 2  # coeffs[e::2] sit at the even exponents of t^-lo * p
+                even = _pack(p.coeffs[e::2], width) << (s + e) // 2 * bits
+                odd = _pack(p.coeffs[1 - e :: 2], width) << s // 2 * bits + bits // 2
+                at_plus.append(even + odd)
+                at_minus.append(even - odd)
+            plus.append(at_plus)
+            minus.append(at_minus)
+        q_plus, q_minus = _bareiss(plus), _bareiss(minus)
+        evens = _digits((q_plus + q_minus) >> 1, width)
+        odds = _digits((q_plus - q_minus) >> bits // 2 + 1, width)
+        coeffs = [0] * (2 * max(len(evens), len(odds)))
+        coeffs[0 : 2 * len(evens) : 2] = evens
+        coeffs[1 : 2 * len(odds) : 2] = odds
+        return LaurentPoly(n * lo, coeffs)
+
+
+def _digits(x: int, width: int) -> list[int]:
+    """The signed base-2^(8*width) digits of ``x``, when each is under half a base.
+
+    Then the top digit is digit ``bit_length // (8 * width)``.
+    """
+    return _unpack(x, abs(x).bit_length() // (8 * width) + 1, width)
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a nonempty square integer matrix, which it overwrites.
+
+    Bareiss fraction-free elimination (Bareiss, Math. Comp. 22, 1968): step
+    k sets each entry below and right of the pivot to (pivot * a[i][j] -
+    a[i][k] * a[k][j]) // previous pivot, exact by Sylvester's identity; a
+    remainder raises ``InexactDivisionError``.  A zero pivot is swapped
+    with the first lower row nonzero in its column, flipping the sign;
+    with none the determinant is 0.
+    """
+    n = len(a)
+    negate = False
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            negate = not negate
+        pivot, pivot_row = a[k][k], a[k]
+        for row in a[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, n):
+                row[j], rem = divmod(pivot * row[j] - head * pivot_row[j], prev)
+                if rem:
+                    raise InexactDivisionError("Bareiss step left a remainder")
+        prev = pivot
+    return -a[-1][-1] if negate else a[-1][-1]
 
 
 # Letters between two trims of the packed Burau entries (see burau_reduced).
@@ -173,11 +234,7 @@ def burau_reduced(braid: BraidWord) -> PolyMatrix:
         if n % _TRIM_EVERY == 0:
             cols = [[trim(e, x) for e, x in col] for col in cols]
 
-    def unpacked(e: int, x: int) -> LaurentPoly:
-        # With every digit under half a base, the top one is digit bit_length // k.
-        return LaurentPoly(e, tuple(_unpack(x, abs(x).bit_length() // k + 1, width)))
-
-    return PolyMatrix(tuple(tuple(unpacked(e, x) for e, x in row) for row in zip(*cols)))
+    return PolyMatrix(tuple(tuple(LaurentPoly(e, _digits(x, width)) for e, x in row) for row in zip(*cols)))
 
 
 def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:

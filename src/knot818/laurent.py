@@ -12,7 +12,9 @@ constructor trims, so two equal polynomials are equal tuples.
 
 Products are one schoolbook loop.  The Burau walk and the determinant
 (``knot818.invariants``) carry long polynomials as integers instead,
-through the digit codec :func:`_pack` / :func:`_unpack` below.
+through the digit codec :func:`_pack` / :func:`_unpack` below: the walk
+packs whole polynomials at one base B, the determinant packs even and
+odd coefficients apart at B^2 to evaluate at t = B and t = -B.
 """
 
 from __future__ import annotations

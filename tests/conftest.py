@@ -4,8 +4,10 @@ tests need."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
+from pathlib import Path
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -25,6 +27,16 @@ from knot818.laurent import LaurentPoly
 from knot818.traversal import TABLE_KEYS, StartSpec, TraversalTable
 
 ZERO = LaurentPoly()
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    """Import ``scripts/<name>.py`` as a module."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class MultiLoopError(ValueError):
@@ -191,17 +203,19 @@ signs = st.sampled_from((1, -1))
 
 
 @st.composite
-def knot_braids(draw, min_strands=2, max_strands=6):
+def knot_braids(draw, min_strands=2, max_strands=6, max_letters=None):
     """A braid whose closure is a knot by construction, never by rejection.
 
     Like ``perfbench/inputs.knot_closure_letters``, it tracks the
     permutation: each generator once, in any order, merges the n strands
     into one cycle, and squares of generators permute nothing, so
-    inserting them anywhere keeps the closure a knot.
+    inserting them anywhere keeps the closure a knot.  ``max_letters``,
+    at least ``max_strands - 1``, caps the word length.
     """
     strands = draw(st.integers(min_strands, max_strands))
+    pairs = 2 * strands if max_letters is None else min(2 * strands, (max_letters - strands + 1) // 2)
     letters = [g * draw(signs) for g in draw(st.permutations(range(1, strands)))]
-    for _ in range(draw(st.integers(0, 2 * strands))):
+    for _ in range(draw(st.integers(0, pairs))):
         g = draw(st.integers(1, strands - 1))
         at = draw(st.integers(0, len(letters)))
         letters[at:at] = [g * draw(signs), g * draw(signs)]

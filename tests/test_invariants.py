@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ZERO, braid_words, knot_braids, matmul, signs, subs_inverse
-from knot818.braid import BRAID_818, BraidWord, NotAKnotError
+from conftest import ZERO, braid_words, knot_braids, load_script, matmul, signs, subs_inverse
+from knot818.braid import BRAID_818, BraidWord, NotAKnotError, closure_diagram
+from knot818.diagram import Role
 from knot818.invariants import (
     PolyMatrix,
     ZeroPolynomialError,
@@ -31,6 +32,29 @@ def test_matrix_must_be_square():
         PolyMatrix(((ONE, ZERO),))
     with pytest.raises(ValueError, match="^matrix must be square$"):
         PolyMatrix(((ONE,),))._replace(rows=((ONE, ZERO),))
+
+
+EYE = PolyMatrix.identity(2)
+
+
+@pytest.mark.parametrize("operate", [lambda: EYE + EYE, lambda: (1,) + EYE, lambda: EYE + 2], ids=["matrix", "tuple", "int"])
+def test_matrix_plus_is_a_type_error(operate):
+    # not tuple concatenation
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \+: "):
+        operate()
+
+
+@pytest.mark.parametrize("operate", [lambda: 2 * EYE, lambda: EYE * 2, lambda: EYE * EYE], ids=["int-times", "times-int", "matrix"])
+def test_matrix_times_is_a_type_error(operate):
+    # not tuple repetition
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for \*: "):
+        operate()
+
+
+def test_matrix_minus_non_matrix_is_a_type_error():
+    # not an AttributeError from reading the operand's dim
+    with pytest.raises(TypeError, match=r"^unsupported operand type\(s\) for -: 'PolyMatrix' and 'int'$"):
+        EYE - 3
 
 
 def test_identity_multiplication():
@@ -194,7 +218,7 @@ def square_matrices(draw):
     high = draw(st.integers(low, 40))
     entry = st.one_of(
         st.just(ZERO),
-        st.builds(LaurentPoly, st.integers(low, high), st.lists(coefficients, max_size=3).map(tuple)),
+        st.builds(LaurentPoly, st.integers(low, high), st.lists(coefficients, max_size=8).map(tuple)),
     )
     return draw(st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=dim, max_size=dim))
 
@@ -204,11 +228,21 @@ ZERO_COLUMN = [[ONE, ZERO, T], [T, ZERO, ONE], [-T, ZERO, poly(-1, 2, 1)]]
 # Monomial matrices: the one coefficient of the determinant equals the
 # product of the column L1 norms that fixes the digit width.
 DIAGONAL_AT_BOUND = [[poly(3, 2**40), ZERO], [ZERO, poly(-2, -(2**40))]]
-# Determinant 2^63 t needs 9-byte digits; 2^63 - 1 is the largest that fits 8.
+# Determinant 2^63 t needs 9-byte digits at base B^2; 2^63 - 1 is the
+# largest that fits 8.
 ANTI_DIAGONAL_PAST_8_BYTES = [[ZERO, poly(3, 2**31)], [poly(-2, -(2**32)), ZERO]]
 ANTI_DIAGONAL_FILLS_8_BYTES = [[ZERO, poly(3, 1)], [poly(-2, 2**63 - 1), ZERO]]
+# Least exponent -3, so det = (2^79 - 1) t^-5 is t^-6 times an odd power;
+# 2^79 - 1 is the largest coefficient 10-byte digits hold.
+ODD_AT_BOUND = [[ZERO, poly(-3, 1)], [poly(-2, -(2**79 - 1)), ZERO]]
 # Every exponent positive, so a zero entry sits below the least exponent.
 ZERO_BESIDE_POSITIVE = [[poly(2, 5, -(2**70)), ZERO, ZERO], [poly(7, 1), poly(1, 3), ZERO], [ZERO, T, poly(4, -1, 1)]]
+# Bounds of 9 to 16 bits pick B = 256, where t - 256 vanishes: the first
+# determinant is zero at +B only, the +B elimination of the second swaps
+# its zero pivot, and that of the third meets a zero column; at -B none does.
+VANISHES_AT_PLUS_B = [[poly(0, -256, 1)]]
+PIVOT_ZERO_AT_PLUS_B = [[poly(0, -256, 1), ONE], [ONE, T]]
+COLUMN_ZERO_AT_PLUS_B = [[poly(0, -256, 1), ONE], [poly(0, -512, 2), T]]
 
 
 @given(square_matrices())
@@ -217,21 +251,59 @@ ZERO_BESIDE_POSITIVE = [[poly(2, 5, -(2**70)), ZERO, ZERO], [poly(7, 1), poly(1,
 @example(DIAGONAL_AT_BOUND)
 @example(ANTI_DIAGONAL_PAST_8_BYTES)
 @example(ANTI_DIAGONAL_FILLS_8_BYTES)
+@example(ODD_AT_BOUND)
 @example(ZERO_BESIDE_POSITIVE)
+@example(VANISHES_AT_PLUS_B)
+@example(PIVOT_ZERO_AT_PLUS_B)
+@example(COLUMN_ZERO_AT_PLUS_B)
 @settings(max_examples=150)
 def test_det_matches_leibniz(rows):
     matrix = PolyMatrix(tuple(tuple(row) for row in rows))
     assert matrix.det() == leibniz_det(matrix.rows)
 
 
+def det_bound_and_base(rows):
+    """The product of column L1 norms ``PolyMatrix.det`` bounds with, and its B.
+
+    B^2 = 2^(8 * width) for the fewest bytes ``width`` that hold the bound.
+    """
+    bound = math.prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*rows))
+    return bound, 2 ** (4 * (bound.bit_length() // 8 + 1))
+
+
 def test_det_examples_sit_where_claimed():
-    for rows, coefficient in (
-        (DIAGONAL_AT_BOUND, -(2**80)),
-        (ANTI_DIAGONAL_PAST_8_BYTES, 2**63),
-        (ANTI_DIAGONAL_FILLS_8_BYTES, -(2**63 - 1)),
+    for rows, det in (
+        (DIAGONAL_AT_BOUND, poly(1, -(2**80))),
+        (ANTI_DIAGONAL_PAST_8_BYTES, poly(1, 2**63)),
+        (ANTI_DIAGONAL_FILLS_8_BYTES, poly(1, -(2**63 - 1))),
+        (ODD_AT_BOUND, poly(-5, 2**79 - 1)),
     ):
-        assert leibniz_det(rows) == poly(1, coefficient)
-        assert abs(coefficient) == math.prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*rows))
+        assert leibniz_det(rows) == det
+        assert abs(det.coeffs[0]) == det_bound_and_base(rows)[0]
+    assert det_bound_and_base(ANTI_DIAGONAL_PAST_8_BYTES)[1] ** 2 == 2**72
+    assert det_bound_and_base(ANTI_DIAGONAL_FILLS_8_BYTES)[1] ** 2 == 2**64
+    assert det_bound_and_base(ODD_AT_BOUND)[1] ** 2 == 2**80
+
+    for rows in (VANISHES_AT_PLUS_B, PIVOT_ZERO_AT_PLUS_B, COLUMN_ZERO_AT_PLUS_B):
+        assert det_bound_and_base(rows)[1] == 256
+    assert leibniz_det(VANISHES_AT_PLUS_B).evaluate(256) == 0
+    for rows, zeros_at_plus_b in ((PIVOT_ZERO_AT_PLUS_B, [True, False]), (COLUMN_ZERO_AT_PLUS_B, [True, True])):
+        assert [row[0].evaluate(256) == 0 for row in rows] == zeros_at_plus_b
+        assert all(row[0].evaluate(-256) for row in rows)
+
+
+LADDER = load_script("alexander_ladder")
+
+
+@pytest.mark.parametrize(
+    "braid",
+    [LADDER.three_strand(800)] + [LADDER.full_cycle(strands) for strands in (4, 5, 6)],
+    ids=["3-strand-800", "full-cycle-4", "full-cycle-5", "full-cycle-6"],
+)
+def test_det_matches_leibniz_on_long_entries(braid):
+    # Entries of hundreds of coefficients, which no drawn matrix reaches.
+    matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
+    assert matrix.det() == leibniz_det(matrix.rows)
 
 
 # Alexander polynomials computed independently, by a dense Burau matrix
@@ -412,6 +484,46 @@ def test_alexander_palindrome_and_unit_value(braid):
         return
     assert normalize_alexander(subs_inverse(delta)) == delta
     assert abs(delta.evaluate(Fraction(1))) == 1
+
+
+def crossing_matrix_alexander(braid):
+    """Delta of the closure from Alexander's crossing matrix (Trans. AMS 30, 1928).
+
+    The under visits of the walked word cut the knot into arcs, one per
+    crossing: arc j ends at the j-th under visit.  Each crossing gives a
+    row with 1 - t on its over-arc and t and -1 on the under-arcs that
+    enter and leave it, in that order for a positive crossing and
+    swapped for a negative one.  Delete the first row and column and
+    take the Leibniz determinant: no Burau matrix and no
+    ``PolyMatrix.det``.
+    """
+    word, crossings = closure_diagram(braid, insert_vertices=False)
+    arc, unders = [], 0
+    for visit in word:
+        arc.append(unders % len(crossings))
+        unders += visit.role is Role.UNDER
+    rows = []
+    for crossing in crossings:
+        row = [ZERO] * len(crossings)
+        entering = arc[crossing.under_strand]
+        leaving = (entering + 1) % len(crossings)
+        row[arc[crossing.over_strand]] += ONE - T
+        row[entering] += T if crossing.sign > 0 else -ONE
+        row[leaving] += -ONE if crossing.sign > 0 else T
+        rows.append(row)
+    return normalize_alexander(leibniz_det([row[1:] for row in rows[1:]]))
+
+
+def test_crossing_matrix_oracle_on_known_knots():
+    assert crossing_matrix_alexander(BraidWord(2, (1, 1, 1))) == poly(0, 1, -1, 1)
+    assert crossing_matrix_alexander(BraidWord(3, (1, -2, 1, -2))) == poly(0, 1, -3, 1)
+    assert crossing_matrix_alexander(BRAID_818) == poly(0, 1, -5, 10, -13, 10, -5, 1)
+
+
+@given(knot_braids(max_strands=5, max_letters=7))
+@settings(max_examples=60)
+def test_alexander_matches_crossing_matrix(braid):
+    assert alexander_from_braid(braid) == crossing_matrix_alexander(braid)
 
 
 def test_alexander_rejects_links():

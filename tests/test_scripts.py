@@ -2,23 +2,15 @@
 
 from __future__ import annotations
 
-import importlib.util
 from pathlib import Path
 
 import pytest
 
+from conftest import load_script
 from knot818 import cli
 from knot818.braid import BadRadiiError, BadSamplingError
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 DATA = Path(__file__).parent / "data"
-
-
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_regenerate_reference_cases_check(capsys):
