@@ -42,10 +42,6 @@ class NotAKnotError(DomainError, ValueError):
     """Closure has more than one component."""
 
 
-class VertexRuleInapplicableError(DomainError, ValueError):
-    """Branch-vertex insertion requested for a braid it is not defined on."""
-
-
 class BadRadiiError(DomainError, ValueError):
     """Radii must be finite, positive, strictly increasing, one per strand."""
 
@@ -183,15 +179,14 @@ def _vertex_rule_applies(braid: BraidWord) -> bool:
 
 
 def closure_diagram(
-    braid: BraidWord, insert_vertices: Optional[bool] = None
+    braid: BraidWord, insert_vertices: bool = True
 ) -> tuple[DiagramWord, tuple[SignedCrossing, ...]]:
     """Walk the closure of ``braid`` into a diagram word.
 
     The closure must be a single knot.  For the main annular shape (and
     only there), a through vertex is inserted on each outermost arc
-    between consecutive outer crossings; ``insert_vertices`` forces the
-    rule on (raising :class:`VertexRuleInapplicableError` when it does
-    not apply) or off, and None means automatic.
+    between consecutive outer crossings, unless ``insert_vertices`` is
+    false.
 
     Fresh labels are assigned in first-visit order.  When the walked
     loop turns out to be the stored reference word up to basepoint,
@@ -200,10 +195,7 @@ def closure_diagram(
     verbatim.
     """
     loop = require_knot_closure(braid)
-    eligible = _vertex_rule_applies(braid)
-    if insert_vertices and not eligible:
-        raise VertexRuleInapplicableError("branch vertices are only defined on the annular 3-strand shape")
-    use_vertices = eligible if insert_vertices is None else bool(insert_vertices)
+    use_vertices = insert_vertices and _vertex_rule_applies(braid)
 
     letters = braid.letters
     passes = len(loop) - 1

@@ -20,7 +20,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from .braid import BRAID_818, AnnularEmbedding, annular_embed, closure_diagram, winding_number, writhe
+from .braid import BRAID_818, annular_embed, closure_diagram, winding_number, writhe
 from .diagram import Role
 from .errors import DomainError, UsageError
 from .notation import emit_extended_gauss, parse_braid_word
@@ -155,8 +155,7 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
 
 def cmd_build(args: argparse.Namespace) -> int:
     braid = _braid_from_args(args)
-    insert = {"auto": None, "on": True, "off": False}[args.vertices]
-    word, crossings = closure_diagram(braid, insert_vertices=insert)
+    word, crossings = closure_diagram(braid, insert_vertices=args.vertices == "auto")
     vertex_count = sum(1 for v in word if v.role is Role.THROUGH)
     print(f"crossings: {len(crossings)}")
     print(f"writhe: {writhe(crossings)}")
@@ -245,22 +244,25 @@ def cmd_check_fixture(args: argparse.Namespace) -> int:
     return 1
 
 
-def write_points_csv(path: str, embedding: AnnularEmbedding) -> None:
-    """Write ``loop,x,y`` rows (floats via repr) and report the count on stdout."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def cmd_embed(args: argparse.Namespace) -> int:
+    embedding = annular_embed(_braid_from_args(args), args.radii, slots_per_letter=args.points_per_slot)
+    turns = winding_number(embedding)  # before writing, so a failed run leaves no file
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("loop,x,y\n")
         for loop_index, loop in enumerate(embedding.loops):
             for x, y in loop:
                 fh.write(f"{loop_index},{x!r},{y!r}\n")
     points = sum(len(loop) for loop in embedding.loops)
-    print(f"wrote {points} points in {len(embedding.loops)} loop(s) to {path}")
-
-
-def cmd_embed(args: argparse.Namespace) -> int:
-    embedding = annular_embed(_braid_from_args(args), args.radii, slots_per_letter=args.points_per_slot)
-    turns = winding_number(embedding)  # before writing, so a failed run leaves no file
-    write_points_csv(args.out, embedding)
-    print(f"phase: {_format_phase(turns, args.radians)}")
+    lines = [f"wrote {points} points in {len(embedding.loops)} loop(s) to {args.out}"]
+    if args.markers is not None:
+        with open(args.markers, "w", encoding="utf-8", newline="") as fh:
+            fh.write("crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy\n")
+            for m in embedding.markers:
+                (x, y), (odx, ody), (udx, udy) = m.point, m.over_direction, m.under_direction
+                fh.write(f"{m.crossing},{m.sign},{x!r},{y!r},{odx!r},{ody!r},{udx!r},{udy!r}\n")
+        lines.append(f"wrote {len(embedding.markers)} markers to {args.markers}")
+    lines.append(f"phase: {_format_phase(turns, args.radians)}")
+    print("\n".join(lines))  # after every write, so a failed run prints nothing
     return 0
 
 
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="walk a braid closure into a diagram word")
     _add_braid_args(p)
-    p.add_argument("--vertices", choices=("auto", "on", "off"), default="auto")
+    p.add_argument("--vertices", choices=("auto", "off"), default="auto", help="auto: where the vertex rule applies")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("invariants", help="alexander polynomial, writhe, winding phase")
@@ -316,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="write sampled closure coordinates to CSV")
     _add_braid_args(p)
     p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--markers", default=None, help="crossing marker CSV path (written after --out)")
     p.add_argument("--radii", type=radii_list, help="comma separated radii (default 1..strands)")
     p.add_argument("--points-per-slot", type=positive_int, default=64)
     p.add_argument("--radians", action="store_true")

@@ -127,6 +127,7 @@ class EmptyBraidError(BraidTextError):
 
 def parse_braid_word(text: str, strands: int, allow_empty: bool = False) -> BraidWord:
     """Parse whitespace-separated signed generator indices."""
+    BraidWord(strands)  # the strand rule, before any token is read
     tokens = text.split()
     if not tokens and not allow_empty:
         raise EmptyBraidError()

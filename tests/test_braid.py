@@ -25,7 +25,6 @@ from knot818.braid import (
     NotAKnotError,
     OpenLoopError,
     OriginOnCurveError,
-    VertexRuleInapplicableError,
     annular_embed,
     closure_diagram,
     winding_number,
@@ -151,13 +150,17 @@ def test_vertex_rule_forced_off():
     assert writhe(crossings) == 0
 
 
-def test_vertex_rule_inapplicable():
-    with pytest.raises(VertexRuleInapplicableError):
-        closure_diagram(BraidWord(2, (1, 1, 1)), insert_vertices=True)
-    # (sigma1 sigma2^-1)^2 closes to the figure-eight knot: right strand
-    # count but wrong length for the outermost-arc rule.
-    with pytest.raises(VertexRuleInapplicableError):
-        closure_diagram(BraidWord(3, (1, -2, 1, -2)), insert_vertices=True)
+@pytest.mark.parametrize(
+    "braid",
+    # The trefoil, and (sigma1 sigma2^-1)^2, which closes to the figure-eight
+    # knot: right strand count but wrong length for the outermost-arc rule.
+    [BraidWord(2, (1, 1, 1)), BraidWord(3, (1, -2, 1, -2))],
+    ids=["trefoil", "figure-eight"],
+)
+def test_vertex_rule_inapplicable(braid):
+    word, crossings = closure_diagram(braid)
+    assert all(v.role is not Role.THROUGH for v in word)
+    assert (word, crossings) == closure_diagram(braid, insert_vertices=False)
 
 
 @pytest.mark.parametrize("shape", [(1, -2), (-1, 2), (2, -1), (-2, 1)])

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -17,11 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import knot_braids
+from conftest import crossing_sign_from_geometry, knot_braids
 import knot818
 from knot818 import cli, invariants
 from knot818 import traversal as trav
-from knot818.braid import BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
+from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
 from knot818.errors import DomainError, Knot818Error, UsageError
 from knot818.invariants import ZeroPolynomialError
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
@@ -217,6 +218,48 @@ def test_embed_writes_csv(capsys, tmp_path):
     float(x), float(y)
 
 
+# The bytes the default embedding of the main braid writes, pinned when the
+# marker CSV moved into `knot818 embed` from a separate export script.
+POINTS_818_SHA256 = "b4c21565e15b83ef73062ff4a16fab11caa081ebed383e488fc128fe9a31700e"
+MARKERS_818_SHA256 = "7f103fc5d3da7917fb3c61dd43bbac1bde36535d295b5b12068e197ed2c0c32f"
+
+
+def test_embed_markers_default(capsys, tmp_path):
+    points, markers = tmp_path / "points.csv", tmp_path / "markers.csv"
+    code, out, _ = run(capsys, "embed", "--out", str(points), "--markers", str(markers))
+    assert code == 0
+    assert out.splitlines() == [
+        f"wrote 1537 points in 1 loop(s) to {points}",
+        f"wrote 8 markers to {markers}",
+        "phase: 6π",
+    ]
+    assert hashlib.sha256(points.read_bytes()).hexdigest() == POINTS_818_SHA256
+    assert hashlib.sha256(markers.read_bytes()).hexdigest() == MARKERS_818_SHA256
+
+
+@pytest.mark.parametrize(
+    "braid, extra",
+    [
+        (BRAID_818, []),
+        (BraidWord(3, (1, 2, -1, 2, 1)), ["--radii", "1,2.5,4", "--points-per-slot", "5"]),
+        (BraidWord(4, (1, -2, 3, -1, 2, -3, 1)), ["--radii", "0.5,1,1.75,3", "--points-per-slot", "5"]),
+    ],
+    ids=["main", "two-loops", "four-strands"],
+)
+def test_embed_marker_signs_read_back(capsys, tmp_path, braid, extra):
+    markers = tmp_path / "markers.csv"
+    word = ["--braid", " ".join(map(str, braid.letters)), "--strands", str(braid.strands)]
+    assert run(capsys, "embed", "--out", str(tmp_path / "points.csv"), "--markers", str(markers), *word, *extra)[0] == 0
+    header, *rows = markers.read_text(encoding="utf-8").splitlines()
+    assert header == "crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy"
+    assert [int(row.split(",")[0]) for row in rows] == list(range(len(braid)))
+    for row in rows:
+        crossing, sign, _x, _y, *directions = row.split(",")
+        over_dx, over_dy, under_dx, under_dy = map(float, directions)
+        assert int(sign) == crossing_sign_from_geometry((over_dx, over_dy), (under_dx, under_dy))
+        assert int(sign) == (1 if braid.letters[int(crossing)] > 0 else -1)
+
+
 def _usage_error(command, message):
     """argparse's stderr for a rejected option of ``knot818 command``."""
     parser = cli.build_parser()
@@ -226,16 +269,16 @@ def _usage_error(command, message):
     return f"{parser.format_usage()}{parser.prog}: error: {message}\n"
 
 
-def fails(name, argv, code, stderr, env=None):
-    return pytest.param(argv, code, stderr, env or {}, id=name)
+def fails(name, argv, code, stderr, env=None, leaves=()):
+    return pytest.param(argv, code, stderr, env or {}, leaves, id=name)
 
 
 OUT = ["--out", "{tmp}/x.csv"]
 LONG_LINK = " ".join(["1"] * 600)
 
 # Every failure path of the command line: (argv, exit code, exact stderr,
-# environment).  "{tmp}" stands for the directory of the files that the
-# failure_files fixture writes.
+# environment, the files the failed run leaves).  "{tmp}" stands for the
+# directory of the files that the failure_files fixture writes.
 FAILURES = [
     # UsageError, exit 2
     fails("bad-env-format", ["traverse", "--start", "K"], 2, "error: unknown format 'yaml'\n",
@@ -243,8 +286,14 @@ FAILURES = [
     fails("non-integer-letter", ["build", "--braid", "1 x"], 2, "error: token 1: 'x' is not an integer\n"),
     fails("empty-braid", ["build", "--braid", ""], 2,
           "error: empty braid word (pass allow_empty=True for the trivial braid)\n"),
-    fails("letter-out-of-range", ["build", "--strands", "1", "--braid", "1"], 2,
-          "error: token 0: letter 1 out of range for 1 strands\n"),
+    fails("letter-out-of-range", ["build", "--braid", "1 5"], 2,
+          "error: token 1: letter 5 out of range for 3 strands\n"),
+    # The strand rule comes before any letter.
+    *[
+        fails(f"build-strands-{n}-with-a-letter", ["build", "--strands", n, "--braid", "1"], 2,
+              "error: a braid needs at least 2 strands\n")
+        for n in ("0", "1")
+    ],
     *[
         fails(f"{command}-strands-{n}", [command, "--strands", n, "--braid", "", "--allow-empty", *extra], 2,
               "error: a braid needs at least 2 strands\n")
@@ -281,12 +330,17 @@ FAILURES = [
     fails("check-fixture-directory", ["check-fixture", "{tmp}"], 2, "error: [Errno 21] Is a directory: '{tmp}'\n"),
     fails("embed-missing-directory", ["embed", "--out", "{tmp}/no-dir/x.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/no-dir/x.csv'\n"),
+    # The markers are written after the points, which stay complete.
+    fails("embed-markers-missing-directory", ["embed", *OUT, "--markers", "{tmp}/no-dir/m.csv"], 2,
+          "error: [Errno 2] No such file or directory: '{tmp}/no-dir/m.csv'\n", leaves=["x.csv"]),
     # argparse, exit 2
     fails("no-such-command", ["no-such-command"], 2,
           _usage_error(None, "argument command: invalid choice: 'no-such-command' (choose from 'build',"
                        " 'invariants', 'traverse', 'analyze', 'check-fixture', 'embed')")),
     fails("traverse-missing-start", ["traverse"], 2,
           _usage_error("traverse", "the following arguments are required: --start")),
+    fails("build-vertices-on", ["build", "--vertices", "on"], 2,
+          _usage_error("build", "argument --vertices: invalid choice: 'on' (choose from 'auto', 'off')")),
     fails("analyze-state-and-ensemble", ["analyze", "--ensemble", "all40", "--state", "K,cw"], 2,
           _usage_error("analyze", "argument --state: not allowed with argument --ensemble")),
     fails("embed-unparseable-radii", ["embed", *OUT, "--radii", "1;2;3"], 2,
@@ -307,11 +361,6 @@ FAILURES = [
           "error: closure of a 2-letter braid on 2 strands has 2 components, so it is not a knot\n"),
     fails("invariants-long-link", ["invariants", "--braid", LONG_LINK, "--strands", "2"], 3,
           "error: closure of a 600-letter braid on 2 strands has 2 components, so it is not a knot\n"),
-    # The knot check runs before the vertex-rule check.
-    fails("vertices-forced-on-a-link", ["build", "--braid", "1 -2 1 -2 1 -2", "--vertices", "on"], 3,
-          "error: closure of a 6-letter braid on 3 strands has 3 components, so it is not a knot\n"),
-    fails("vertices-forced-on-wrong-shape", ["build", "--braid", "1 1 1", "--strands", "2", "--vertices", "on"], 3,
-          "error: branch vertices are only defined on the annular 3-strand shape\n"),
     *[
         fails(f"embed-radii-{radii}", ["embed", *OUT, "--braid", "1 2", "--radii", radii], 3,
               f"error: need 3 finite positive strictly increasing radii, got {shown}\n")
@@ -346,14 +395,14 @@ def failure_files(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize("argv, code, stderr, env", FAILURES)
-def test_cli_failure(capsys, monkeypatch, failure_files, argv, code, stderr, env):
+@pytest.mark.parametrize("argv, code, stderr, env, leaves", FAILURES)
+def test_cli_failure(capsys, monkeypatch, failure_files, argv, code, stderr, env, leaves):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     before = sorted(failure_files.iterdir())
     tmp = str(failure_files)
     assert run(capsys, *(arg.replace("{tmp}", tmp) for arg in argv)) == (code, "", stderr.replace("{tmp}", tmp))
-    assert sorted(failure_files.iterdir()) == before  # a failed command writes no file
+    assert sorted(failure_files.iterdir()) == sorted(before + [failure_files / name for name in leaves])
 
 
 def _defined_exceptions():
@@ -401,12 +450,13 @@ _BUILD_SET = {"knot818.cli", "knot818.braid", "knot818.diagram", "knot818.notati
     [
         (["build"], set()),
         (["embed", "--out", "points.csv"], set()),
+        (["embed", "--out", "p.csv", "--markers", "m.csv"], set()),
         (["traverse", "--start", "A", "--role", "under"], {"knot818.traversal"}),
         (["check-fixture"], {"knot818.traversal"}),
         (["invariants"], {"knot818.invariants", "knot818.laurent", "fractions", "decimal"}),
         (["analyze", "--format", "json"], {"knot818.traversal", "knot818.allocation", "fractions", "decimal", "json"}),
     ],
-    ids=["build", "embed", "traverse", "check-fixture", "invariants", "analyze"],
+    ids=["build", "embed", "embed-markers", "traverse", "check-fixture", "invariants", "analyze"],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
     loaded = _modules_loaded_by(f"import knot818.cli; knot818.cli.main({argv!r})", cwd=tmp_path)

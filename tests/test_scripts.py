@@ -6,11 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import load_script
-from knot818 import cli
-from knot818.braid import BadRadiiError, BadSamplingError
+from conftest import SCRIPTS, load_script
 
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda path: path.stem)
+def test_every_script_loads_and_prints_help(capsys, path):
+    script = load_script(path.stem)
+    with pytest.raises(SystemExit) as exc:
+        script.main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ")
 
 
 def test_regenerate_reference_cases_check(capsys):
@@ -30,53 +37,6 @@ def test_defect_summary_states_text(capsys):
     assert script.main(["--states"]) == 0
     expected = (DATA / "defect_summary_states.txt").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected
-
-
-def test_export_embedding_matches_cli_embed(capsys, tmp_path):
-    script = load_script("export_embedding")
-    script_csv, cli_csv, markers = tmp_path / "script.csv", tmp_path / "cli.csv", tmp_path / "markers.csv"
-    assert script.main(["--out", str(script_csv), "--markers", str(markers)]) == 0
-    assert capsys.readouterr().out.splitlines() == [
-        f"wrote 1537 points in 1 loop(s) to {script_csv}",
-        f"wrote 8 markers to {markers}",
-        "winding phase: 18.84955592153876 (6.000000 pi)",
-    ]
-    assert cli.main(["embed", "--out", str(cli_csv)]) == 0
-    assert script_csv.read_bytes() == cli_csv.read_bytes()
-    assert markers.read_text(encoding="utf-8").splitlines()[0] == (
-        "crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy"
-    )
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "x"])
-def test_export_embedding_points_per_slot_must_be_positive(capsys, tmp_path, value):
-    script = load_script("export_embedding")
-    out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--out", str(out), "--points-per-slot", value])
-    assert exc.value.code == 2
-    assert "--points-per-slot" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_export_embedding_shares_the_radii_checks(capsys, tmp_path):
-    script = load_script("export_embedding")
-    out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        script.main(["--out", str(out), "--radii", "a,b,c"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("error: argument --radii: bad radii list 'a,b,c'\n")
-    with pytest.raises(BadRadiiError):
-        script.main(["--out", str(out), "--radii", "1,2,nan"])
-    assert not out.exists()
-
-
-def test_export_embedding_rejects_undersampling(tmp_path):
-    script = load_script("export_embedding")
-    out = tmp_path / "x.csv"
-    with pytest.raises(BadSamplingError):
-        script.main(["--out", str(out), "--strands", "2", "--braid", "1", "--points-per-slot", "2"])
-    assert not out.exists()
 
 
 def test_alexander_ladder_quick(capsys):
