@@ -58,6 +58,11 @@ class OpenLoopError(DomainError, ValueError):
     """A loop handed to the winding count does not end where it starts."""
 
 
+def first_bad_letter(letters: Sequence[int], strands: int) -> Optional[int]:
+    """Index of the first letter that names no generator on ``strands`` strands, or None."""
+    return next((i for i, l in enumerate(letters) if l == 0 or abs(l) > strands - 1), None)
+
+
 class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int, ...])])):
     """A word in the braid group on ``strands`` strands.
 
@@ -71,9 +76,9 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
         if strands < 2:
             raise InvalidBraidError("a braid needs at least 2 strands")
         letters = tuple(int(l) for l in letters)
-        for l in letters:
-            if l == 0 or abs(l) > strands - 1:
-                raise InvalidBraidError(f"letter {l} out of range for {strands} strands")
+        bad = first_bad_letter(letters, strands)
+        if bad is not None:
+            raise InvalidBraidError(f"letter {letters[bad]} out of range for {strands} strands")
         return super().__new__(cls, strands, letters)
 
     @classmethod  # so that _replace, too, builds through __new__

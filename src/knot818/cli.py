@@ -7,9 +7,7 @@ traverse (one table), analyze (allocation defects), check-fixture
 Exit codes: 0 success, 1 mismatch or internal error, 2 usage or parse
 error (a :class:`~knot818.errors.UsageError` or an unreadable or
 unwritable file), 3 domain precondition violated (a
-:class:`~knot818.errors.DomainError`).  Output format for tabular
-subcommands comes from --format, falling back to the KNOT818_FORMAT
-environment variable, then to plain text.
+:class:`~knot818.errors.DomainError`).
 """
 
 from __future__ import annotations
@@ -30,16 +28,8 @@ if TYPE_CHECKING:  # each command imports these only when it runs
     from . import traversal as trav
 
 
-class FormatError(UsageError, ValueError):
-    """Output format is not one of text, csv, json."""
-
-
-def _resolve_format(value: Optional[str]) -> str:
-    if value is None:
-        value = os.environ.get("KNOT818_FORMAT", "text")
-    if value not in ("text", "csv", "json"):
-        raise FormatError(f"unknown format {value!r}")
-    return value
+class SamePathError(UsageError, ValueError):
+    """--out and --markers name one file, so the markers would overwrite the points."""
 
 
 def positive_int(text: str) -> int:
@@ -104,15 +94,14 @@ def _print_table(table: trav.TraversalTable, fmt: str) -> None:
         for site, role, value in table.entries:
             sys.stdout.write(f"{site},{role},{value}\n")
     elif fmt == "json":
-        payload = {
+        _write_json({
             "start": str(table.start),
             "mirrored": table.mirrored,
             "entries": [
                 {"site": site, "role": str(role), "value": value}
                 for site, role, value in table.entries
             ],
-        }
-        _write_json(payload)
+        })
     else:
         print(f"# start {table.describe()}")
         for site, role, value in table.entries:
@@ -126,7 +115,7 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
             for site, total in cls.entries:
                 sys.stdout.write(f"{cls.site_class},{site},{total}\n")
     elif fmt == "json":
-        payload = {
+        _write_json({
             "source": report.source,
             "grand_total": grand_total,
             "classes": [
@@ -139,8 +128,7 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
                 }
                 for cls in report.classes
             ],
-        }
-        _write_json(payload)
+        })
     else:
         print(f"# allocation {report.source}")
         for cls in report.classes:
@@ -183,11 +171,10 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_traverse(args: argparse.Namespace) -> int:
     from . import traversal as trav
 
-    fmt = _resolve_format(args.format)
     role = Role(args.role) if args.role else None
     spec = trav.StartSpec(args.start.upper(), trav.Direction(args.dir), role)
     table = trav.traverse(trav.canonical_818(), spec)
-    _print_table(table, fmt)
+    _print_table(table, args.format)
     return 0
 
 
@@ -206,7 +193,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import allocation as alloc
     from . import traversal as trav
 
-    fmt = _resolve_format(args.format)
     if args.state:
         spec = _parse_state(args.state)
         table = trav.traverse(trav.canonical_818(), spec)
@@ -214,19 +200,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     else:
         allocation = alloc.ensemble_totals(_ensemble_by_name(args.ensemble))
     report = alloc.defect_report(allocation)
-    _print_report(report, allocation.grand_total, fmt)
+    _print_report(report, allocation.grand_total, args.format)
     return 0
 
 
 def cmd_check_fixture(args: argparse.Namespace) -> int:
     from . import traversal as trav
 
-    fixture_path = args.fixture if args.fixture else trav.shipped_fixture_path()
-    fixture = trav.load_table_fixture(fixture_path)
+    fixture = trav.load_table_fixture(args.fixture or trav.shipped_fixture_path())
     errata = None
-    if args.errata is not None:
-        errata_path = args.errata if args.errata != "" else trav.shipped_errata_path()
-        errata = trav.load_errata(errata_path)
+    if args.errata is not None:  # the bare flag gives ""
+        errata = trav.load_errata(args.errata or trav.shipped_errata_path())
     report = trav.check_fixture(trav.enumerate_representatives(), fixture, errata)
     for result in report.results:
         if result.witness is not None:
@@ -245,6 +229,8 @@ def cmd_check_fixture(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
+    if args.markers is not None and os.path.realpath(args.markers) == os.path.realpath(args.out):
+        raise SamePathError(f"--out and --markers name one file: {args.markers}")
     embedding = annular_embed(_braid_from_args(args), args.radii, slots_per_letter=args.points_per_slot)
     turns = winding_number(embedding)  # before writing, so a failed run leaves no file
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
@@ -294,14 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", required=True, help="site letter A..L")
     p.add_argument("--dir", choices=("cw", "ccw"), default="cw")
     p.add_argument("--role", choices=("over", "under"), default=None, help="entry role at shoulders")
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_traverse)
 
     p = sub.add_parser("analyze", help="allocation totals and defect report")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ensemble", choices=("reps10", "all40", "with-mirrors"), default="reps10")
     group.add_argument("--state", default=None, help="single start spec, e.g. K,cw or A,ccw,under")
-    p.add_argument("--format", choices=("text", "csv", "json"), default=None)
+    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check-fixture", help="match the reference tables against the ensemble")

@@ -13,7 +13,7 @@ negated when that visit is the over pass.
 
 from __future__ import annotations
 
-from .braid import BraidWord
+from .braid import BraidWord, InvalidBraidError, first_bad_letter
 from .diagram import _ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
 from .errors import UsageError
 
@@ -122,7 +122,7 @@ class LetterOutOfRangeError(BraidTextError):
 
 class EmptyBraidError(BraidTextError):
     def __init__(self) -> None:
-        super().__init__("empty braid word (pass allow_empty=True for the trivial braid)")
+        super().__init__("empty braid word (pass --allow-empty or allow_empty=True for the trivial braid)")
 
 
 def parse_braid_word(text: str, strands: int, allow_empty: bool = False) -> BraidWord:
@@ -132,12 +132,16 @@ def parse_braid_word(text: str, strands: int, allow_empty: bool = False) -> Brai
     if not tokens and not allow_empty:
         raise EmptyBraidError()
     letters = []
-    for idx, token in enumerate(tokens):
+    for token in tokens:
         try:
-            letter = int(token)
+            letters.append(int(token))
         except ValueError:
-            raise NonIntegerLetterError(idx, token) from None
-        if letter == 0 or abs(letter) > strands - 1:
-            raise LetterOutOfRangeError(idx, letter, strands)
-        letters.append(letter)
-    return BraidWord(strands, tuple(letters))
+            break
+    try:  # a letter out of range is reported before a later non-integer token
+        braid = BraidWord(strands, letters)
+    except InvalidBraidError:
+        bad = first_bad_letter(letters, strands)
+        raise LetterOutOfRangeError(bad, letters[bad], strands) from None
+    if len(letters) < len(tokens):
+        raise NonIntegerLetterError(len(letters), tokens[len(letters)])
+    return braid

@@ -182,15 +182,21 @@ def mirror_table(table: TraversalTable) -> TraversalTable:
     return TraversalTable(table.start, values, mirrored=not table.mirrored)
 
 
+def _spec_index(tables: Sequence[TraversalTable]) -> dict[tuple, int]:
+    """Each table's index by ``((site, direction, entry_role), mirrored)``; no key may repeat."""
+    index = {(t.start, t.mirrored): i for i, t in enumerate(tables)}
+    if len(index) != len(tables):
+        raise ValueError("duplicate start specs in ensemble")
+    return index
+
+
 class StateEnsemble(NamedTuple("StateEnsemble", [("label", str), ("tables", tuple[TraversalTable, ...])])):
     """A labeled collection of tables with pairwise distinct start specs."""
 
     __slots__ = ()
 
     def __new__(cls, label: str, tables: tuple[TraversalTable, ...]) -> "StateEnsemble":
-        specs = [(t.start, t.mirrored) for t in tables]
-        if len(set(specs)) != len(specs):
-            raise ValueError("duplicate start specs in ensemble")
+        _spec_index(tables)
         return super().__new__(cls, label, tables)
 
     @classmethod  # so that _replace, too, builds through __new__
@@ -241,12 +247,7 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
     Also checks equivariance along the way: relabeling a member table
     must reproduce the ensemble's table for the relabeled start spec.
     """
-    def key(t: TraversalTable):
-        return (t.start.site, t.start.direction, t.start.entry_role, t.mirrored)
-
-    index = {key(t): i for i, t in enumerate(tables)}
-    if len(index) != len(tables):
-        raise ValueError("duplicate start specs")
+    index = _spec_index(tables)
     order = _gather_order(lambda k: (ROTATION_RELABEL[k[0]], k[1]))
     seen: set[int] = set()
     orbits: list[tuple[int, ...]] = []
@@ -258,8 +259,8 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
         while cur_i not in seen:
             seen.add(cur_i)
             orbit.append(cur_i)
-            site, direction, role, mirrored = key(cur)
-            nxt_i = index.get((ROTATION_RELABEL[site], direction, role, mirrored))
+            (site, direction, role), mirrored = cur.start, cur.mirrored
+            nxt_i = index.get(((ROTATION_RELABEL[site], direction, role), mirrored))
             if nxt_i is None:
                 rotated = StartSpec(ROTATION_RELABEL[site], direction, role)
                 raise ValueError(f"ensemble not closed under rotation at {rotated}")
@@ -340,6 +341,8 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
         if entries[slot] is not None:
             raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {case_id}")
         entries[slot] = value
+    if not cases:
+        raise FixtureParseError("line 1: no cases")
     for case_id, entries in cases.items():  # any case means lineno is the last row's
         missing = entries.count(None)
         if missing:

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from conftest import crossing_sign_from_geometry, knot_braids
 import knot818
 from knot818 import cli, invariants
-from knot818 import traversal as trav
 from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
 from knot818.errors import DomainError, Knot818Error, UsageError
 from knot818.invariants import ZeroPolynomialError
@@ -125,28 +124,11 @@ def test_traverse_json(capsys):
     assert len(values) == 20
 
 
-
-def test_traverse_env_format(capsys, monkeypatch):
-    monkeypatch.setenv("KNOT818_FORMAT", "csv")
-    code, out, _ = run(capsys, "traverse", "--start", "K")
-    assert code == 0
-    assert out.splitlines()[0] == "site,role,value"
-
-
-def test_flag_beats_env_format(capsys, monkeypatch):
-    monkeypatch.setenv("KNOT818_FORMAT", "csv")
+def test_traverse_explicit_text_format(capsys):
     code, out, _ = run(capsys, "traverse", "--start", "K", "--format", "text")
     assert code == 0
-    assert out.startswith("# start K,cw")
-
-
-def test_bad_env_format_is_usage_error(monkeypatch):
-    # The command line side is the "bad-env-format" row of FAILURES.
-    monkeypatch.setenv("KNOT818_FORMAT", "yaml")
-    with pytest.raises(cli.FormatError) as info:
-        cli._resolve_format(None)
-    assert isinstance(info.value, UsageError)
-    assert not isinstance(info.value, trav.InvalidStartSpecError)
+    assert out == run(capsys, "traverse", "--start", "K")[1]
+    assert out.startswith("# start K,cw\n")
 
 
 def test_analyze_single_state_csv(capsys):
@@ -260,6 +242,31 @@ def test_embed_marker_signs_read_back(capsys, tmp_path, braid, extra):
         assert int(sign) == (1 if braid.letters[int(crossing)] > 0 else -1)
 
 
+def test_option_surface_is_pinned():
+    # Every option each subcommand accepts, the positional fixture path
+    # included: a new option or environment knob lands only with an edit here.
+    (subparsers,) = (a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        command: {
+            option
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings or [action.dest]
+        }
+        for command, parser in subparsers.choices.items()
+    }
+    braid = {"--braid", "--strands", "--allow-empty"}
+    assert surface == {
+        "build": braid | {"--vertices"},
+        "invariants": braid | {"--radians"},
+        "traverse": {"--start", "--dir", "--role", "--format"},
+        "analyze": {"--ensemble", "--state", "--format"},
+        "check-fixture": {"fixture", "--errata"},
+        "embed": braid | {"--out", "--markers", "--radii", "--points-per-slot", "--radians"},
+    }
+    assert sum(map(len, surface.values())) == 25
+
+
 def _usage_error(command, message):
     """argparse's stderr for a rejected option of ``knot818 command``."""
     parser = cli.build_parser()
@@ -269,23 +276,21 @@ def _usage_error(command, message):
     return f"{parser.format_usage()}{parser.prog}: error: {message}\n"
 
 
-def fails(name, argv, code, stderr, env=None, leaves=()):
-    return pytest.param(argv, code, stderr, env or {}, leaves, id=name)
+def fails(name, argv, code, stderr, leaves=()):
+    return pytest.param(argv, code, stderr, leaves, id=name)
 
 
 OUT = ["--out", "{tmp}/x.csv"]
 LONG_LINK = " ".join(["1"] * 600)
 
 # Every failure path of the command line: (argv, exit code, exact stderr,
-# environment, the files the failed run leaves).  "{tmp}" stands for the
-# directory of the files that the failure_files fixture writes.
+# the files the failed run leaves).  "{tmp}" stands for the directory of
+# the files that the failure_files fixture writes, "{name}" for its name.
 FAILURES = [
     # UsageError, exit 2
-    fails("bad-env-format", ["traverse", "--start", "K"], 2, "error: unknown format 'yaml'\n",
-          {"KNOT818_FORMAT": "yaml"}),
     fails("non-integer-letter", ["build", "--braid", "1 x"], 2, "error: token 1: 'x' is not an integer\n"),
     fails("empty-braid", ["build", "--braid", ""], 2,
-          "error: empty braid word (pass allow_empty=True for the trivial braid)\n"),
+          "error: empty braid word (pass --allow-empty or allow_empty=True for the trivial braid)\n"),
     fails("letter-out-of-range", ["build", "--braid", "1 5"], 2,
           "error: token 1: letter 5 out of range for 3 strands\n"),
     # The strand rule comes before any letter.
@@ -309,6 +314,7 @@ FAILURES = [
           "error: direction must be cw or ccw, got 'up'\n"),
     fails("check-fixture-bad-header", ["check-fixture", "{tmp}/bad_header.csv"], 2,
           "error: line 1: expected header case,site,role,value\n"),
+    fails("check-fixture-header-only", ["check-fixture", "{tmp}/header_only.csv"], 2, "error: line 1: no cases\n"),
     fails("check-fixture-not-utf8", ["check-fixture", "{tmp}/not_utf8.csv"], 2,
           "error: {tmp}/not_utf8.csv: not UTF-8 text\n"),
     fails("errata-not-utf8", ["check-fixture", "--errata", "{tmp}/not_utf8.csv"], 2,
@@ -322,6 +328,11 @@ FAILURES = [
           "error: erratum for case z: the fixture has no such case\n"),
     fails("errata-disagrees-on-raw-match", ["check-fixture", "--errata", "{tmp}/raw_match_errata.csv"], 2,
           "error: erratum for case a expects A over = 99, fixture has 13\n"),
+    # Checked before any write, however the two paths are spelled.
+    fails("embed-markers-same-file", ["embed", *OUT, "--markers", "{tmp}/x.csv"], 2,
+          "error: --out and --markers name one file: {tmp}/x.csv\n"),
+    fails("embed-markers-same-file-dotdot", ["embed", *OUT, "--markers", "{tmp}/../{name}/x.csv"], 2,
+          "error: --out and --markers name one file: {tmp}/../{name}/x.csv\n"),
     # OSError, exit 2
     fails("check-fixture-missing", ["check-fixture", "{tmp}/missing.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n"),
@@ -383,6 +394,7 @@ FAILURES = [
 @pytest.fixture
 def failure_files(tmp_path):
     (tmp_path / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
+    (tmp_path / "header_only.csv").write_text("case,site,role,value\n", encoding="utf-8")
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
     header = "case,site,role,value,corrected_value\n"
     for name, rows in [
@@ -395,13 +407,14 @@ def failure_files(tmp_path):
     return tmp_path
 
 
-@pytest.mark.parametrize("argv, code, stderr, env, leaves", FAILURES)
-def test_cli_failure(capsys, monkeypatch, failure_files, argv, code, stderr, env, leaves):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+@pytest.mark.parametrize("argv, code, stderr, leaves", FAILURES)
+def test_cli_failure(capsys, failure_files, argv, code, stderr, leaves):
     before = sorted(failure_files.iterdir())
-    tmp = str(failure_files)
-    assert run(capsys, *(arg.replace("{tmp}", tmp) for arg in argv)) == (code, "", stderr.replace("{tmp}", tmp))
+
+    def fill(text):
+        return text.replace("{tmp}", str(failure_files)).replace("{name}", failure_files.name)
+
+    assert run(capsys, *map(fill, argv)) == (code, "", fill(stderr))
     assert sorted(failure_files.iterdir()) == sorted(before + [failure_files / name for name in leaves])
 
 
@@ -491,7 +504,7 @@ def test_package_namespace_is_what_perfbench_imports():
 def test_every_error_class_is_in_one_family():
     arithmetic = {InexactDivisionError, ZeroArgumentError, ZeroPolynomialError}
     classes = set(_defined_exceptions()) - {Knot818Error, UsageError, DomainError}
-    assert arithmetic | {cli.FormatError, InvalidBraidError, NotAKnotError} <= classes
+    assert arithmetic | {cli.SamePathError, InvalidBraidError, NotAKnotError} <= classes
     for cls in classes:
         families = [family for family in (UsageError, DomainError) if issubclass(cls, family)]
         if cls in arithmetic:

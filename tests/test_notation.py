@@ -176,6 +176,15 @@ def test_parse_braid_word_out_of_range():
     assert "3 strands" in str(info.value)
 
 
+def test_parse_braid_word_reports_the_first_bad_token():
+    with pytest.raises(LetterOutOfRangeError) as info:
+        parse_braid_word("1 5 x", strands=3)
+    assert info.value.token_index == 1
+    with pytest.raises(NonIntegerLetterError) as info:
+        parse_braid_word("1 x 5", strands=3)
+    assert info.value.token_index == 1
+
+
 def test_parse_braid_word_empty():
     with pytest.raises(EmptyBraidError):
         parse_braid_word("   ", strands=3)

@@ -20,18 +20,6 @@ def test_every_script_loads_and_prints_help(capsys, path):
     assert capsys.readouterr().out.startswith("usage: ")
 
 
-def test_regenerate_reference_cases_check(capsys):
-    script = load_script("regenerate_reference_cases")
-    assert script.main(["--check"]) == 0
-    out, err = capsys.readouterr()
-    assert out.splitlines()[0] == "case,site,role,value"
-    assert len(out.splitlines()) == 1 + 11 * 20
-    verdicts = err.splitlines()
-    assert len(verdicts) == 11
-    assert all(": agrees (" in line for line in verdicts)
-    assert "case h: agrees (A,ccw,under)" in verdicts
-
-
 def test_defect_summary_states_text(capsys):
     script = load_script("defect_summary")
     assert script.main(["--states"]) == 0

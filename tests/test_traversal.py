@@ -197,6 +197,12 @@ def test_rotation_orbits_check_every_table():
         rotation_orbits(tables)
 
 
+def test_rotation_orbits_reject_a_table_listed_twice():
+    tables = enumerate_all().tables
+    with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
+        rotation_orbits(tables + tables[-1:])
+
+
 def test_traverse_errors():
     trefoil = DiagramWord(
         (
@@ -359,6 +365,7 @@ def test_fixture_parse_incomplete_case(tmp_path):
     "body, message",
     [
         ("case,site,role\n", "line 1: expected header case,site,role,value"),
+        ("case,site,role,value\n", "line 1: no cases"),
         ("case,site,role,value\nx,A,over\n", "line 2: expected 4 fields, got 3"),
         ("case,site,role,value\n,A,over,1\n", "line 2: empty case id"),
         ("case,site,role,value\nx,Q,over,1\n", "line 2: unknown site 'Q'"),
@@ -422,6 +429,11 @@ def test_errata_parse_row_key_messages(tmp_path, site, role, message):
     with pytest.raises(FixtureParseError) as exc:
         load_errata(path)
     assert str(exc.value) == message
+
+
+def test_header_only_errata_corrects_nothing(tmp_path):
+    path = _write(tmp_path, "errata.csv", "case,site,role,value,corrected_value\n")
+    assert load_errata(path) == {}
 
 
 def test_errata_parse_bad_header(tmp_path):
