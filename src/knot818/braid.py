@@ -31,7 +31,7 @@ from .diagram import (
     canonical_818,
     cyclic_equivalent,
 )
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, clip
 
 
 class InvalidBraidError(UsageError, ValueError):
@@ -47,7 +47,7 @@ class BadRadiiError(DomainError, ValueError):
 
 
 class BadSamplingError(DomainError, ValueError):
-    """Each letter slot needs a sample point, and each turn three."""
+    """A sample per letter slot, three per turn, at most MAX_SAMPLES in all."""
 
 
 class OriginOnCurveError(DomainError, ValueError):
@@ -78,7 +78,7 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
         letters = tuple(int(l) for l in letters)
         bad = first_bad_letter(letters, strands)
         if bad is not None:
-            raise InvalidBraidError(f"letter {letters[bad]} out of range for {strands} strands")
+            raise InvalidBraidError(f"letter {clip(str(letters[bad]))} out of range for {strands} strands")
         return super().__new__(cls, strands, letters)
 
     @classmethod  # so that _replace, too, builds through __new__
@@ -289,6 +289,9 @@ class AnnularEmbedding(NamedTuple):
     markers: tuple[CrossingMarker, ...] = ()
 
 
+MAX_SAMPLES = 2_000_000  # at about 150 bytes each, some 300 MB
+
+
 def annular_embed(
     braid: BraidWord, radii: Optional[Sequence[float]] = None, slots_per_letter: int = 64
 ) -> AnnularEmbedding:
@@ -298,38 +301,31 @@ def annular_embed(
     occupies one angular slot of width 2*pi/len(letters), and the two
     strands it swaps trade radii across the slot, meeting at its midpoint.
 
-    Consecutive samples of a nonempty word are 2*pi/(slots_per_letter *
-    len(letters)) apart in angle.  The polyline winds as often as the
-    curve only while that step is below pi, so fewer than three samples
-    per turn raise :class:`BadSamplingError`.
+    Consecutive samples are 2*pi/(slots_per_letter * len(letters)) apart
+    in angle.  The polyline winds as often as the curve only while that
+    step is below pi, so :class:`BadSamplingError` rejects fewer than
+    three samples per turn (the empty word at any sampling) and, before
+    anything is allocated, more than :data:`MAX_SAMPLES` in all.
     """
+    letters = len(braid.letters)
+    if slots_per_letter < 1:
+        raise BadSamplingError(f"slots_per_letter must be at least 1, got {slots_per_letter}")
+    if slots_per_letter * letters < 3:
+        raise BadSamplingError(f"slots_per_letter * letters must be at least 3, got {slots_per_letter} * {letters}")
+    if braid.strands * letters * slots_per_letter > MAX_SAMPLES:
+        raise BadSamplingError(
+            f"strands * letters * slots_per_letter must be at most {MAX_SAMPLES},"
+            f" got {braid.strands} * {letters} * {slots_per_letter}"
+        )
     radii = tuple(float(r) for r in (range(1, braid.strands + 1) if radii is None else radii))
     if (
         len(radii) != braid.strands
         or not all(0.0 < r < math.inf for r in radii)
         or any(a >= b for a, b in zip(radii, radii[1:]))
     ):
-        raise BadRadiiError(f"need {braid.strands} finite positive strictly increasing radii, got {radii}")
-    if slots_per_letter < 1:
-        raise BadSamplingError(f"slots_per_letter must be at least 1, got {slots_per_letter}")
-    if braid.letters and slots_per_letter * len(braid.letters) < 3:
-        raise BadSamplingError(
-            f"slots_per_letter * letters must be at least 3, got {slots_per_letter} * {len(braid.letters)}"
-        )
+        raise BadRadiiError(f"need {braid.strands} finite positive strictly increasing radii, got {clip(str(radii))}")
 
-    if not braid.letters:
-        pts_per = max(3, slots_per_letter)
-        loops = []
-        for r in radii:
-            pts = [
-                (r * math.cos(2.0 * math.pi * m / pts_per), r * math.sin(2.0 * math.pi * m / pts_per))
-                for m in range(pts_per)
-            ]
-            pts.append(pts[0])
-            loops.append(tuple(pts))
-        return AnnularEmbedding(tuple(loops), radii, ())
-
-    width = 2.0 * math.pi / len(braid.letters)
+    width = 2.0 * math.pi / letters
     # Per-sample constants, shared by every pass: the angle offset into
     # the slot and the cosine easing of a strand swap.
     fractions = [m / slots_per_letter for m in range(slots_per_letter)]
@@ -368,7 +364,7 @@ def annular_embed(
             cos_t, sin_t = cos(th), sin(th)
             direction = (dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
             point = (r_mid * cos_t, r_mid * sin_t)
-            slot = k % len(braid.letters)
+            slot = k % letters
             is_under = (exit_pos > entry) != (braid.letters[slot] > 0)
             marker_parts.setdefault(slot, [None, None])[is_under] = (point, direction)
 

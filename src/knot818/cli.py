@@ -13,14 +13,13 @@ unwritable file), 3 domain precondition violated (a
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from .braid import BRAID_818, annular_embed, closure_diagram, winding_number, writhe
 from .diagram import Role
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, clip
 from .notation import emit_extended_gauss, parse_braid_word
 
 if TYPE_CHECKING:  # each command imports these only when it runs
@@ -37,9 +36,9 @@ def positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {clip(repr(text))}") from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {clip(str(value))}")
     return value
 
 
@@ -48,7 +47,7 @@ def radii_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(r) for r in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad radii list {text!r}") from None
+        raise argparse.ArgumentTypeError(f"bad radii list {clip(repr(text))}") from None
 
 
 def _parse_state(text: str) -> trav.StartSpec:
@@ -56,29 +55,23 @@ def _parse_state(text: str) -> trav.StartSpec:
 
     parts = [p.strip() for p in text.split(",")]
     if len(parts) not in (2, 3) or not all(parts):
-        raise trav.InvalidStartSpecError(f"state must be SITE,DIR[,ROLE], got {text!r}")
+        raise trav.InvalidStartSpecError(f"state must be SITE,DIR[,ROLE], got {clip(repr(text))}")
     site = parts[0].upper()
     try:
         direction = trav.Direction(parts[1].lower())
     except ValueError:
-        raise trav.InvalidStartSpecError(f"direction must be cw or ccw, got {parts[1]!r}") from None
+        raise trav.InvalidStartSpecError(f"direction must be cw or ccw, got {clip(repr(parts[1]))}") from None
     role = None
     if len(parts) == 3:
         name = parts[2].lower()
         if name not in ("over", "under"):
-            raise trav.InvalidStartSpecError(f"entry role must be over or under, got {parts[2]!r}")
+            raise trav.InvalidStartSpecError(f"entry role must be over or under, got {clip(repr(parts[2]))}")
         role = Role(name)
     return trav.StartSpec(site, direction, role)
 
 
-def _braid_from_args(args: argparse.Namespace):
-    return parse_braid_word(args.braid, args.strands, allow_empty=args.allow_empty)
-
-
-def _format_phase(turns: int, radians: bool) -> str:
-    """The phase 2*pi*turns as a multiple of pi, or as a float under --radians."""
-    if radians:
-        return repr(2.0 * math.pi * turns)
+def _format_phase(turns: int) -> str:
+    """The phase 2*pi*turns as a multiple of pi."""
     return f"{2 * turns}π" if turns else "0"
 
 
@@ -142,7 +135,7 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    braid = _braid_from_args(args)
+    braid = parse_braid_word(args.braid, args.strands)
     word, crossings = closure_diagram(braid, insert_vertices=args.vertices == "auto")
     vertex_count = sum(1 for v in word if v.role is Role.THROUGH)
     print(f"crossings: {len(crossings)}")
@@ -155,7 +148,7 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     from .invariants import alexander_from_braid
 
-    braid = _braid_from_args(args)
+    braid = parse_braid_word(args.braid, args.strands)
     poly = alexander_from_braid(braid)
     # The winding count is exact, so the fewest samples annular_embed
     # accepts (three per turn) give the phase of any finer sampling.
@@ -163,7 +156,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     determinant = abs(poly.evaluate(-1))
     print(f"alexander: {poly}")
     print(f"writhe: {braid.exponent_sum}")
-    print(f"phase: {_format_phase(turns, args.radians)}")
+    print(f"phase: {_format_phase(turns)}")
     print(f"determinant: {determinant}")
     return 0
 
@@ -231,7 +224,8 @@ def cmd_check_fixture(args: argparse.Namespace) -> int:
 def cmd_embed(args: argparse.Namespace) -> int:
     if args.markers is not None and os.path.realpath(args.markers) == os.path.realpath(args.out):
         raise SamePathError(f"--out and --markers name one file: {args.markers}")
-    embedding = annular_embed(_braid_from_args(args), args.radii, slots_per_letter=args.points_per_slot)
+    braid = parse_braid_word(args.braid, args.strands)
+    embedding = annular_embed(braid, args.radii, slots_per_letter=args.points_per_slot)
     turns = winding_number(embedding)  # before writing, so a failed run leaves no file
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("loop,x,y\n")
@@ -247,7 +241,7 @@ def cmd_embed(args: argparse.Namespace) -> int:
                 (x, y), (odx, ody), (udx, udy) = m.point, m.over_direction, m.under_direction
                 fh.write(f"{m.crossing},{m.sign},{x!r},{y!r},{odx!r},{ody!r},{udx!r},{udy!r}\n")
         lines.append(f"wrote {len(embedding.markers)} markers to {args.markers}")
-    lines.append(f"phase: {_format_phase(turns, args.radians)}")
+    lines.append(f"phase: {_format_phase(turns)}")
     print("\n".join(lines))  # after every write, so a failed run prints nothing
     return 0
 
@@ -259,7 +253,6 @@ def _add_braid_args(parser: argparse.ArgumentParser) -> None:
         help="braid word, signed generator indices",
     )
     parser.add_argument("--strands", type=int, default=3, help="number of strands")
-    parser.add_argument("--allow-empty", action="store_true", help="accept the empty braid word")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="alexander polynomial, writhe, winding phase")
     _add_braid_args(p)
-    p.add_argument("--radians", action="store_true", help="print the phase as a raw float")
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("traverse", help="one traversal table of the main diagram")
@@ -307,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--markers", default=None, help="crossing marker CSV path (written after --out)")
     p.add_argument("--radii", type=radii_list, help="comma separated radii (default 1..strands)")
     p.add_argument("--points-per-slot", type=positive_int, default=64)
-    p.add_argument("--radians", action="store_true")
     p.set_defaults(func=cmd_embed)
 
     return parser

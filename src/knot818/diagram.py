@@ -18,6 +18,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional, Sequence
 
+from .errors import clip
+
 
 class Role(Enum):
     """How the strand meets a site on one visit."""
@@ -177,7 +179,7 @@ def visit_problem(label: str, roles: Sequence[Role]) -> Optional[str]:
         return None
     got = ", ".join(sorted(r.value for r in roles))
     expected = ", ".join(r.value for r in orders[0])
-    return f"site {label} visited as ({got}), expected ({expected})"
+    return f"site {clip(label)} visited as ({got}), expected ({expected})"
 
 
 def validate_word(word: DiagramWord) -> list[str]:

@@ -16,3 +16,13 @@ class UsageError(Knot818Error):
 
 class DomainError(Knot818Error):
     """Well-formed input outside a precondition (exit 3)."""
+
+
+ECHO_LIMIT = 40
+
+
+def clip(text: str) -> str:
+    """Outside text for an error message: its first ECHO_LIMIT characters and its length if longer."""
+    if len(text) <= ECHO_LIMIT:
+        return text
+    return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"

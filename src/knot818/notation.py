@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, InvalidBraidError, first_bad_letter
 from .diagram import _ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
-from .errors import UsageError
+from .errors import UsageError, clip
 
 
 class NotationError(UsageError, ValueError):
@@ -54,13 +54,13 @@ def parse_extended_gauss(text: str) -> DiagramWord:
         role = _PREFIX_ROLE.get(token[:1])
         label = token[1:]
         if role is None or not label:
-            raise UnknownTokenError(idx, f"unrecognized token {token!r}")
+            raise UnknownTokenError(idx, f"unrecognized token {clip(repr(token))}")
         try:
             cls = site_class(label)
         except ValueError:
-            raise UnknownTokenError(idx, f"unrecognized label in token {token!r}") from None
+            raise UnknownTokenError(idx, f"unrecognized label in token {clip(repr(token))}") from None
         if (cls is SiteClass.BRANCH_CENTER) != (role is Role.THROUGH):
-            raise RoleMismatchError(idx, f"role prefix {token[0]!r} does not fit site {label!r}")
+            raise RoleMismatchError(idx, f"role prefix {token[0]!r} does not fit site {clip(repr(label))}")
         visits.append(Visit(label, role))
         roles.setdefault(label, []).append(role)
 
@@ -110,27 +110,26 @@ class BraidTextError(UsageError, ValueError):
 
 class NonIntegerLetterError(BraidTextError):
     def __init__(self, token_index: int, token: str) -> None:
-        super().__init__(f"token {token_index}: {token!r} is not an integer")
+        super().__init__(f"token {token_index}: {clip(repr(token))} is not an integer")
         self.token_index = token_index
 
 
 class LetterOutOfRangeError(BraidTextError):
     def __init__(self, token_index: int, letter: int, strands: int) -> None:
-        super().__init__(f"token {token_index}: letter {letter} out of range for {strands} strands")
+        super().__init__(f"token {token_index}: letter {clip(str(letter))} out of range for {strands} strands")
         self.token_index = token_index
 
 
 class EmptyBraidError(BraidTextError):
-    def __init__(self) -> None:
-        super().__init__("empty braid word (pass --allow-empty or allow_empty=True for the trivial braid)")
+    """Braid text with no letter."""
 
 
-def parse_braid_word(text: str, strands: int, allow_empty: bool = False) -> BraidWord:
-    """Parse whitespace-separated signed generator indices."""
+def parse_braid_word(text: str, strands: int) -> BraidWord:
+    """Parse whitespace-separated signed generator indices, at least one."""
     BraidWord(strands)  # the strand rule, before any token is read
     tokens = text.split()
-    if not tokens and not allow_empty:
-        raise EmptyBraidError()
+    if not tokens:
+        raise EmptyBraidError("empty braid word")
     letters = []
     for token in tokens:
         try:

@@ -30,7 +30,7 @@ from .diagram import (
     Role,
     canonical_818,
 )
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, clip
 
 
 class InvalidStartSpecError(UsageError, ValueError):
@@ -90,7 +90,7 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
 
     def __new__(cls, site: str, direction: Direction, entry_role: Optional[Role] = None) -> "StartSpec":
         if site not in LETTER_SITES:
-            raise InvalidStartSpecError(f"start site must be one of A..L, got {site!r}")
+            raise InvalidStartSpecError(f"start site must be one of A..L, got {clip(repr(site))}")
         if site in BRANCH_SITES:
             if entry_role is not None:
                 raise InvalidStartSpecError(f"branch start {site} takes no entry role")
@@ -297,11 +297,11 @@ def _row_slot(lineno: int, site: str, role_name: str) -> int:
     if slot is not None:
         return slot
     if site not in LETTER_SITES:
-        raise FixtureParseError(f"line {lineno}: unknown site {site!r}")
+        raise FixtureParseError(f"line {lineno}: unknown site {clip(repr(site))}")
     try:
         Role(role_name)
     except ValueError:
-        raise FixtureParseError(f"line {lineno}: unknown role {role_name!r}") from None
+        raise FixtureParseError(f"line {lineno}: unknown role {clip(repr(role_name))}") from None
     raise FixtureParseError(f"line {lineno}: role {role_name!r} does not fit site {site!r}")
 
 
@@ -309,7 +309,7 @@ def _parse_int(lineno: int, text: str, column: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise FixtureParseError(f"line {lineno}: {column} {text!r} is not an integer") from None
+        raise FixtureParseError(f"line {lineno}: {column} {clip(repr(text))} is not an integer") from None
 
 
 def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
@@ -339,7 +339,7 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
         if entries is None:
             entries = cases[case_id] = [None] * len(TABLE_KEYS)
         if entries[slot] is not None:
-            raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {case_id}")
+            raise FixtureParseError(f"line {lineno}: duplicate entry {site} {role_name} in case {clip(case_id)}")
         entries[slot] = value
     if not cases:
         raise FixtureParseError("line 1: no cases")
@@ -347,7 +347,7 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
         missing = entries.count(None)
         if missing:
             raise FixtureParseError(
-                f"line {lineno}: case {case_id} incomplete"
+                f"line {lineno}: case {clip(case_id)} incomplete"
                 f" ({len(TABLE_KEYS) - missing} of {len(TABLE_KEYS)} entries)"
             )
     return tuple(FixtureCase(case_id, tuple(entries)) for case_id, entries in cases.items())
@@ -383,7 +383,7 @@ def apply_errata(case: FixtureCase, rows: Sequence[tuple[str, Role, int, int]]) 
         slot = _SLOT[(site, role)]
         if values[slot] != original:
             raise FixtureParseError(
-                f"erratum for case {case.case_id} expects {site} {role} = {original}, fixture has {values[slot]}"
+                f"erratum for case {clip(case.case_id)} expects {site} {role} = {original}, fixture has {values[slot]}"
             )
         values[slot] = corrected
     return FixtureCase(case.case_id, tuple(values))
@@ -453,7 +453,7 @@ def check_fixture(
     case_ids = {case.case_id for case in fixture}
     for case_id in errata:
         if case_id not in case_ids:
-            raise FixtureParseError(f"erratum for case {case_id}: the fixture has no such case")
+            raise FixtureParseError(f"erratum for case {clip(case_id)}: the fixture has no such case")
     corrected = [apply_errata(case, errata[case.case_id]) if case.case_id in errata else None for case in fixture]
     by_values: dict[tuple[int, ...], TraversalTable] = {}
     for table in with_mirrors(ensemble):

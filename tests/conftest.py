@@ -39,6 +39,11 @@ def load_script(name: str):
     return module
 
 
+def cut(text: str) -> str:
+    """How an error message shows quoted text longer than 40 characters."""
+    return f"{text[:40]}... ({len(text)} characters)"
+
+
 class MultiLoopError(ValueError):
     """One polyline asked of an embedding with other than one loop."""
 
@@ -167,7 +172,7 @@ valid_words = st.builds(
 )
 
 
-def braid_words(max_strands: int = 4, max_len: int = 8):
+def braid_words(max_strands: int = 4, min_len: int = 0, max_len: int = 8):
     """Strategy for arbitrary braid words (closures may be links)."""
 
     def build(strands: int, signs_and_indices: list[tuple[bool, int]]) -> BraidWord:
@@ -179,7 +184,7 @@ def braid_words(max_strands: int = 4, max_len: int = 8):
     return st.builds(
         build,
         st.integers(2, max_strands),
-        st.lists(st.tuples(st.booleans(), st.integers(0, 10)), max_size=max_len),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 10)), min_size=min_len, max_size=max_len),
     )
 
 

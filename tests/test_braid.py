@@ -15,6 +15,7 @@ from conftest import (
     crossing_sign_from_geometry,
     polyline,
 )
+from knot818 import braid as braid_module
 from knot818.braid import (
     BRAID_818,
     AnnularEmbedding,
@@ -215,10 +216,13 @@ def test_bad_radii():
         ],
         # Under three samples per turn the polyline can wind less than
         # the curve: one letter at 1 or 2 samples gave 0 or 2*pi, not 4*pi.
+        # The empty word has no turn to sample at all.
         *[
             pytest.param(braid, slots, f"slots_per_letter * letters must be at least 3, got {slots} * {len(braid)}",
                          id=f"{slots}x{len(braid)}-letters")
-            for braid, slots in ((BraidWord(2, (1,)), 1), (BraidWord(2, (1,)), 2), (BraidWord(3, (1, -2)), 1))
+            for braid, slots in (
+                (BraidWord(2, (1,)), 1), (BraidWord(2, (1,)), 2), (BraidWord(3, (1, -2)), 1), (BraidWord(2, ()), 64)
+            )
         ],
     ],
 )
@@ -227,6 +231,15 @@ def test_bad_sampling(braid, slots, message):
         annular_embed(braid, tuple(range(1, braid.strands + 1)), slots_per_letter=slots)
     assert type(exc.value) is BadSamplingError
     assert str(exc.value) == message
+
+
+def test_sample_cap_comes_before_any_allocation(monkeypatch):
+    # With the cap lowered, an embedding a missing check would build is small.
+    monkeypatch.setattr(braid_module, "MAX_SAMPLES", 47)
+    assert len(annular_embed(BRAID_818, slots_per_letter=1).loops[0]) == 3 * 8 + 1
+    with pytest.raises(BadSamplingError) as exc:
+        annular_embed(BRAID_818, radii=(), slots_per_letter=2)  # the bad radii are never looked at
+    assert str(exc.value) == "strands * letters * slots_per_letter must be at most 47, got 3 * 8 * 2"
 
 
 @pytest.mark.parametrize("braid, slots", [(BraidWord(2, (1,)), 3), (BraidWord(3, (1, -2)), 2), (BRAID_818, 1)])
@@ -317,7 +330,7 @@ def embedding_cases(draw):
     Radii are either 1..n or cumulative sums of distinct non-integer
     steps, so that every (entry, exit) radius profile differs.
     """
-    braid = draw(braid_words(max_strands=5, max_len=10).filter(lambda b: b.letters))
+    braid = draw(braid_words(max_strands=5, min_len=1, max_len=10))
     if draw(st.booleans()):
         radii = tuple(float(r) for r in range(1, braid.strands + 1))
     else:
@@ -357,17 +370,13 @@ def test_main_embedding_is_one_closed_loop():
         assert 1.0 - 1e-9 <= r <= 3.0 + 1e-9
 
 
-def test_empty_braid_embeds_as_circles():
-    emb = annular_embed(BraidWord(2, ()), (1.0, 2.0))
+def test_link_embedding_has_no_single_polyline():
+    emb = annular_embed(BraidWord(2, (1, 1)), (1.0, 2.0), slots_per_letter=4)
     assert len(emb.loops) == 2
     with pytest.raises(MultiLoopError) as exc:
         polyline(emb)
     assert type(exc.value) is MultiLoopError
     assert str(exc.value) == "embedding has 2 loops, not a single polyline"
-    for pts, radius in zip(emb.loops, (1.0, 2.0)):
-        assert pts[0] == pts[-1]
-        for x, y in pts:
-            assert math.hypot(x, y) == pytest.approx(radius, abs=1e-12)
 
 
 def test_quarter_turn_point_symmetry():
@@ -410,7 +419,7 @@ def test_main_winding_phase():
     assert winding_phase(emb) == 6 * math.pi == 18.84955592153876
 
 
-@given(braid_words())
+@given(braid_words(min_len=1))
 @settings(max_examples=40, deadline=None)
 def test_winding_counts_every_strand(braid):
     emb = annular_embed(braid, tuple(range(1, braid.strands + 1)), slots_per_letter=4)

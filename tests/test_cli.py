@@ -7,8 +7,9 @@ import hashlib
 import importlib
 import io
 import json
-import math
 import pkgutil
+import re
+import shlex
 import subprocess
 import sys
 import types
@@ -16,13 +17,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from conftest import crossing_sign_from_geometry, knot_braids
+from conftest import crossing_sign_from_geometry, cut, knot_braids
 import knot818
 from knot818 import cli, invariants
 from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
-from knot818.errors import DomainError, Knot818Error, UsageError
+from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip
 from knot818.invariants import ZeroPolynomialError
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
 
@@ -71,27 +71,18 @@ def test_invariants_defaults(capsys):
     ]
 
 
-def test_invariants_radians(capsys):
-    code, out, _ = run(capsys, "invariants", "--radians")
-    assert code == 0
-    phase_line = next(l for l in out.splitlines() if l.startswith("phase:"))
-    assert phase_line == "phase: 18.84955592153876"  # 2.0 * math.pi * 3, exactly
-
-
-
-
-@given(knot_braids(max_strands=5), st.booleans())
-@example(BraidWord(2, (1,)), False)
-@example(BraidWord(2, (1, 1, 1)), True)
-@example(BraidWord(3, (1, 2)), False)
+@given(knot_braids(max_strands=5))
+@example(BraidWord(2, (1,)))
+@example(BraidWord(2, (1, 1, 1)))
+@example(BraidWord(3, (1, 2)))
 @settings(max_examples=40, deadline=None)
-def test_invariants_phase_matches_a_64_slot_embedding(braid, radians):
+def test_invariants_phase_matches_a_64_slot_embedding(braid):
     argv = ["invariants", "--braid", " ".join(map(str, braid.letters)), "--strands", str(braid.strands)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert cli.main(argv + ["--radians"] * radians) == 0
+        assert cli.main(argv) == 0
     turns = winding_number(annular_embed(braid, slots_per_letter=64))
-    expected = repr(2.0 * math.pi * turns) if radians else f"{2 * turns}π" if turns else "0"
+    expected = f"{2 * turns}π" if turns else "0"
     assert out.getvalue().splitlines()[2] == f"phase: {expected}"
 
 
@@ -242,6 +233,27 @@ def test_embed_marker_signs_read_back(capsys, tmp_path, braid, extra):
         assert int(sign) == (1 if braid.letters[int(crossing)] > 0 else -1)
 
 
+def _readme_commands():
+    """Each ``$ knot818 ...`` block of README.md: its arguments and the lines it shows."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = []
+    for block in readme.split("```")[1::2]:  # the fenced blocks
+        for chunk in block.split("\n$ knot818 ")[1:]:
+            command, *shown = chunk.strip("\n").split("\n")
+            blocks.append(pytest.param(shlex.split(command), shown, id=command))
+    return blocks
+
+
+@pytest.mark.parametrize("argv, shown", _readme_commands())
+def test_readme_tour_prints_what_it_shows(capsys, monkeypatch, tmp_path, argv, shown):
+    # A "..." line stands for any run of lines.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    pattern = "".join("(?:.*\n)*?" if line == "..." else re.escape(line) + "\n" for line in shown)
+    assert re.fullmatch(pattern, out), out
+
+
 def test_option_surface_is_pinned():
     # Every option each subcommand accepts, the positional fixture path
     # included: a new option or environment knob lands only with an edit here.
@@ -255,16 +267,16 @@ def test_option_surface_is_pinned():
         }
         for command, parser in subparsers.choices.items()
     }
-    braid = {"--braid", "--strands", "--allow-empty"}
+    braid = {"--braid", "--strands"}
     assert surface == {
         "build": braid | {"--vertices"},
-        "invariants": braid | {"--radians"},
+        "invariants": braid,
         "traverse": {"--start", "--dir", "--role", "--format"},
         "analyze": {"--ensemble", "--state", "--format"},
         "check-fixture": {"fixture", "--errata"},
-        "embed": braid | {"--out", "--markers", "--radii", "--points-per-slot", "--radians"},
+        "embed": braid | {"--out", "--markers", "--radii", "--points-per-slot"},
     }
-    assert sum(map(len, surface.values())) == 25
+    assert sum(map(len, surface.values())) == 20
 
 
 def _usage_error(command, message):
@@ -282,6 +294,11 @@ def fails(name, argv, code, stderr, leaves=()):
 
 OUT = ["--out", "{tmp}/x.csv"]
 LONG_LINK = " ".join(["1"] * 600)
+# Outside text an error quotes is cut (conftest.cut) to its first 40 characters.
+LONG_X = "x" * 20_000
+LONG_LETTER = "1" + "0" * 3_999
+LONG_RADII = ",".join(["1"] * 2_500)
+
 
 # Every failure path of the command line: (argv, exit code, exact stderr,
 # the files the failed run leaves).  "{tmp}" stands for the directory of
@@ -289,10 +306,13 @@ LONG_LINK = " ".join(["1"] * 600)
 FAILURES = [
     # UsageError, exit 2
     fails("non-integer-letter", ["build", "--braid", "1 x"], 2, "error: token 1: 'x' is not an integer\n"),
-    fails("empty-braid", ["build", "--braid", ""], 2,
-          "error: empty braid word (pass --allow-empty or allow_empty=True for the trivial braid)\n"),
+    fails("empty-braid", ["build", "--braid", ""], 2, "error: empty braid word\n"),
     fails("letter-out-of-range", ["build", "--braid", "1 5"], 2,
           "error: token 1: letter 5 out of range for 3 strands\n"),
+    fails("long-non-integer-letter", ["build", "--braid", LONG_X], 2,
+          f"error: token 0: {cut(repr(LONG_X))} is not an integer\n"),
+    fails("long-letter-out-of-range", ["build", "--braid", LONG_LETTER], 2,
+          f"error: token 0: letter {cut(LONG_LETTER)} out of range for 3 strands\n"),
     # The strand rule comes before any letter.
     *[
         fails(f"build-strands-{n}-with-a-letter", ["build", "--strands", n, "--braid", "1"], 2,
@@ -300,7 +320,7 @@ FAILURES = [
         for n in ("0", "1")
     ],
     *[
-        fails(f"{command}-strands-{n}", [command, "--strands", n, "--braid", "", "--allow-empty", *extra], 2,
+        fails(f"{command}-strands-{n}", [command, "--strands", n, "--braid", "", *extra], 2,
               "error: a braid needs at least 2 strands\n")
         for command, n, extra in [
             ("build", "1", []), ("build", "-5", []), ("invariants", "1", []), ("embed", "1", OUT),
@@ -312,9 +332,25 @@ FAILURES = [
     fails("analyze-bad-state", ["analyze", "--state", "K"], 2, "error: state must be SITE,DIR[,ROLE], got 'K'\n"),
     fails("analyze-bad-direction", ["analyze", "--state", "K,up"], 2,
           "error: direction must be cw or ccw, got 'up'\n"),
+    fails("long-analyze-state", ["analyze", "--state", LONG_X[:10_000]], 2,
+          f"error: state must be SITE,DIR[,ROLE], got {cut(repr(LONG_X[:10_000]))}\n"),
+    fails("long-analyze-direction", ["analyze", "--state", f"K,{LONG_X}"], 2,
+          f"error: direction must be cw or ccw, got {cut(repr(LONG_X))}\n"),
+    fails("long-analyze-role", ["analyze", "--state", f"A,cw,{LONG_X}"], 2,
+          f"error: entry role must be over or under, got {cut(repr(LONG_X))}\n"),
+    fails("long-traverse-site", ["traverse", "--start", LONG_X], 2,
+          f"error: start site must be one of A..L, got {cut(repr(LONG_X.upper()))}\n"),
     fails("check-fixture-bad-header", ["check-fixture", "{tmp}/bad_header.csv"], 2,
           "error: line 1: expected header case,site,role,value\n"),
     fails("check-fixture-header-only", ["check-fixture", "{tmp}/header_only.csv"], 2, "error: line 1: no cases\n"),
+    fails("long-check-fixture-site", ["check-fixture", "{tmp}/long_site.csv"], 2,
+          f"error: line 2: unknown site {cut(repr(LONG_X))}\n"),
+    fails("long-check-fixture-value", ["check-fixture", "{tmp}/long_value.csv"], 2,
+          f"error: line 2: value {cut(repr(LONG_X))} is not an integer\n"),
+    fails("long-check-fixture-case", ["check-fixture", "{tmp}/long_case.csv"], 2,
+          f"error: line 2: case {cut(LONG_X)} incomplete (1 of 20 entries)\n"),
+    fails("long-errata-case", ["check-fixture", "--errata", "{tmp}/long_case_errata.csv"], 2,
+          f"error: erratum for case {cut(LONG_X)}: the fixture has no such case\n"),
     fails("check-fixture-not-utf8", ["check-fixture", "{tmp}/not_utf8.csv"], 2,
           "error: {tmp}/not_utf8.csv: not UTF-8 text\n"),
     fails("errata-not-utf8", ["check-fixture", "--errata", "{tmp}/not_utf8.csv"], 2,
@@ -356,6 +392,8 @@ FAILURES = [
           _usage_error("analyze", "argument --state: not allowed with argument --ensemble")),
     fails("embed-unparseable-radii", ["embed", *OUT, "--radii", "1;2;3"], 2,
           _usage_error("embed", "argument --radii: bad radii list '1;2;3'")),
+    fails("long-embed-unparseable-radii", ["embed", *OUT, "--radii", LONG_RADII + ";"], 2,
+          _usage_error("embed", f"argument --radii: bad radii list {cut(repr(LONG_RADII + ';'))}")),
     *[
         fails(f"embed-points-per-slot-{value}", ["embed", *OUT, "--points-per-slot", value], 2,
               _usage_error("embed", f"argument --points-per-slot: {message}"))
@@ -365,6 +403,12 @@ FAILURES = [
             ("x", "expected a positive integer, got 'x'"),
         ]
     ],
+    fails("long-embed-points-per-slot", ["embed", *OUT, "--points-per-slot", LONG_X], 2,
+          _usage_error("embed", "argument --points-per-slot: expected a positive integer,"
+                       f" got {cut(repr(LONG_X))}")),
+    fails("long-embed-negative-points-per-slot", ["embed", *OUT, "--points-per-slot", f"-{LONG_LETTER}"], 2,
+          _usage_error("embed", "argument --points-per-slot: must be at least 1,"
+                       f" got {cut('-' + LONG_LETTER)}")),
     # DomainError, exit 3
     fails("build-not-a-knot", ["build", "--braid", "1 1", "--strands", "2"], 3,
           "error: closure of a 2-letter braid on 2 strands has 2 components, so it is not a knot\n"),
@@ -381,6 +425,8 @@ FAILURES = [
             ("1,2,inf", "(1.0, 2.0, inf)"),
         ]
     ],
+    fails("long-embed-radii", ["embed", *OUT, "--braid", "1 2", "--radii", LONG_RADII], 3,
+          f"error: need 3 finite positive strictly increasing radii, got {cut(repr((1.0,) * 2_500))}\n"),
     fails("embed-origin-on-curve", ["embed", *OUT, "--radii", "1e-13,2e-13,3e-13"], 3,
           "error: polyline vertex at the winding center\n"),
     *[
@@ -388,7 +434,24 @@ FAILURES = [
               f"error: slots_per_letter * letters must be at least 3, got {n} * 1\n")
         for n in ("1", "2")
     ],
+    # One sample over MAX_SAMPLES, rejected before anything is sampled.
+    fails("embed-over-the-sample-cap",
+          ["embed", *OUT, "--strands", "2", "--braid", "1", "--points-per-slot", "1000001"], 3,
+          "error: strands * letters * slots_per_letter must be at most 2000000, got 2 * 1 * 1000001\n"),
 ]
+
+
+def test_long_inputs_print_a_short_line():
+    long_rows = [row for row in FAILURES if row.id.startswith("long-")]
+    assert len(long_rows) == 14
+    for row in long_rows:
+        _argv, _code, stderr, _leaves = row.values
+        assert len(stderr.splitlines()[-1]) <= 160, row.id
+
+
+def test_clip_keeps_short_text_and_cuts_long_text():
+    assert clip("x" * ECHO_LIMIT) == "x" * ECHO_LIMIT
+    assert clip("x" * (ECHO_LIMIT + 1)) == f"{'x' * ECHO_LIMIT}... ({ECHO_LIMIT + 1} characters)"
 
 
 @pytest.fixture
@@ -396,12 +459,17 @@ def failure_files(tmp_path):
     (tmp_path / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
     (tmp_path / "header_only.csv").write_text("case,site,role,value\n", encoding="utf-8")
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
+    for name, row in [
+        ("long_site", f"a,{LONG_X},over,1"), ("long_value", f"a,A,over,{LONG_X}"), ("long_case", f"{LONG_X},A,over,1"),
+    ]:
+        (tmp_path / f"{name}.csv").write_text(f"case,site,role,value\n{row}\n", encoding="utf-8")
     header = "case,site,role,value,corrected_value\n"
     for name, rows in [
         ("wrong_errata", ["h,D,over,13,2"]),
         ("three_row_errata", ["h,D,over,12,2", "z,D,over,13,2", "a,A,over,99,5"]),
         ("unknown_case_errata", ["z,D,over,13,2"]),
         ("raw_match_errata", ["a,A,over,99,5"]),
+        ("long_case_errata", [f"{LONG_X},D,over,13,2"]),
     ]:
         (tmp_path / f"{name}.csv").write_text(header + "".join(f"{row}\n" for row in rows), encoding="utf-8")
     return tmp_path

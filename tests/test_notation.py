@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import knot_braids, valid_words
+from conftest import cut, knot_braids, valid_words
 from knot818.braid import BRAID_818, BraidWord, closure_diagram
 from knot818.diagram import DiagramWord, Role, Visit, canonical_818
 from knot818.notation import (
@@ -98,6 +98,27 @@ def test_multiplicity_branch_twice():
     assert str(info.value) == "token 1: site K visited as (through, through), expected (through)"
 
 
+LONG_DIGITS = "1" * 5_000
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        (f"O1 U1 X{LONG_DIGITS}", UnknownTokenError, f"token 2: unrecognized token {cut(repr('X' + LONG_DIGITS))}"),
+        (f"O1 U1 O{LONG_DIGITS}x", UnknownTokenError,
+         f"token 2: unrecognized label in token {cut(repr('O' + LONG_DIGITS + 'x'))}"),
+        (f"V{LONG_DIGITS}", RoleMismatchError, f"token 0: role prefix 'V' does not fit site {cut(repr(LONG_DIGITS))}"),
+        (f"O{LONG_DIGITS}", MultiplicityError,
+         f"token 0: site {cut(LONG_DIGITS)} visited as (over), expected (over, under)"),
+    ],
+    ids=["token", "label", "role", "multiplicity"],
+)
+def test_notation_errors_quote_a_long_token_in_short(text, error, message):
+    with pytest.raises(error) as info:
+        parse_extended_gauss(text)
+    assert str(info.value) == message
+
+
 def test_notation_errors_are_value_errors():
     assert issubclass(NotationError, ValueError)
     assert issubclass(BraidTextError, ValueError)
@@ -186,6 +207,7 @@ def test_parse_braid_word_reports_the_first_bad_token():
 
 
 def test_parse_braid_word_empty():
-    with pytest.raises(EmptyBraidError):
-        parse_braid_word("   ", strands=3)
-    assert parse_braid_word("", strands=4, allow_empty=True) == BraidWord(4, ())
+    for text in ("", "   "):
+        with pytest.raises(EmptyBraidError) as info:
+            parse_braid_word(text, strands=3)
+        assert str(info.value) == "empty braid word"
