@@ -13,21 +13,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .diagram import BRANCH_SITES, INNER_SITES, OUTER_SITES, SiteClass
+from .diagram import CLASS_SITES, SiteClass
 from .errors import DomainError
 from .traversal import TABLE_KEYS, EmptyEnsembleError, StateEnsemble, TraversalTable
 
 
 class IncompleteAllocationError(DomainError, ValueError):
     """Totals are missing one or more of the twelve sites."""
-
-
-# Report order: branch centers, outer shoulders, inner shoulders.
-CLASS_SITES = (
-    (SiteClass.BRANCH_CENTER, BRANCH_SITES),
-    (SiteClass.OUTER_SHOULDER, OUTER_SITES),
-    (SiteClass.INNER_SHOULDER, INNER_SITES),
-)
 
 
 class SiteAllocation(NamedTuple):

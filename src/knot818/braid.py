@@ -42,6 +42,10 @@ class NotAKnotError(DomainError, ValueError):
     """Closure has more than one component."""
 
 
+class LongWalkError(DomainError, ValueError):
+    """The closure walk would store more than MAX_SAMPLES positions."""
+
+
 class BadRadiiError(DomainError, ValueError):
     """Radii must be finite, positive, strictly increasing, one per strand."""
 
@@ -140,15 +144,23 @@ def require_knot_closure(braid: BraidWord) -> list[int]:
 
     Raises :class:`NotAKnotError` unless the closure is a single knot.
     The message gives sizes, not the word, so it stays short however
-    long the word is.
+    long the word is.  Both bounds come before the walk stores its
+    strands * letters positions: fewer than strands - 1 letters, and
+    more than :data:`MAX_SAMPLES` positions (:class:`LongWalkError`).
     """
-    loops = _walk_loops(braid)
-    if len(loops) != 1:
-        raise NotAKnotError(
-            f"closure of a {len(braid)}-letter braid on {braid.strands} strands"
-            f" has {len(loops)} components, so it is not a knot"
-        )
-    return loops[0]
+    letters, strands = len(braid), braid.strands
+    if letters < strands - 1:  # L transpositions leave at least n - L cycles
+        components = f"at least {strands - letters}"
+    elif strands * letters > MAX_SAMPLES:
+        raise LongWalkError(f"strands * letters must be at most {MAX_SAMPLES}, got {strands} * {letters}")
+    else:
+        loops = _walk_loops(braid)
+        if len(loops) == 1:
+            return loops[0]
+        components = str(len(loops))
+    raise NotAKnotError(
+        f"closure of a {letters}-letter braid on {strands} strands has {components} components, so it is not a knot"
+    )
 
 
 # The main diagram: four turns of the alternating two-generator pattern.
@@ -289,7 +301,9 @@ class AnnularEmbedding(NamedTuple):
     markers: tuple[CrossingMarker, ...] = ()
 
 
-MAX_SAMPLES = 2_000_000  # at about 150 bytes each, some 300 MB
+# The most samples an embedding takes (at about 150 bytes each, some
+# 300 MB), and the most positions a closure walk stores.
+MAX_SAMPLES = 2_000_000
 
 
 def annular_embed(

@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
 
 from .braid import BRAID_818, annular_embed, closure_diagram, winding_number, writhe
 from .diagram import Role
@@ -29,6 +29,24 @@ if TYPE_CHECKING:  # each command imports these only when it runs
 
 class SamePathError(UsageError, ValueError):
     """--out and --markers name one file, so the markers would overwrite the points."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with the value an invalid-choice message echoes clipped."""
+
+    def _check_value(self, action, value):
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            raise argparse.ArgumentError(action, exc.message.replace(repr(value), clip(repr(value)), 1)) from None
+
+
+def clipped_int(text: str) -> int:
+    """argparse type ``int``, with the text its error echoes clipped."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
 
 
 def positive_int(text: str) -> int:
@@ -50,26 +68,6 @@ def radii_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad radii list {clip(repr(text))}") from None
 
 
-def _parse_state(text: str) -> trav.StartSpec:
-    from . import traversal as trav
-
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) not in (2, 3) or not all(parts):
-        raise trav.InvalidStartSpecError(f"state must be SITE,DIR[,ROLE], got {clip(repr(text))}")
-    site = parts[0].upper()
-    try:
-        direction = trav.Direction(parts[1].lower())
-    except ValueError:
-        raise trav.InvalidStartSpecError(f"direction must be cw or ccw, got {clip(repr(parts[1]))}") from None
-    role = None
-    if len(parts) == 3:
-        name = parts[2].lower()
-        if name not in ("over", "under"):
-            raise trav.InvalidStartSpecError(f"entry role must be over or under, got {clip(repr(parts[2]))}")
-        role = Role(name)
-    return trav.StartSpec(site, direction, role)
-
-
 def _format_phase(turns: int) -> str:
     """The phase 2*pi*turns as a multiple of pi."""
     return f"{2 * turns}π" if turns else "0"
@@ -81,11 +79,16 @@ def _write_json(payload: dict) -> None:
     sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _write_csv(out: TextIO, header: str, rows: Iterable[Iterable]) -> None:
+    """The header line, then one comma-joined line per row, written as each row comes."""
+    out.write(header + "\n")
+    for row in rows:
+        out.write(",".join(map(str, row)) + "\n")
+
+
 def _print_table(table: trav.TraversalTable, fmt: str) -> None:
     if fmt == "csv":
-        sys.stdout.write("site,role,value\n")
-        for site, role, value in table.entries:
-            sys.stdout.write(f"{site},{role},{value}\n")
+        _write_csv(sys.stdout, "site,role,value", table.entries)
     elif fmt == "json":
         _write_json({
             "start": str(table.start),
@@ -103,10 +106,8 @@ def _print_table(table: trav.TraversalTable, fmt: str) -> None:
 
 def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> None:
     if fmt == "csv":
-        sys.stdout.write("class,site,total\n")
-        for cls in report.classes:
-            for site, total in cls.entries:
-                sys.stdout.write(f"{cls.site_class},{site},{total}\n")
+        rows = ((cls.site_class, site, total) for cls in report.classes for site, total in cls.entries)
+        _write_csv(sys.stdout, "class,site,total", rows)
     elif fmt == "json":
         _write_json({
             "source": report.source,
@@ -187,7 +188,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import traversal as trav
 
     if args.state:
-        spec = _parse_state(args.state)
+        spec = trav.StartSpec.parse(args.state)
         table = trav.traverse(trav.canonical_818(), spec)
         allocation = alloc.site_totals(table)
     else:
@@ -228,18 +229,13 @@ def cmd_embed(args: argparse.Namespace) -> int:
     embedding = annular_embed(braid, args.radii, slots_per_letter=args.points_per_slot)
     turns = winding_number(embedding)  # before writing, so a failed run leaves no file
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write("loop,x,y\n")
-        for loop_index, loop in enumerate(embedding.loops):
-            for x, y in loop:
-                fh.write(f"{loop_index},{x!r},{y!r}\n")
+        _write_csv(fh, "loop,x,y", ((i, x, y) for i, loop in enumerate(embedding.loops) for x, y in loop))
     points = sum(len(loop) for loop in embedding.loops)
     lines = [f"wrote {points} points in {len(embedding.loops)} loop(s) to {args.out}"]
     if args.markers is not None:
         with open(args.markers, "w", encoding="utf-8", newline="") as fh:
-            fh.write("crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy\n")
-            for m in embedding.markers:
-                (x, y), (odx, ody), (udx, udy) = m.point, m.over_direction, m.under_direction
-                fh.write(f"{m.crossing},{m.sign},{x!r},{y!r},{odx!r},{ody!r},{udx!r},{udy!r}\n")
+            rows = ((m.crossing, m.sign, *m.point, *m.over_direction, *m.under_direction) for m in embedding.markers)
+            _write_csv(fh, "crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy", rows)
         lines.append(f"wrote {len(embedding.markers)} markers to {args.markers}")
     lines.append(f"phase: {_format_phase(turns)}")
     print("\n".join(lines))  # after every write, so a failed run prints nothing
@@ -252,11 +248,11 @@ def _add_braid_args(parser: argparse.ArgumentParser) -> None:
         default=" ".join(map(str, BRAID_818.letters)),
         help="braid word, signed generator indices",
     )
-    parser.add_argument("--strands", type=int, default=3, help="number of strands")
+    parser.add_argument("--strands", type=clipped_int, default=3, help="number of strands")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="knot818", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="knot818", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="walk a braid closure into a diagram word")

@@ -58,11 +58,13 @@ LETTER_SITES = INNER_SITES + OUTER_SITES + BRANCH_SITES
 
 SHOULDER_SITES = INNER_SITES + OUTER_SITES
 
-_CLASS_BY_LETTER = {
-    **{s: SiteClass.INNER_SHOULDER for s in INNER_SITES},
-    **{s: SiteClass.OUTER_SHOULDER for s in OUTER_SITES},
-    **{s: SiteClass.BRANCH_CENTER for s in BRANCH_SITES},
-}
+# The class partition of the twelve sites, in report order.
+CLASS_SITES = (
+    (SiteClass.BRANCH_CENTER, BRANCH_SITES),
+    (SiteClass.OUTER_SHOULDER, OUTER_SITES),
+    (SiteClass.INNER_SHOULDER, INNER_SITES),
+)
+_CLASS_BY_LETTER = {site: cls for cls, sites in CLASS_SITES for site in sites}
 
 # Quarter-turn of the annulus as a label permutation.  Applying it to the
 # canonical word and rotating the basepoint five visits forward yields the

@@ -81,7 +81,8 @@ def gauss_to_dt(word: DiagramWord) -> tuple[int, ...]:
 
     Crossing visits are numbered 1.. in word order; entry k of the result
     is the even partner of odd visit 2k-1, negated when that even visit
-    is the over pass.
+    is the over pass.  A crossing label that breaks the visit rule of
+    :func:`~knot818.diagram.visit_problem` raises ``ValueError`` with its diagnostic.
     """
     crossing_visits = [v for v in word if v.role is not Role.THROUGH]
     numbered: dict[str, list[tuple[int, Role]]] = {}  # site -> (visit number, role) per visit
@@ -89,8 +90,9 @@ def gauss_to_dt(word: DiagramWord) -> tuple[int, ...]:
         numbered.setdefault(site, []).append((number, role))
     partner: dict[int, tuple[str, int, Role]] = {}  # visit number -> (site, partner number, partner role)
     for site, pair in numbered.items():
-        if len(pair) != 2:
-            raise ValueError(f"crossing {site!r} visited {len(pair)} times, expected 2")
+        problem = visit_problem(site, [role for _number, role in pair])
+        if problem is not None:
+            raise ValueError(problem)
         (a, role_a), (b, role_b) = pair
         partner[a] = (site, b, role_b)
         partner[b] = (site, a, role_a)

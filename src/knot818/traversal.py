@@ -29,6 +29,7 @@ from .diagram import (
     DiagramWord,
     Role,
     canonical_818,
+    validate_word,
 )
 from .errors import DomainError, UsageError, clip
 
@@ -103,6 +104,22 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
     def _make(cls, fields: Iterable) -> "StartSpec":
         return cls(*fields)
 
+    @classmethod
+    def parse(cls, text: str) -> "StartSpec":
+        """The spec that ``SITE,DIR[,ROLE]`` text names, as :meth:`__str__` prints it."""
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) not in (2, 3) or not all(parts):
+            raise InvalidStartSpecError(f"state must be SITE,DIR[,ROLE], got {clip(repr(text))}")
+        try:
+            direction = Direction(parts[1].lower())
+        except ValueError:
+            raise InvalidStartSpecError(f"direction must be cw or ccw, got {clip(repr(parts[1]))}") from None
+        try:
+            role = Role(parts[2].lower()) if len(parts) == 3 else None
+        except ValueError:
+            raise InvalidStartSpecError(f"entry role must be over or under, got {clip(repr(parts[2]))}") from None
+        return cls(parts[0].upper(), direction, role)
+
     def __str__(self) -> str:
         if self.entry_role is None:
             return f"{self.site},{self.direction}"
@@ -126,17 +143,9 @@ class TraversalTable(NamedTuple):
 
 
 def _slots(word: DiagramWord) -> Optional[tuple[int, ...]]:
-    """The :data:`TABLE_KEYS` slot of each visit, in word order.
-
-    ``None`` unless the word is a 20-visit word of the 12-site model,
-    i.e. every key occurs exactly once.
-    """
-    if len(word) != len(TABLE_KEYS):
-        return None
-    slots = tuple(_SLOT.get(v) for v in word)
-    if None in slots or len(set(slots)) != len(TABLE_KEYS):
-        return None
-    return slots
+    """The :data:`TABLE_KEYS` slot of each visit, in word order, or ``None``
+    unless :func:`~knot818.diagram.validate_word` accepts the word."""
+    return None if validate_word(word) else tuple(_SLOT[v] for v in word)
 
 
 def _traverse(word: DiagramWord, slots: Optional[tuple[int, ...]], start: StartSpec) -> TraversalTable:

@@ -23,11 +23,13 @@ from knot818.braid import (
     BadSamplingError,
     BraidWord,
     InvalidBraidError,
+    LongWalkError,
     NotAKnotError,
     OpenLoopError,
     OriginOnCurveError,
     annular_embed,
     closure_diagram,
+    require_knot_closure,
     winding_number,
     winding_phase,
     writhe,
@@ -86,6 +88,8 @@ def _cycle_count(perm):
 @settings(max_examples=200)
 def test_components_are_the_permutation_cycles(braid):
     assert braid.closure_components == _cycle_count(closure_permutation(braid))
+    # L transpositions join at most L of the n strands' cycles.
+    assert braid.closure_components >= braid.strands - len(braid)
 
 
 def test_is_knot_closure():
@@ -109,6 +113,22 @@ def test_closure_rejects_links():
         "closure of a 600-letter braid on 2 strands has 2 components, so it is not a knot"
     )
 
+
+def test_walk_bounds_come_before_the_walk(monkeypatch):
+    # With the cap lowered, a walk a missing check would take is small.
+    monkeypatch.setattr(braid_module, "MAX_SAMPLES", 24)
+    assert len(require_knot_closure(BRAID_818)) == 3 * 8 + 1
+
+    def no_walk(_braid):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(braid_module, "_walk_loops", no_walk)
+    with pytest.raises(LongWalkError) as exc:
+        closure_diagram(BraidWord(3, BRAID_818.letters + (1,)))
+    assert str(exc.value) == "strands * letters must be at most 24, got 3 * 9"
+    with pytest.raises(NotAKnotError) as exc:
+        closure_diagram(BraidWord(5, (1, 2)))
+    assert str(exc.value) == "closure of a 2-letter braid on 5 strands has at least 3 components, so it is not a knot"
 
 def test_trefoil_closure():
     word, crossings = closure_diagram(BraidWord(2, (1, 1, 1)))

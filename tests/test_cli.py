@@ -298,6 +298,7 @@ LONG_LINK = " ".join(["1"] * 600)
 LONG_X = "x" * 20_000
 LONG_LETTER = "1" + "0" * 3_999
 LONG_RADII = ",".join(["1"] * 2_500)
+LONG_WALK = " ".join(["1"] * 2_001)  # 1000 strands * 2001 letters, one over the walk cap
 
 
 # Every failure path of the command line: (argv, exit code, exact stderr,
@@ -338,6 +339,11 @@ FAILURES = [
           f"error: direction must be cw or ccw, got {cut(repr(LONG_X))}\n"),
     fails("long-analyze-role", ["analyze", "--state", f"A,cw,{LONG_X}"], 2,
           f"error: entry role must be over or under, got {cut(repr(LONG_X))}\n"),
+    # A role that StartSpec judges, as it judges a traverse --role.
+    fails("analyze-through-at-shoulder", ["analyze", "--state", "A,cw,through"], 2,
+          "error: shoulder start A needs an over or under entry role\n"),
+    fails("analyze-through-at-branch", ["analyze", "--state", "K,cw,through"], 2,
+          "error: branch start K takes no entry role\n"),
     fails("long-traverse-site", ["traverse", "--start", LONG_X], 2,
           f"error: start site must be one of A..L, got {cut(repr(LONG_X.upper()))}\n"),
     fails("check-fixture-bad-header", ["check-fixture", "{tmp}/bad_header.csv"], 2,
@@ -388,6 +394,28 @@ FAILURES = [
           _usage_error("traverse", "the following arguments are required: --start")),
     fails("build-vertices-on", ["build", "--vertices", "on"], 2,
           _usage_error("build", "argument --vertices: invalid choice: 'on' (choose from 'auto', 'off')")),
+    fails("build-strands-x", ["build", "--strands", "x"], 2,
+          _usage_error("build", "argument --strands: invalid int value: 'x'")),
+    fails("long-build-strands", ["build", "--strands", LONG_X], 2,
+          _usage_error("build", f"argument --strands: invalid int value: {cut(repr(LONG_X))}")),
+    *[
+        fails(f"long-{command}-{option[2:]}", [command, *extra, option, LONG_X], 2,
+              _usage_error(command, f"argument {option}: invalid choice: {cut(repr(LONG_X))} (choose from {choices})"))
+        for command, extra, option, choices in [
+            ("build", [], "--vertices", "'auto', 'off'"),
+            ("traverse", ["--start", "A"], "--dir", "'cw', 'ccw'"),
+            ("traverse", ["--start", "A"], "--role", "'over', 'under'"),
+            ("traverse", ["--start", "A"], "--format", "'text', 'csv', 'json'"),
+        ]
+    ],
+    # argparse lists every choice after the clipped value, so these two
+    # lines are 197 and 171 characters long: bounded, but over a long row's 160.
+    fails("clipped-command", [LONG_X], 2,
+          _usage_error(None, f"argument command: invalid choice: {cut(repr(LONG_X))} (choose from 'build',"
+                       " 'invariants', 'traverse', 'analyze', 'check-fixture', 'embed')")),
+    fails("clipped-analyze-ensemble", ["analyze", "--ensemble", LONG_X], 2,
+          _usage_error("analyze", f"argument --ensemble: invalid choice: {cut(repr(LONG_X))}"
+                       " (choose from 'reps10', 'all40', 'with-mirrors')")),
     fails("analyze-state-and-ensemble", ["analyze", "--ensemble", "all40", "--state", "K,cw"], 2,
           _usage_error("analyze", "argument --state: not allowed with argument --ensemble")),
     fails("embed-unparseable-radii", ["embed", *OUT, "--radii", "1;2;3"], 2,
@@ -416,6 +444,17 @@ FAILURES = [
           "error: closure of a 2-letter braid on 2 strands has 2 components, so it is not a knot\n"),
     fails("invariants-long-link", ["invariants", "--braid", LONG_LINK, "--strands", "2"], 3,
           "error: closure of a 600-letter braid on 2 strands has 2 components, so it is not a knot\n"),
+    # Fewer than strands - 1 letters, or a walk of more than MAX_SAMPLES
+    # positions, is rejected before the closure is walked.
+    fails("build-too-few-letters", ["build", "--strands", "1000000", "--braid", "1"], 3,
+          "error: closure of a 1-letter braid on 1000000 strands has at least 999999 components, so it is not a knot\n"),
+    fails("invariants-too-few-letters", ["invariants", "--strands", "5", "--braid", "1 2"], 3,
+          "error: closure of a 2-letter braid on 5 strands has at least 3 components, so it is not a knot\n"),
+    *[
+        fails(f"{command}-over-the-walk-cap", [command, "--strands", "1000", "--braid", LONG_WALK], 3,
+              "error: strands * letters must be at most 2000000, got 1000 * 2001\n")
+        for command in ("build", "invariants")
+    ],
     *[
         fails(f"embed-radii-{radii}", ["embed", *OUT, "--braid", "1 2", "--radii", radii], 3,
               f"error: need 3 finite positive strictly increasing radii, got {shown}\n")
@@ -443,7 +482,7 @@ FAILURES = [
 
 def test_long_inputs_print_a_short_line():
     long_rows = [row for row in FAILURES if row.id.startswith("long-")]
-    assert len(long_rows) == 14
+    assert len(long_rows) == 19
     for row in long_rows:
         _argv, _code, stderr, _leaves = row.values
         assert len(stderr.splitlines()[-1]) <= 160, row.id

@@ -153,7 +153,7 @@ def test_visit_rule_agrees_everywhere(mutations):
         roles.setdefault(site, []).append(role)
     broken = {label for label, seen in roles.items() if visit_problem(label, seen) is not None}
 
-    # validate_word and traverse's fast slot check accept the same words.
+    # validate_word and traverse accept the same words.
     if Visit("K", Role.THROUGH) in word:
         try:
             traverse(word, StartSpec("K", Direction.CW))

@@ -169,8 +169,29 @@ def test_dt_of_every_walked_closure_pairs_odd_with_even(braid):
 
 def test_dt_rejects_odd_crossing_count():
     word = DiagramWord((Visit("1", Role.OVER), Visit("1", Role.UNDER)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^site 2 visited as \(over\), expected \(over, under\)$"):
         gauss_to_dt(DiagramWord(tuple(word) + (Visit("2", Role.OVER),)))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("O1 O1 U2 O2", r"^site 1 visited as \(over, over\), expected \(over, under\)$"),
+        ("OK UK", r"^site K visited as \(over, under\), expected \(through\)$"),
+    ],
+    ids=["over-over", "branch-letter-as-crossing"],
+)
+def test_dt_checks_the_visit_rule(text, message):
+    # The parser rejects these words too, so they are built visit by visit.
+    word = DiagramWord(Visit(token[1:], Role.OVER if token[0] == "O" else Role.UNDER) for token in text.split())
+    with pytest.raises(ValueError, match=message):
+        gauss_to_dt(word)
+
+
+def test_dt_rejects_a_crossing_met_at_two_odd_visits():
+    word = parse_extended_gauss("O1 O2 U1 U2")
+    with pytest.raises(ValueError, match="^crossing '1' pairs two odd visits; word is not a knot shadow$"):
+        gauss_to_dt(word)
 
 
 # Braid-word text.

@@ -88,6 +88,19 @@ def test_start_spec_text():
     assert str(StartSpec("A", CCW, Role.UNDER)) == "A,ccw,under"
 
 
+def test_start_spec_parses_what_it_prints():
+    for spec in all_specs():
+        assert StartSpec.parse(str(spec)) == spec
+    assert StartSpec.parse(" a , CCW , Under ") == StartSpec("A", CCW, Role.UNDER)
+    # The entry-role rule is StartSpec's own, whatever the text names.
+    with pytest.raises(InvalidStartSpecError, match="^shoulder start A needs an over or under entry role$"):
+        StartSpec.parse("A,cw,through")
+    with pytest.raises(InvalidStartSpecError, match="^branch start K takes no entry role$"):
+        StartSpec.parse("K,cw,through")
+    with pytest.raises(InvalidStartSpecError, match="^entry role must be over or under, got 'sideways'$"):
+        StartSpec.parse("A,cw,sideways")
+
+
 def test_case_a_values():
     table = traverse(canonical_818(), StartSpec("K", CW))
     assert assignment(table) == CASE_A
