@@ -271,11 +271,6 @@ def closure_diagram(
     return word, crossings
 
 
-def writhe(crossings: Iterable[SignedCrossing]) -> int:
-    """Sum of crossing signs; equals the braid exponent sum for closures."""
-    return sum(c.sign for c in crossings)
-
-
 class CrossingMarker(NamedTuple):
     """Geometry of one crossing in an embedding.
 

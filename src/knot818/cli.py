@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
-from .braid import BRAID_818, annular_embed, closure_diagram, winding_number, writhe
+from .braid import BRAID_818, annular_embed, closure_diagram, winding_number
 from .diagram import Role
 from .errors import DomainError, UsageError, clip
 from .notation import emit_extended_gauss, parse_braid_word
@@ -32,7 +32,13 @@ class SamePathError(UsageError, ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with the value an invalid-choice message echoes clipped."""
+    """argparse's parser, with the outside text its invalid-choice and unrecognized-arguments errors echo clipped."""
+
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {clip(' '.join(extras))}")
+        return args
 
     def _check_value(self, action, value):
         try:
@@ -60,6 +66,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def file_path(text: str) -> str:
+    """argparse type for a file path, which the OS cannot take with a NUL byte in it."""
+    if "\0" in text:
+        raise argparse.ArgumentTypeError(f"path has a NUL byte: {clip(repr(text))}")
+    return text
+
+
 def radii_list(text: str) -> tuple[float, ...]:
     """argparse type for a comma separated list of radii."""
     try:
@@ -68,29 +81,29 @@ def radii_list(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad radii list {clip(repr(text))}") from None
 
 
-def _format_phase(turns: int) -> str:
-    """The phase 2*pi*turns as a multiple of pi."""
-    return f"{2 * turns}π" if turns else "0"
-
-
-def _write_json(payload: dict) -> None:
+def _json_lines(payload: dict) -> list[str]:
     import json
 
-    sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
+    return [json.dumps(payload, sort_keys=True)]
 
 
-def _write_csv(out: TextIO, header: str, rows: Iterable[Iterable]) -> None:
-    """The header line, then one comma-joined line per row, written as each row comes."""
-    out.write(header + "\n")
+def _csv_lines(header: str, rows: Iterable[Iterable]) -> Iterator[str]:
+    """The header line, then one comma-joined line per row, made as each row comes."""
+    yield header
     for row in rows:
-        out.write(",".join(map(str, row)) + "\n")
+        yield ",".join(map(str, row))
 
 
-def _print_table(table: trav.TraversalTable, fmt: str) -> None:
+def _write_lines(path: str, lines: Iterable[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(f"{line}\n" for line in lines)
+
+
+def _table_lines(table: trav.TraversalTable, fmt: str) -> Iterable[str]:
     if fmt == "csv":
-        _write_csv(sys.stdout, "site,role,value", table.entries)
-    elif fmt == "json":
-        _write_json({
+        return _csv_lines("site,role,value", table.entries)
+    if fmt == "json":
+        return _json_lines({
             "start": str(table.start),
             "mirrored": table.mirrored,
             "entries": [
@@ -98,18 +111,18 @@ def _print_table(table: trav.TraversalTable, fmt: str) -> None:
                 for site, role, value in table.entries
             ],
         })
-    else:
-        print(f"# start {table.describe()}")
-        for site, role, value in table.entries:
-            print(f"{site} {str(role):<7} {value:>2}")
+    return [
+        f"# start {table.describe()}",
+        *(f"{site} {str(role):<7} {value:>2}" for site, role, value in table.entries),
+    ]
 
 
-def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> None:
+def _report_lines(report: alloc.DefectReport, grand_total: int, fmt: str) -> Iterable[str]:
     if fmt == "csv":
         rows = ((cls.site_class, site, total) for cls in report.classes for site, total in cls.entries)
-        _write_csv(sys.stdout, "class,site,total", rows)
-    elif fmt == "json":
-        _write_json({
+        return _csv_lines("class,site,total", rows)
+    if fmt == "json":
+        return _json_lines({
             "source": report.source,
             "grand_total": grand_total,
             "classes": [
@@ -123,53 +136,45 @@ def _print_report(report: alloc.DefectReport, grand_total: int, fmt: str) -> Non
                 for cls in report.classes
             ],
         })
-    else:
-        print(f"# allocation {report.source}")
-        for cls in report.classes:
-            cells = " ".join(f"{site}={total}" for site, total in cls.entries)
-            flag = "yes" if cls.mismatch else "no"
-            print(
-                f"{cls.site_class}: {cells} | mean={cls.mean}"
-                f" max-dev={cls.max_deviation} mismatch={flag}"
-            )
-        print(f"total: {grand_total}")
+    lines = [f"# allocation {report.source}"]
+    for cls in report.classes:
+        cells = " ".join(f"{site}={total}" for site, total in cls.entries)
+        flag = "yes" if cls.mismatch else "no"
+        lines.append(f"{cls.site_class}: {cells} | mean={cls.mean} max-dev={cls.max_deviation} mismatch={flag}")
+    return [*lines, f"total: {grand_total}"]
 
 
-def cmd_build(args: argparse.Namespace) -> int:
+def cmd_build(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     braid = parse_braid_word(args.braid, args.strands)
     word, crossings = closure_diagram(braid, insert_vertices=args.vertices == "auto")
-    vertex_count = sum(1 for v in word if v.role is Role.THROUGH)
-    print(f"crossings: {len(crossings)}")
-    print(f"writhe: {writhe(crossings)}")
-    print(f"vertices: {vertex_count}")
-    print(f"gauss: {emit_extended_gauss(word)}")
-    return 0
+    return 0, [
+        f"crossings: {len(crossings)}",
+        f"writhe: {braid.exponent_sum}",
+        f"vertices: {sum(1 for v in word if v.role is Role.THROUGH)}",
+        f"gauss: {emit_extended_gauss(word)}",
+    ]
 
 
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from .invariants import alexander_from_braid
 
     braid = parse_braid_word(args.braid, args.strands)
     poly = alexander_from_braid(braid)
-    # The winding count is exact, so the fewest samples annular_embed
-    # accepts (three per turn) give the phase of any finer sampling.
-    turns = winding_number(annular_embed(braid, slots_per_letter=-(-3 // len(braid.letters))))
-    determinant = abs(poly.evaluate(-1))
-    print(f"alexander: {poly}")
-    print(f"writhe: {braid.exponent_sum}")
-    print(f"phase: {_format_phase(turns)}")
-    print(f"determinant: {determinant}")
-    return 0
+    # The closure winds once around the axis per strand.
+    return 0, [
+        f"alexander: {poly}",
+        f"writhe: {braid.exponent_sum}",
+        f"phase: {2 * braid.strands}π",
+        f"determinant: {abs(poly.evaluate(-1))}",
+    ]
 
 
-def cmd_traverse(args: argparse.Namespace) -> int:
+def cmd_traverse(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import traversal as trav
 
     role = Role(args.role) if args.role else None
     spec = trav.StartSpec(args.start.upper(), trav.Direction(args.dir), role)
-    table = trav.traverse(trav.canonical_818(), spec)
-    _print_table(table, args.format)
-    return 0
+    return 0, _table_lines(trav.traverse(trav.canonical_818(), spec), args.format)
 
 
 def _ensemble_by_name(name: str) -> trav.StateEnsemble:
@@ -183,7 +188,7 @@ def _ensemble_by_name(name: str) -> trav.StateEnsemble:
     return trav.StateEnsemble("with-mirrors", tuple(trav.with_mirrors(reps)))
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import allocation as alloc
     from . import traversal as trav
 
@@ -193,12 +198,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         allocation = alloc.site_totals(table)
     else:
         allocation = alloc.ensemble_totals(_ensemble_by_name(args.ensemble))
-    report = alloc.defect_report(allocation)
-    _print_report(report, allocation.grand_total, args.format)
-    return 0
+    return 0, _report_lines(alloc.defect_report(allocation), allocation.grand_total, args.format)
 
 
-def cmd_check_fixture(args: argparse.Namespace) -> int:
+def cmd_check_fixture(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import traversal as trav
 
     fixture = trav.load_table_fixture(args.fixture or trav.shipped_fixture_path())
@@ -206,40 +209,34 @@ def cmd_check_fixture(args: argparse.Namespace) -> int:
     if args.errata is not None:  # the bare flag gives ""
         errata = trav.load_errata(args.errata or trav.shipped_errata_path())
     report = trav.check_fixture(trav.enumerate_representatives(), fixture, errata)
+    lines = []
     for result in report.results:
-        if result.witness is not None:
-            print(f"case {result.case_id}: {result.status} ({result.witness.describe()})")
-        else:
-            print(f"case {result.case_id}: {result.status}")
-        for violation in result.violations:
-            print(f"  inconsistency: {violation}")
+        witness = f" ({result.witness.describe()})" if result.witness is not None else ""
+        lines.append(f"case {result.case_id}: {result.status}{witness}")
+        lines.extend(f"  inconsistency: {violation}" for violation in result.violations)
     matched = sum(1 for r in report.results if r.status is not trav.MatchStatus.UNMATCHED)
     total = len(report.results)
     if report.all_matched:
-        print(f"all {total} cases matched")
-        return 0
-    print(f"{matched} of {total} cases matched")
-    return 1
+        return 0, [*lines, f"all {total} cases matched"]
+    return 1, [*lines, f"{matched} of {total} cases matched"]
 
 
-def cmd_embed(args: argparse.Namespace) -> int:
+def cmd_embed(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.markers is not None and os.path.realpath(args.markers) == os.path.realpath(args.out):
         raise SamePathError(f"--out and --markers name one file: {args.markers}")
     braid = parse_braid_word(args.braid, args.strands)
     embedding = annular_embed(braid, args.radii, slots_per_letter=args.points_per_slot)
     turns = winding_number(embedding)  # before writing, so a failed run leaves no file
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, "loop,x,y", ((i, x, y) for i, loop in enumerate(embedding.loops) for x, y in loop))
+    rows = ((i, x, y) for i, loop in enumerate(embedding.loops) for x, y in loop)
+    _write_lines(args.out, _csv_lines("loop,x,y", rows))
     points = sum(len(loop) for loop in embedding.loops)
     lines = [f"wrote {points} points in {len(embedding.loops)} loop(s) to {args.out}"]
     if args.markers is not None:
-        with open(args.markers, "w", encoding="utf-8", newline="") as fh:
-            rows = ((m.crossing, m.sign, *m.point, *m.over_direction, *m.under_direction) for m in embedding.markers)
-            _write_csv(fh, "crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy", rows)
+        rows = ((m.crossing, m.sign, *m.point, *m.over_direction, *m.under_direction) for m in embedding.markers)
+        _write_lines(args.markers, _csv_lines("crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy", rows))
         lines.append(f"wrote {len(embedding.markers)} markers to {args.markers}")
-    lines.append(f"phase: {_format_phase(turns)}")
-    print("\n".join(lines))  # after every write, so a failed run prints nothing
-    return 0
+    lines.append(f"phase: {2 * turns}π")
+    return 0, lines
 
 
 def _add_braid_args(parser: argparse.ArgumentParser) -> None:
@@ -279,10 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("check-fixture", help="match the reference tables against the ensemble")
-    p.add_argument("fixture", nargs="?", default=None, help="fixture CSV (default: shipped)")
+    p.add_argument("fixture", nargs="?", type=file_path, default=None, help="fixture CSV (default: shipped)")
     p.add_argument(
         "--errata",
         nargs="?",
+        type=file_path,
         const="",
         default=None,
         help="errata CSV; bare flag uses the shipped errata",
@@ -291,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="write sampled closure coordinates to CSV")
     _add_braid_args(p)
-    p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--markers", default=None, help="crossing marker CSV path (written after --out)")
+    p.add_argument("--out", type=file_path, required=True, help="output CSV path")
+    p.add_argument("--markers", type=file_path, default=None, help="crossing marker CSV path (written after --out)")
     p.add_argument("--radii", type=radii_list, help="comma separated radii (default 1..strands)")
     p.add_argument("--points-per-slot", type=positive_int, default=64)
     p.set_defaults(func=cmd_embed)
@@ -307,7 +305,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
+        code, lines = args.func(args)
+        # One write, after the command has finished, so a failed run prints nothing.
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
+        return code
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ from knot818.braid import (
     require_knot_closure,
     winding_number,
     winding_phase,
-    writhe,
 )
 from knot818.diagram import Role, SiteClass, Visit, canonical_818, site_class
 
@@ -134,7 +133,7 @@ def test_trefoil_closure():
     word, crossings = closure_diagram(BraidWord(2, (1, 1, 1)))
     assert str(word) == "O1 U2 O3 U1 O2 U3"
     assert [c.sign for c in crossings] == [1, 1, 1]
-    assert writhe(crossings) == 3
+    assert sum(c.sign for c in crossings) == 3
     for c in crossings:
         assert word[c.over_strand].role is Role.OVER
         assert word[c.under_strand].role is Role.UNDER
@@ -145,7 +144,7 @@ def test_main_closure_reproduces_canonical_word():
     word, crossings = closure_diagram(BRAID_818)
     assert word == canonical_818()
     assert len(crossings) == 8
-    assert writhe(crossings) == 0
+    assert sum(c.sign for c in crossings) == 0
 
 
 def test_main_closure_signs_by_class():
@@ -168,7 +167,7 @@ def test_vertex_rule_forced_off():
     assert len(word) == 16
     assert all(v.role is not Role.THROUGH for v in word)
     assert {v.site for v in word} == {str(k) for k in range(1, 9)}
-    assert writhe(crossings) == 0
+    assert sum(c.sign for c in crossings) == 0
 
 
 @pytest.mark.parametrize(
@@ -204,7 +203,7 @@ def test_closure_word_shape(braid):
         return
     assert len(word) == 2 * len(braid)
     assert len(crossings) == len(braid)
-    assert writhe(crossings) == braid.exponent_sum
+    assert sum(c.sign for c in crossings) == braid.exponent_sum
     for c in crossings:
         assert word[c.over_strand] .role is Role.OVER
         assert word[c.under_strand].role is Role.UNDER

@@ -408,6 +408,23 @@ FAILURES = [
             ("traverse", ["--start", "A"], "--format", "'text', 'csv', 'json'"),
         ]
     ],
+    fails("build-extra-argument", ["build", "x"], 2, _usage_error(None, "unrecognized arguments: x")),
+    fails("long-build-extra-argument", ["build", LONG_X], 2,
+          _usage_error(None, f"unrecognized arguments: {cut(LONG_X)}")),
+    fails("long-build-unknown-option", ["build", f"--{LONG_X}"], 2,
+          _usage_error(None, f"unrecognized arguments: {cut('--' + LONG_X)}")),
+    # The OS takes no path with a NUL byte, so each path option rejects one as it is parsed.
+    *[
+        fails(f"{name}-nul-path", argv, 2, _usage_error(argv[0], f"argument {option}: path has a NUL byte: '\\x00'"))
+        for name, option, argv in [
+            ("check-fixture", "fixture", ["check-fixture", "\0"]),
+            ("errata", "--errata", ["check-fixture", "--errata", "\0"]),
+            ("embed-out", "--out", ["embed", "--out", "\0"]),
+            ("embed-markers", "--markers", ["embed", *OUT, "--markers", "\0"]),
+        ]
+    ],
+    fails("long-embed-nul-path", ["embed", "--out", LONG_X + "\0"], 2,
+          _usage_error("embed", f"argument --out: path has a NUL byte: {cut(repr(LONG_X + chr(0)))}")),
     # argparse lists every choice after the clipped value, so these two
     # lines are 197 and 171 characters long: bounded, but over a long row's 160.
     fails("clipped-command", [LONG_X], 2,
@@ -482,7 +499,7 @@ FAILURES = [
 
 def test_long_inputs_print_a_short_line():
     long_rows = [row for row in FAILURES if row.id.startswith("long-")]
-    assert len(long_rows) == 19
+    assert len(long_rows) == 22
     for row in long_rows:
         _argv, _code, stderr, _leaves = row.values
         assert len(stderr.splitlines()[-1]) <= 160, row.id
@@ -523,6 +540,57 @@ def test_cli_failure(capsys, failure_files, argv, code, stderr, leaves):
 
     assert run(capsys, *map(fill, argv)) == (code, "", fill(stderr))
     assert sorted(failure_files.iterdir()) == sorted(before + [failure_files / name for name in leaves])
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts its write calls."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+FORMATS = ("text", "csv", "json")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [pytest.param(argv, code, id=" ".join(argv)) for argv, code in [
+        (["build"], 0),
+        (["build", "--vertices", "off"], 0),
+        (["invariants"], 0),
+        *((["traverse", "--start", "A", "--role", "under", "--format", fmt], 0) for fmt in FORMATS),
+        *((["analyze", "--format", fmt], 0) for fmt in FORMATS),
+        *((["analyze", "--state", "K,cw", "--format", fmt], 0) for fmt in FORMATS),
+        (["check-fixture"], 1),
+        (["check-fixture", "--errata"], 0),
+        (["embed", "--out", "points.csv"], 0),
+        (["embed", "--out", "points.csv", "--markers", "markers.csv"], 0),
+    ]],
+)
+def test_a_run_writes_stdout_once(monkeypatch, tmp_path, argv, code):
+    # Every command returns its lines, and main writes them in one call
+    # after the command has finished; the failure table shows that a
+    # failed run writes nothing.
+    monkeypatch.chdir(tmp_path)
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == code
+    assert out.writes == 1
+    assert out.getvalue().endswith("\n")
+
+
+def test_cli_prints_only_to_stderr():
+    source = Path(cli.__file__).read_text(encoding="utf-8")
+    prints = [
+        node for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print"
+    ]
+    assert prints
+    for node in prints:
+        assert [ast.unparse(k) for k in node.keywords] == ["file=sys.stderr"], node.lineno
 
 
 def _defined_exceptions():

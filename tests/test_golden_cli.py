@@ -8,10 +8,15 @@ per-state reports cover all eighty tables.  Re-capture it only when a
 change to that output is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The benchmark's ``cli`` workload pins the other commands: each of its
+``CLI_INVOCATIONS`` must print its ``perfbench/golden`` file.  That
+table is read from the benchmark's source, which is not imported.
 """
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -24,6 +29,7 @@ from knot818 import cli
 from knot818.diagram import BRANCH_SITES, LETTER_SITES
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 _STARTS = [
     (site, direction, role)
@@ -63,6 +69,25 @@ def golden() -> dict:
 @pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
 def test_cli_output_matches_golden(golden, argv):
     assert _run(argv) == golden[" ".join(argv)]
+
+
+def _perfbench_invocations():
+    """``(name, argv, exit code)`` for each row of perfbench's CLI_INVOCATIONS."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
+    (table,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CLI_INVOCATIONS"]
+    )
+    return [pytest.param(argv, code, name, id=name) for name, argv, code in ast.literal_eval(table)]
+
+
+@pytest.mark.parametrize("argv, code, name", _perfbench_invocations())
+def test_cli_output_matches_perfbench_golden(monkeypatch, tmp_path, argv, code, name):
+    monkeypatch.chdir(tmp_path)  # embed writes its points file here
+    result = _run(argv)
+    golden = (PERFBENCH / "golden" / f"{name}.stdout").read_bytes()
+    assert (result["exit"], result["stdout"].encode("utf-8")) == (code, golden)
 
 
 def test_golden_lists_every_invocation(golden):
