@@ -9,10 +9,11 @@ samples per letter (the sampling of the benchmark and of ``knot818
 embed``), so that an embedding cost superlinear in the word shows on
 the long rungs.  The rungs:
 
-- 3 strands at 50, 200, 800 and 3000 letters: generators alternate
-  1, 2 with seeded random signs (when that closes to a link, the last
-  letter becomes 1, which makes it a knot);
-- full-cycle words on 4..8 strands: (1 -2 3 ... ±(n-1))^(n+1);
+- 3 strands at 50, 200, 800, 3000 and 6000 letters: generators
+  alternate 1, 2 with seeded random signs (when that closes to a link,
+  the last letter becomes 1, which makes it a knot);
+- full-cycle words on 4..8, 10 and 12 strands: (1 -2 3 ... ±(n-1))^(n+1),
+  up to 143 letters;
 - torus words (1 2 ... 7)^k on 8 strands, k = 9, 35, 71, 143 (up to
   1001 letters), closing to the torus knots T(8, k).
 
@@ -52,8 +53,8 @@ def torus(k: int) -> BraidWord:
 
 def ladder() -> list[tuple[str, BraidWord]]:
     return (
-        [(f"3-strand/{n}", three_strand(n)) for n in (50, 200, 800, 3000)]
-        + [(f"full-cycle/{s}", full_cycle(s)) for s in range(4, 9)]
+        [(f"3-strand/{n}", three_strand(n)) for n in (50, 200, 800, 3000, 6000)]
+        + [(f"full-cycle/{s}", full_cycle(s)) for s in (4, 5, 6, 7, 8, 10, 12)]
         + [(f"torus-8/{k}", torus(k)) for k in (9, 35, 71, 143)]
     )
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .diagram import CLASS_SITES, SiteClass
 from .errors import DomainError
-from .traversal import TABLE_KEYS, EmptyEnsembleError, StateEnsemble, TraversalTable
+from .traversal import TABLE_KEYS, StateEnsemble, TraversalTable
 
 
 class IncompleteAllocationError(DomainError, ValueError):
@@ -52,8 +52,6 @@ def site_totals(table: TraversalTable) -> SiteAllocation:
 
 def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     """Site totals summed over every table of the ensemble."""
-    if not ensemble.tables:
-        raise EmptyEnsembleError(f"ensemble {ensemble.label!r} has no tables")
     return SiteAllocation.from_mapping(ensemble.label, _summed(ensemble.tables))
 
 

@@ -38,12 +38,8 @@ class InvalidStartSpecError(UsageError, ValueError):
     pass
 
 
-class StartNotFoundError(DomainError, ValueError):
-    """Start site does not occur in the word."""
-
-
-class RoleMissingError(DomainError, ValueError):
-    """Start site occurs, but never with the requested entry role."""
+class TableUndefinedError(DomainError, ValueError):
+    """The word is not a 20-visit word of the 12-site model, so it has no tables."""
 
 
 class EmptyEnsembleError(DomainError, ValueError):
@@ -148,16 +144,11 @@ def _slots(word: DiagramWord) -> Optional[tuple[int, ...]]:
     return None if validate_word(word) else tuple(_SLOT[v] for v in word)
 
 
-def _traverse(word: DiagramWord, slots: Optional[tuple[int, ...]], start: StartSpec) -> TraversalTable:
-    positions = [i for i, v in enumerate(word) if v.site == start.site]
-    if not positions:
-        raise StartNotFoundError(f"site {start.site} does not occur in the word")
-    want = Role.THROUGH if start.entry_role is None else start.entry_role
-    at = next((i for i in positions if word[i].role is want), None)
-    if at is None:
-        raise RoleMissingError(f"site {start.site} has no {want} visit")
+def _traverse(slots: Optional[tuple[int, ...]], start: StartSpec) -> TraversalTable:
     if slots is None:
-        raise ValueError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
+        raise TableUndefinedError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
+    # A model word holds each key once, and StartSpec fits the role to the site.
+    at = slots.index(_SLOT[start.site, start.entry_role or Role.THROUGH])
     walk = slots[at:] + slots[:at] if start.direction is _FORWARD else slots[at::-1] + slots[:at:-1]
     values = [0] * len(walk)
     for value, slot in enumerate(walk, 1):
@@ -170,10 +161,9 @@ def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
 
     CW walks the stored order forward, CCW backward.  The start visit
     always receives value 1.  Tables exist only for 20-visit words of the
-    12-site model: any other word that contains the start raises
-    ``ValueError`` before the walk.
+    12-site model: any other word raises :class:`TableUndefinedError`.
     """
-    return _traverse(word, _slots(word), start)
+    return _traverse(_slots(word), start)
 
 
 def _gather_order(image) -> tuple[int, ...]:
@@ -200,11 +190,13 @@ def _spec_index(tables: Sequence[TraversalTable]) -> dict[tuple, int]:
 
 
 class StateEnsemble(NamedTuple("StateEnsemble", [("label", str), ("tables", tuple[TraversalTable, ...])])):
-    """A labeled collection of tables with pairwise distinct start specs."""
+    """A labeled, nonempty collection of tables with pairwise distinct start specs."""
 
     __slots__ = ()
 
     def __new__(cls, label: str, tables: tuple[TraversalTable, ...]) -> "StateEnsemble":
+        if not tables:
+            raise EmptyEnsembleError(f"ensemble {label!r} has no tables")
         _spec_index(tables)
         return super().__new__(cls, label, tables)
 
@@ -224,9 +216,8 @@ def _start_specs_for(site: str) -> list[StartSpec]:
 
 
 def _ensemble(label: str, sites: Sequence[str]) -> StateEnsemble:
-    word = canonical_818()
-    slots = _slots(word)
-    tables = tuple(_traverse(word, slots, spec) for site in sites for spec in _start_specs_for(site))
+    slots = _slots(canonical_818())
+    tables = tuple(_traverse(slots, spec) for site in sites for spec in _start_specs_for(site))
     return StateEnsemble(label, tables)
 
 
@@ -285,17 +276,6 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
 # Fixture handling
 
 
-class FixtureCase(NamedTuple):
-    """One reference table: values in :data:`TABLE_KEYS` order, like a table's."""
-
-    case_id: str
-    values: tuple[int, ...]
-
-    @property
-    def entries(self) -> tuple[tuple[str, Role, int], ...]:
-        return _labeled(self.values)
-
-
 # The TABLE_KEYS slot of each (site, role) pair as a fixture row spells it.
 _SLOT_BY_TEXT = {(site, role.value): i for (site, role), i in _SLOT.items()}
 
@@ -322,26 +302,29 @@ def _parse_int(lineno: int, text: str, column: str) -> int:
 
 
 def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, row)`` for each CSV row after ``header``, checked to have its width."""
+    """Yield ``(line number, row)`` for each CSV row after ``header``, checked to have its width and a case id."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except UnicodeDecodeError:
         raise FixtureParseError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise FixtureParseError(f"line {reader.line_num}: {exc}") from None
     if rows[:1] != [header]:
         raise FixtureParseError(f"line 1: expected header {','.join(header)}")
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
             raise FixtureParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        if not row[0]:
+            raise FixtureParseError(f"line {lineno}: empty case id")
         yield lineno, row
 
 
-def load_table_fixture(path) -> tuple[FixtureCase, ...]:
-    """Read a case table from CSV with header ``case,site,role,value``."""
+def load_table_fixture(path) -> dict[str, tuple[int, ...]]:
+    """Each case's values in :data:`TABLE_KEYS` order, from CSV with header ``case,site,role,value``."""
     cases: dict[str, list[Optional[int]]] = {}  # values by TABLE_KEYS slot
     for lineno, (case_id, site, role_name, value_text) in _read_rows(path, ["case", "site", "role", "value"]):
-        if not case_id:
-            raise FixtureParseError(f"line {lineno}: empty case id")
         slot = _row_slot(lineno, site, role_name)
         value = _parse_int(lineno, value_text, "value")
         entries = cases.get(case_id)
@@ -359,18 +342,21 @@ def load_table_fixture(path) -> tuple[FixtureCase, ...]:
                 f"line {lineno}: case {clip(case_id)} incomplete"
                 f" ({len(TABLE_KEYS) - missing} of {len(TABLE_KEYS)} entries)"
             )
-    return tuple(FixtureCase(case_id, tuple(entries)) for case_id, entries in cases.items())
+    return {case_id: tuple(entries) for case_id, entries in cases.items()}
 
 
-def load_errata(path) -> dict[str, list[tuple[str, Role, int, int]]]:
-    """Read correction rows: ``case,site,role,value,corrected_value``."""
-    out: dict[str, list[tuple[str, Role, int, int]]] = {}
+def load_errata(path) -> dict[str, dict[int, tuple[int, int]]]:
+    """Per case, ``(value, corrected_value)`` by slot, from ``case,site,role,value,corrected_value`` rows."""
+    out: dict[str, dict[int, tuple[int, int]]] = {}
     rows = _read_rows(path, ["case", "site", "role", "value", "corrected_value"])
     for lineno, (case_id, site, role_name, value_text, corrected_text) in rows:
-        site, role = TABLE_KEYS[_row_slot(lineno, site, role_name)]
+        slot = _row_slot(lineno, site, role_name)
         original = _parse_int(lineno, value_text, "value")
         corrected = _parse_int(lineno, corrected_text, "corrected_value")
-        out.setdefault(case_id, []).append((site, role, original, corrected))
+        case_rows = out.setdefault(case_id, {})
+        if slot in case_rows:
+            raise FixtureParseError(f"line {lineno}: duplicate erratum {site} {role_name} in case {clip(case_id)}")
+        case_rows[slot] = (original, corrected)
     return out
 
 
@@ -382,26 +368,26 @@ def shipped_errata_path() -> str:
     return os.path.join(os.path.dirname(__file__), "data", "reference_cases_errata.csv")
 
 
-def apply_errata(case: FixtureCase, rows: Sequence[tuple[str, Role, int, int]]) -> FixtureCase:
-    """The case with each ``(site, role, value, corrected_value)`` row applied.
+def apply_errata(case_id: str, values: tuple[int, ...], rows: Mapping[int, tuple[int, int]]) -> tuple[int, ...]:
+    """The case's values with each ``slot: (value, corrected_value)`` row applied.
 
     Every row must agree with the value it corrects.
     """
-    values = list(case.values)
-    for site, role, original, corrected in rows:
-        slot = _SLOT[(site, role)]
+    fixed = list(values)
+    for slot, (original, corrected) in rows.items():
         if values[slot] != original:
+            site, role = TABLE_KEYS[slot]
             raise FixtureParseError(
-                f"erratum for case {clip(case.case_id)} expects {site} {role} = {original}, fixture has {values[slot]}"
+                f"erratum for case {clip(case_id)} expects {site} {role} = {original}, fixture has {values[slot]}"
             )
-        values[slot] = corrected
-    return FixtureCase(case.case_id, tuple(values))
+        fixed[slot] = corrected
+    return tuple(fixed)
 
 
-def case_multiset_violations(case: FixtureCase) -> list[str]:
+def case_multiset_violations(values: tuple[int, ...]) -> list[str]:
     """Diagnostics for a case whose values are not exactly {1..20}."""
     by_value: dict[int, list[str]] = {}
-    for site, role, value in case.entries:
+    for site, role, value in _labeled(values):
         by_value.setdefault(value, []).append(f"{site} {role}")
     diags = []
     for value in sorted(by_value):
@@ -446,8 +432,8 @@ class FixtureReport(NamedTuple):
 
 def check_fixture(
     ensemble: StateEnsemble,
-    fixture: Sequence[FixtureCase],
-    errata: Optional[Mapping[str, list[tuple[str, Role, int, int]]]] = None,
+    fixture: Mapping[str, tuple[int, ...]],
+    errata: Optional[Mapping[str, Mapping[int, tuple[int, int]]]] = None,
 ) -> FixtureReport:
     """Match every fixture case against the ensemble and its mirrors.
 
@@ -456,24 +442,24 @@ def check_fixture(
     raw is then retried with its rows applied.  Multiset violations are
     reported for the raw case either way.
     """
-    if not ensemble.tables:
-        raise EmptyEnsembleError("cannot match against an empty ensemble")
     errata = errata or {}
-    case_ids = {case.case_id for case in fixture}
     for case_id in errata:
-        if case_id not in case_ids:
+        if case_id not in fixture:
             raise FixtureParseError(f"erratum for case {clip(case_id)}: the fixture has no such case")
-    corrected = [apply_errata(case, errata[case.case_id]) if case.case_id in errata else None for case in fixture]
+    corrected = {
+        case_id: apply_errata(case_id, values, errata[case_id])
+        for case_id, values in fixture.items()
+        if case_id in errata
+    }
     by_values: dict[tuple[int, ...], TraversalTable] = {}
     for table in with_mirrors(ensemble):
         by_values.setdefault(table.values, table)
     results = []
-    for case, fixed in zip(fixture, corrected):
-        violations = tuple(case_multiset_violations(case))
-        status, witness = MatchStatus.MATCHED, by_values.get(case.values)
-        if witness is None and fixed is not None:
-            status, witness = MatchStatus.MATCHED_WITH_ERRATUM, by_values.get(fixed.values)
+    for case_id, values in fixture.items():
+        status, witness = MatchStatus.MATCHED, by_values.get(values)
+        if witness is None and case_id in corrected:
+            status, witness = MatchStatus.MATCHED_WITH_ERRATUM, by_values.get(corrected[case_id])
         if witness is None:
             status = MatchStatus.UNMATCHED
-        results.append(CaseResult(case.case_id, status, witness, violations))
+        results.append(CaseResult(case_id, status, witness, tuple(case_multiset_violations(values))))
     return FixtureReport(tuple(results))

@@ -125,9 +125,9 @@ def test_criterion_06_symmetry_orbits():
 
 def test_criterion_07_mirror_law():
     def check():
-        fixture = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
+        fixture = load_table_fixture(shipped_fixture_path())
         case_a = traverse(canonical_818(), StartSpec("K", Direction.CW))
-        assert mirror_table(case_a).values == fixture["k"].values
+        assert mirror_table(case_a).values == fixture["k"]
         for table in enumerate_all().tables:
             assert mirror_table(mirror_table(table)).values == table.values
 

@@ -19,9 +19,7 @@ from knot818.allocation import (
 from knot818.diagram import Role, SiteClass, canonical_818
 from knot818.traversal import (
     Direction,
-    EmptyEnsembleError,
     StartSpec,
-    StateEnsemble,
     enumerate_all,
     enumerate_representatives,
     mirror_table,
@@ -104,11 +102,6 @@ def test_mirror_preserves_site_totals():
 def test_mirrored_source_string():
     alloc = site_totals(mirror_table(case_a_table()))
     assert alloc.source == "mirror(K,cw)"
-
-
-def test_ensemble_totals_rejects_empty():
-    with pytest.raises(EmptyEnsembleError):
-        ensemble_totals(StateEnsemble("empty", ()))
 
 
 def test_defect_report_requires_all_sites():

@@ -299,6 +299,7 @@ LONG_X = "x" * 20_000
 LONG_LETTER = "1" + "0" * 3_999
 LONG_RADII = ",".join(["1"] * 2_500)
 LONG_WALK = " ".join(["1"] * 2_001)  # 1000 strands * 2001 letters, one over the walk cap
+FIELD_OVER_LIMIT = "1" * 200_000  # one CSV cell over the csv module's 131072-character limit
 
 
 # Every failure path of the command line: (argv, exit code, exact stderr,
@@ -370,6 +371,18 @@ FAILURES = [
           "error: erratum for case z: the fixture has no such case\n"),
     fails("errata-disagrees-on-raw-match", ["check-fixture", "--errata", "{tmp}/raw_match_errata.csv"], 2,
           "error: erratum for case a expects A over = 99, fixture has 13\n"),
+    # One row per (case, site, role) key: a second one would chain onto the first.
+    fails("errata-chained", ["check-fixture", "--errata", "{tmp}/chained_errata.csv"], 2,
+          "error: line 3: duplicate erratum D over in case h\n"),
+    fails("errata-repeated", ["check-fixture", "--errata", "{tmp}/repeated_errata.csv"], 2,
+          "error: line 3: duplicate erratum D over in case h\n"),
+    fails("errata-empty-case-id", ["check-fixture", "--errata", "{tmp}/empty_case_errata.csv"], 2,
+          "error: line 2: empty case id\n"),
+    # A cell over the csv module's field limit is a parse error, not an internal one.
+    fails("check-fixture-field-too-long", ["check-fixture", "{tmp}/field_too_long.csv"], 2,
+          "error: line 2: field larger than field limit (131072)\n"),
+    fails("errata-field-too-long", ["check-fixture", "--errata", "{tmp}/field_too_long_errata.csv"], 2,
+          "error: line 2: field larger than field limit (131072)\n"),
     # Checked before any write, however the two paths are spelled.
     fails("embed-markers-same-file", ["embed", *OUT, "--markers", "{tmp}/x.csv"], 2,
           "error: --out and --markers name one file: {tmp}/x.csv\n"),
@@ -517,6 +530,7 @@ def failure_files(tmp_path):
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
     for name, row in [
         ("long_site", f"a,{LONG_X},over,1"), ("long_value", f"a,A,over,{LONG_X}"), ("long_case", f"{LONG_X},A,over,1"),
+        ("field_too_long", f"a,A,over,{FIELD_OVER_LIMIT}"),
     ]:
         (tmp_path / f"{name}.csv").write_text(f"case,site,role,value\n{row}\n", encoding="utf-8")
     header = "case,site,role,value,corrected_value\n"
@@ -526,6 +540,10 @@ def failure_files(tmp_path):
         ("unknown_case_errata", ["z,D,over,13,2"]),
         ("raw_match_errata", ["a,A,over,99,5"]),
         ("long_case_errata", [f"{LONG_X},D,over,13,2"]),
+        ("chained_errata", ["h,D,over,12,2", "h,D,over,2,5"]),
+        ("repeated_errata", ["h,D,over,12,2", "h,D,over,12,2"]),
+        ("empty_case_errata", [",D,over,12,2"]),
+        ("field_too_long_errata", [f"h,D,over,12,{FIELD_OVER_LIMIT}"]),
     ]:
         (tmp_path / f"{name}.csv").write_text(header + "".join(f"{row}\n" for row in rows), encoding="utf-8")
     return tmp_path
@@ -686,6 +704,26 @@ def test_every_error_class_is_in_one_family():
             assert families == [], cls
         else:
             assert len(families) == 1 and issubclass(cls, ValueError), cls
+
+
+def _raised_names():
+    """The name of every class a ``raise`` statement in the library names."""
+    names = set()
+    for path in Path(knot818.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                names.add(exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None))
+    return names
+
+
+def test_no_error_class_is_an_orphan():
+    # An error class no raise names, and that is no base of one that is
+    # named, is dead code.
+    classes = set(_defined_exceptions())
+    raised = {cls for cls in classes if cls.__name__ in _raised_names()}
+    for cls in classes:
+        assert any(issubclass(sub, cls) for sub in raised), cls
 
 
 def test_internal_errors_exit_one(capsys, monkeypatch):

@@ -12,7 +12,9 @@ from knot818.diagram import (
     Role,
     Visit,
     canonical_818,
+    validate_word,
 )
+from knot818.errors import DomainError
 from knot818.traversal import (
     REPRESENTATIVE_SITES,
     CaseResult,
@@ -21,11 +23,10 @@ from knot818.traversal import (
     FixtureParseError,
     InvalidStartSpecError,
     MatchStatus,
-    RoleMissingError,
-    StartNotFoundError,
     StartSpec,
     TABLE_KEYS,
     StateEnsemble,
+    TableUndefinedError,
     TraversalTable,
     apply_errata,
     case_multiset_violations,
@@ -60,8 +61,8 @@ CASE_A = {
 }
 
 
-def assignment(table_or_case):
-    return {(site, role): value for site, role, value in table_or_case.entries}
+def assignment(values):
+    return dict(zip(TABLE_KEYS, values))
 
 
 def all_specs():
@@ -103,7 +104,7 @@ def test_start_spec_parses_what_it_prints():
 
 def test_case_a_values():
     table = traverse(canonical_818(), StartSpec("K", CW))
-    assert assignment(table) == CASE_A
+    assert assignment(table.values) == CASE_A
     assert table_value(table, "K", Role.THROUGH) == 1
     assert table_value(table, "C", Role.OVER) == 3
     assert not table.mirrored
@@ -122,7 +123,7 @@ def test_table_keys_order():
 def test_ccw_reverses_cw():
     cw = traverse(canonical_818(), StartSpec("K", CW))
     ccw = traverse(canonical_818(), StartSpec("K", CCW))
-    for key, value in assignment(cw).items():
+    for key, value in assignment(cw.values).items():
         expected = 1 if value == 1 else 22 - value
         assert table_value(ccw, *key) == expected
 
@@ -217,26 +218,29 @@ def test_rotation_orbits_reject_a_table_listed_twice():
 
 
 def test_traverse_errors():
+    assert issubclass(TableUndefinedError, DomainError) and issubclass(TableUndefinedError, ValueError)
     trefoil = DiagramWord(
         (
             Visit("1", Role.OVER), Visit("2", Role.UNDER), Visit("3", Role.OVER),
             Visit("1", Role.UNDER), Visit("2", Role.OVER), Visit("3", Role.UNDER),
         )
     )
-    with pytest.raises(StartNotFoundError):
-        traverse(trefoil, StartSpec("K", CW))
     no_through = DiagramWord((Visit("K", Role.OVER), Visit("K", Role.UNDER)))
-    with pytest.raises(RoleMissingError):
-        traverse(no_through, StartSpec("K", CW))
     doubled = DiagramWord((Visit("A", Role.OVER), Visit("A", Role.OVER)))
-    with pytest.raises(ValueError):
-        traverse(doubled, StartSpec("A", CW, Role.OVER))
     nineteen = DiagramWord(tuple(canonical_818())[:19])
-    with pytest.raises(ValueError, match="20-visit"):
-        traverse(nineteen, StartSpec("K", CW))
     digit = canonical_818().relabeled({**{s: s for s in LETTER_SITES}, "A": "1"})
-    with pytest.raises(ValueError, match="20-visit"):
-        traverse(digit, StartSpec("K", CW))
+    # Whether or not the word holds the start visit, only a model word has tables.
+    for word, spec in [
+        (trefoil, StartSpec("K", CW)),
+        (no_through, StartSpec("K", CW)),
+        (doubled, StartSpec("A", CW, Role.OVER)),
+        (nineteen, StartSpec("K", CW)),
+        (nineteen, StartSpec("A", CCW, Role.UNDER)),
+        (digit, StartSpec("K", CW)),
+    ]:
+        assert validate_word(word)
+        with pytest.raises(TableUndefinedError, match="^table undefined: not a 20-visit word of the 12-site model$"):
+            traverse(word, spec)
 
 
 def test_ensemble_rejects_duplicate_specs():
@@ -247,16 +251,23 @@ def test_ensemble_rejects_duplicate_specs():
         StateEnsemble("one", (table,))._replace(tables=(table, table))
 
 
+def test_ensemble_rejects_empty():
+    with pytest.raises(EmptyEnsembleError, match="^ensemble 'empty' has no tables$"):
+        StateEnsemble("empty", ())
+    table = traverse(canonical_818(), StartSpec("K", CW))
+    with pytest.raises(EmptyEnsembleError, match="^ensemble 'one' has no tables$"):
+        StateEnsemble("one", (table,))._replace(tables=())
+
+
 # Fixture: the shipped table of eleven worked cases.
 def test_shipped_fixture_shape():
     cases = load_table_fixture(shipped_fixture_path())
-    assert [c.case_id for c in cases] == list("abcdefghijk")
-    assert all(len(c.entries) == 20 for c in cases)
+    assert list(cases) == list("abcdefghijk")
+    assert all(len(values) == 20 for values in cases.values())
 
 
 def test_case_a_in_fixture_matches_traversal():
-    cases = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
-    assert assignment(cases["a"]) == CASE_A
+    assert assignment(load_table_fixture(shipped_fixture_path())["a"]) == CASE_A
 
 
 def test_fixture_raw_statuses():
@@ -313,20 +324,14 @@ def test_fixture_witnesses_name_the_start_states():
 
 
 def test_mirror_of_case_a_is_case_k():
-    cases = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
+    cases = load_table_fixture(shipped_fixture_path())
     mirrored = mirror_table(traverse(canonical_818(), StartSpec("K", CW)))
-    assert mirrored.values == cases["k"].values
-
-
-def test_check_fixture_requires_tables():
-    with pytest.raises(EmptyEnsembleError):
-        check_fixture(StateEnsemble("empty", ()), ())
+    assert mirrored.values == cases["k"]
 
 
 def test_multiset_violations_clean_case():
     cases = load_table_fixture(shipped_fixture_path())
-    clean = next(c for c in cases if c.case_id == "a")
-    assert case_multiset_violations(clean) == []
+    assert case_multiset_violations(cases["a"]) == []
 
 
 def _write(tmp_path, name, text):
@@ -390,6 +395,11 @@ def test_fixture_parse_incomplete_case(tmp_path):
         ("case,site,role,value\nx,A,over,seven\n", "line 2: value 'seven' is not an integer"),
         ("case,site,role,value\nx,A,over,1\nx,A,over,2\n", "line 3: duplicate entry A over in case x"),
         ("case,site,role,value\nx,A,over,1\nx,I,through,2\n", "line 3: case x incomplete (2 of 20 entries)"),
+        # The csv module's own limit is a parse error like any other.
+        pytest.param(
+            f"case,site,role,value\nx,A,over,{'1' * 200_000}\n", "line 2: field larger than field limit (131072)",
+            id="field-limit",
+        ),
     ],
 )
 def test_fixture_parse_messages(tmp_path, body, message):
@@ -420,13 +430,14 @@ def test_errata_row_must_agree_with_fixture(tmp_path, row, message):
 
 
 def test_apply_errata_corrects_case_h():
-    cases = {c.case_id: c for c in load_table_fixture(shipped_fixture_path())}
-    corrected = apply_errata(cases["h"], load_errata(shipped_errata_path())["h"])
-    assert corrected.case_id == "h"
-    assert corrected.values != cases["h"].values
-    assert corrected.values == traverse(canonical_818(), StartSpec("A", CCW, Role.UNDER)).values
+    cases = load_table_fixture(shipped_fixture_path())
+    errata = load_errata(shipped_errata_path())
+    assert errata == {"h": {TABLE_KEYS.index(("D", Role.OVER)): (12, 2)}}
+    corrected = apply_errata("h", cases["h"], errata["h"])
+    assert corrected != cases["h"]
+    assert corrected == traverse(canonical_818(), StartSpec("A", CCW, Role.UNDER)).values
     assert case_multiset_violations(corrected) == []
-    assert apply_errata(cases["a"], ()) == cases["a"]
+    assert apply_errata("a", cases["a"], {}) == cases["a"]
 
 
 @pytest.mark.parametrize(
@@ -442,6 +453,35 @@ def test_errata_parse_row_key_messages(tmp_path, site, role, message):
     with pytest.raises(FixtureParseError) as exc:
         load_errata(path)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # A second row for one key would chain onto the first, or repeat it.
+        pytest.param(["h,D,over,12,2", "h,D,over,2,5"], "line 3: duplicate erratum D over in case h", id="chained"),
+        pytest.param(["h,D,over,12,2", "h,D,over,12,2"], "line 3: duplicate erratum D over in case h", id="repeated"),
+        pytest.param(["h,D,over,12,2", ",D,over,12,2"], "line 3: empty case id", id="empty-case"),
+        pytest.param(
+            [f"h,D,over,12,{'2' * 200_000}"], "line 2: field larger than field limit (131072)", id="field-limit"
+        ),
+    ],
+)
+def test_errata_parse_messages(tmp_path, rows, message):
+    body = "case,site,role,value,corrected_value\n" + "".join(f"{row}\n" for row in rows)
+    path = _write(tmp_path, "errata.csv", body)
+    with pytest.raises(FixtureParseError) as exc:
+        load_errata(path)
+    assert str(exc.value) == message
+
+
+def test_errata_rows_for_distinct_keys_all_apply(tmp_path):
+    # B over and D over both hold 12 in case h; each row corrects its own key.
+    path = _write(tmp_path, "errata.csv", "case,site,role,value,corrected_value\nh,D,over,12,2\nh,B,over,12,7\n")
+    errata = load_errata(path)
+    cases = load_table_fixture(shipped_fixture_path())
+    corrected = assignment(apply_errata("h", cases["h"], errata["h"]))
+    assert (corrected["D", Role.OVER], corrected["B", Role.OVER]) == (2, 7)
 
 
 def test_header_only_errata_corrects_nothing(tmp_path):
