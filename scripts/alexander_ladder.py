@@ -4,10 +4,11 @@
 Each rung is one knot-closure braid; the script prints the best of
 ``--repeat`` wall times for the three stages of the Alexander path:
 ``burau_reduced``, the determinant of (rho - I), and the whole
-``alexander_from_braid``, and for ``annular_embed`` at its default 64
+``alexander_from_braid``; for ``annular_embed`` at its default 64
 samples per letter (the sampling of the benchmark and of ``knot818
 embed``), so that an embedding cost superlinear in the word shows on
-the long rungs.  The rungs:
+the long rungs; and for ``winding_number`` on that embedding.  The
+rungs:
 
 - 3 strands at 50, 200, 800, 3000 and 6000 letters: generators
   alternate 1, 2 with seeded random signs (when that closes to a link,
@@ -27,7 +28,7 @@ import argparse
 import random
 from time import perf_counter
 
-from knot818.braid import BraidWord, annular_embed
+from knot818.braid import BraidWord, annular_embed, winding_number
 from knot818.cli import positive_int
 from knot818.invariants import PolyMatrix, alexander_from_braid, burau_reduced
 
@@ -75,7 +76,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     rungs = ladder()[:2] if args.quick else ladder()
-    print(f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12} {'embed_ms':>10} {'det_bits':>8}")
+    print(
+        f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12}"
+        f" {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8}"
+    )
     for name, braid in rungs:
         matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
         det = matrix.det()
@@ -84,9 +88,11 @@ def main(argv=None) -> int:
         det_ms = best_ms(matrix.det, args.repeat)
         alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
         embed = best_ms(lambda: annular_embed(braid), args.repeat)
+        embedding = annular_embed(braid)
+        winding = best_ms(lambda: winding_number(embedding), args.repeat)
         print(
             f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f}"
-            f" {embed:>10.2f} {bits:>8}"
+            f" {embed:>10.2f} {winding:>10.2f} {bits:>8}"
         )
     return 0
 

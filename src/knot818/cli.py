@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .braid import BRAID_818, annular_embed, closure_diagram, winding_number
 from .diagram import Role
-from .errors import DomainError, UsageError, clip
+from .errors import DomainError, UsageError, clip, too_many_digits
 from .notation import emit_extended_gauss, parse_braid_word
 
 if TYPE_CHECKING:  # each command imports these only when it runs
@@ -52,7 +52,8 @@ def clipped_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {clip(repr(text))}") from None
+        why = too_many_digits(text)
+        raise argparse.ArgumentTypeError(f"int value {why}" if why else f"invalid int value: {clip(repr(text))}") from None
 
 
 def positive_int(text: str) -> int:
@@ -60,7 +61,10 @@ def positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {clip(repr(text))}") from None
+        why = too_many_digits(text)
+        raise argparse.ArgumentTypeError(
+            f"integer {why}" if why else f"expected a positive integer, got {clip(repr(text))}"
+        ) from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {clip(str(value))}")
     return value
@@ -227,12 +231,16 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     braid = parse_braid_word(args.braid, args.strands)
     embedding = annular_embed(braid, args.radii, slots_per_letter=args.points_per_slot)
     turns = winding_number(embedding)  # before writing, so a failed run leaves no file
-    rows = ((i, x, y) for i, loop in enumerate(embedding.loops) for x, y in loop)
+    rows = ((i, z.real, z.imag) for i, loop in enumerate(embedding.loops) for z in loop)
     _write_lines(args.out, _csv_lines("loop,x,y", rows))
     points = sum(len(loop) for loop in embedding.loops)
     lines = [f"wrote {points} points in {len(embedding.loops)} loop(s) to {args.out}"]
     if args.markers is not None:
-        rows = ((m.crossing, m.sign, *m.point, *m.over_direction, *m.under_direction) for m in embedding.markers)
+        rows = (
+            (m.crossing, m.sign, m.point.real, m.point.imag, m.over_direction.real, m.over_direction.imag,
+             m.under_direction.real, m.under_direction.imag)
+            for m in embedding.markers
+        )
         _write_lines(args.markers, _csv_lines("crossing,sign,x,y,over_dx,over_dy,under_dx,under_dy", rows))
         lines.append(f"wrote {len(embedding.markers)} markers to {args.markers}")
     lines.append(f"phase: {2 * turns}π")

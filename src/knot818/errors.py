@@ -5,6 +5,9 @@ one of them and keeps ``ValueError`` as a second base.  Anything else
 that escapes a command is a bug.
 """
 
+import sys
+from typing import Optional
+
 
 class Knot818Error(Exception):
     """Base of both families."""
@@ -26,3 +29,17 @@ def clip(text: str) -> str:
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
+def too_many_digits(text: str) -> Optional[str]:
+    """For text ``int`` refused: why, when it is a decimal integer with more
+    digits than CPython converts from a string, else None."""
+    body = text.strip()
+    if body[:1] in ("+", "-"):
+        body = body[1:]
+    groups = body.split("_")  # an empty group is a misplaced underscore
+    # Python 3.10 before 3.10.7 has no limit, and no call to read it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if all(g.isdecimal() for g in groups) and 0 < limit < sum(map(len, groups)):
+        return f"{clip(repr(text))} has more than {limit} digits"
+    return None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, InvalidBraidError, first_bad_letter
 from .diagram import _ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
-from .errors import UsageError, clip
+from .errors import UsageError, clip, too_many_digits
 
 
 class NotationError(UsageError, ValueError):
@@ -117,7 +117,7 @@ class NonIntegerLetterError(BraidTextError):
 
 
 class LetterOutOfRangeError(BraidTextError):
-    def __init__(self, token_index: int, letter: int, strands: int) -> None:
+    def __init__(self, token_index: int, letter: int | str, strands: int) -> None:
         super().__init__(f"token {token_index}: letter {clip(str(letter))} out of range for {strands} strands")
         self.token_index = token_index
 
@@ -144,5 +144,8 @@ def parse_braid_word(text: str, strands: int) -> BraidWord:
         bad = first_bad_letter(letters, strands)
         raise LetterOutOfRangeError(bad, letters[bad], strands) from None
     if len(letters) < len(tokens):
-        raise NonIntegerLetterError(len(letters), tokens[len(letters)])
+        token = tokens[len(letters)]
+        if too_many_digits(token):  # an integer that long names no generator
+            raise LetterOutOfRangeError(len(letters), token, strands)
+        raise NonIntegerLetterError(len(letters), token)
     return braid

@@ -31,7 +31,7 @@ from .diagram import (
     canonical_818,
     validate_word,
 )
-from .errors import DomainError, UsageError, clip
+from .errors import DomainError, UsageError, clip, too_many_digits
 
 
 class InvalidStartSpecError(UsageError, ValueError):
@@ -298,7 +298,8 @@ def _parse_int(lineno: int, text: str, column: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise FixtureParseError(f"line {lineno}: {column} {clip(repr(text))} is not an integer") from None
+        why = too_many_digits(text) or f"{clip(repr(text))} is not an integer"
+        raise FixtureParseError(f"line {lineno}: {column} {why}") from None
 
 
 def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:

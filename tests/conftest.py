@@ -5,7 +5,6 @@ tests need."""
 from __future__ import annotations
 
 import importlib.util
-import math
 import random
 from pathlib import Path
 from typing import Optional
@@ -52,29 +51,26 @@ class ParallelStrandsError(ValueError):
     """Crossing direction vectors do not span the plane."""
 
 
-def polyline(embedding: AnnularEmbedding) -> tuple[tuple[float, float], ...]:
+def polyline(embedding: AnnularEmbedding) -> tuple[complex, ...]:
     """The one loop of a single-loop embedding."""
     if len(embedding.loops) != 1:
         raise MultiLoopError(f"embedding has {len(embedding.loops)} loops, not a single polyline")
     return embedding.loops[0]
 
 
-def crossing_sign_from_geometry(
-    over_direction: tuple[float, float], under_direction: tuple[float, float]
-) -> int:
+def crossing_sign_from_geometry(over_direction: complex, under_direction: complex) -> int:
     """Sign of a crossing from the two strand tangents at its point.
 
     +1 when the under direction sits counterclockwise of the over
     direction.  Directions are unit-normalized first; a normalized cross
     product below 1e-12 (including zero vectors) is rejected.
     """
-    ox, oy = over_direction
-    ux, uy = under_direction
-    norm_o = math.hypot(ox, oy)
-    norm_u = math.hypot(ux, uy)
+    norm_o = abs(over_direction)
+    norm_u = abs(under_direction)
     if norm_o == 0.0 or norm_u == 0.0:
         raise ParallelStrandsError("zero-length direction vector")
-    cross = (ox * uy - oy * ux) / (norm_o * norm_u)
+    # the imaginary part of conj(o) * u is the cross product o.x * u.y - o.y * u.x
+    cross = (over_direction.conjugate() * under_direction).imag / (norm_o * norm_u)
     if abs(cross) < 1e-12:
         raise ParallelStrandsError("strand directions are parallel at the crossing")
     return 1 if cross > 0 else -1

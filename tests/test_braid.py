@@ -1,5 +1,6 @@
 """Closure walk, crossing bookkeeping, and the sampled annular picture."""
 
+import cmath
 import itertools
 import math
 
@@ -362,6 +363,10 @@ def embedding_cases(draw):
     return braid, radii, slots
 
 
+def _xy(z):
+    return z.real, z.imag
+
+
 @given(embedding_cases())
 @example((BraidWord(2, (1, -1, 1)), (1.0, 2.0), 1))
 @example((BraidWord(3, (1, -2)), (0.3, 1.7, 2.25), 2))
@@ -371,9 +376,9 @@ def test_embedding_points_match_the_reference_loop(case):
     braid, radii, slots = case
     emb = annular_embed(braid, radii, slots_per_letter=slots)
     # repr tells -0.0 from 0.0, so this is bit for bit
-    assert repr(emb.loops) == repr(_reference_points(braid, radii, slots))
+    assert repr(tuple(tuple(map(_xy, loop)) for loop in emb.loops)) == repr(_reference_points(braid, radii, slots))
     markers = tuple(
-        (m.crossing, m.sign, m.point, m.over_direction, m.under_direction) for m in emb.markers
+        (m.crossing, m.sign, _xy(m.point), _xy(m.over_direction), _xy(m.under_direction)) for m in emb.markers
     )
     assert repr(markers) == repr(_reference_markers(braid, radii))
 
@@ -384,9 +389,8 @@ def test_main_embedding_is_one_closed_loop():
     pts = polyline(emb)
     assert pts[0] == pts[-1]
     assert len(pts) == 3 * 8 * 8 + 1
-    for x, y in pts:
-        r = math.hypot(x, y)
-        assert 1.0 - 1e-9 <= r <= 3.0 + 1e-9
+    for z in pts:
+        assert 1.0 - 1e-9 <= abs(z) <= 3.0 + 1e-9
 
 
 def test_link_embedding_has_no_single_polyline():
@@ -406,15 +410,13 @@ def test_quarter_turn_point_symmetry():
     emb = annular_embed(BRAID_818, (1.0, 2.0, 3.0), slots_per_letter=16)
     pts = polyline(emb)[:-1]
     for k in range(0, len(pts), 13):
-        x, y = pts[k]
-        rx, ry = -y, x
-        nearest = min(math.hypot(px - rx, py - ry) for px, py in pts)
-        assert nearest < 1e-9
+        rotated = pts[k] * 1j
+        assert min(abs(p - rotated) for p in pts) < 1e-9
 
 
 def _circle(cx, steps=360):
     pts = tuple(
-        (cx + math.cos(2 * math.pi * k / steps), math.sin(2 * math.pi * k / steps))
+        complex(cx + math.cos(2 * math.pi * k / steps), math.sin(2 * math.pi * k / steps))
         for k in range(steps)
     )
     return AnnularEmbedding(loops=(pts + (pts[0],),))
@@ -448,17 +450,20 @@ def test_winding_counts_every_strand(braid):
 
 def _swept_angle(pts):
     """Sum of the signed angles between consecutive vertices."""
-    return sum(math.atan2(x1 * y2 - y1 * x2, x1 * x2 + y1 * y2) for (x1, y1), (x2, y2) in zip(pts, pts[1:]))
+    # conj(a) * b has the dot product of a and b as its real part and
+    # their cross product as its imaginary part
+    return sum(cmath.phase(a.conjugate() * b) for a, b in zip(pts, pts[1:]))
 
 
 # Small integer coordinates put many vertices on the x-axis and many
 # edges along it, where the half-open up/down rule decides.
-_vertices = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda v: (float(v[0]), float(v[1])))
+_vertices = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda v: complex(*v))
 
 
 def _avoids_origin(pts):
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:]):
-        if (x1, y1) == (0.0, 0.0) or (x1 * y2 - y1 * x2 == 0.0 and x1 * x2 + y1 * y2 < 0.0):
+    for a, b in zip(pts, pts[1:]):
+        turn = a.conjugate() * b
+        if a == 0 or (turn.imag == 0.0 and turn.real < 0.0):
             return False  # a vertex on the origin, or an edge through it
     return True
 
@@ -470,17 +475,73 @@ def test_winding_number_matches_the_swept_angle(loops):
     assert winding_number(emb) == round(sum(_swept_angle(loop) for loop in loops) / (2 * math.pi))
 
 
+def _tuple_winding_number(loops):
+    """The crossing rule of :func:`winding_number`, read from (x, y) tuples."""
+    total = 0
+    for pts in loops:
+        if len(pts) < 2 or pts[0] != pts[-1]:
+            raise OpenLoopError("loop is not a closed polyline")
+        x1, y1 = pts[0]
+        up = y1 > 0
+        for x2, y2 in pts:
+            if up is not (y2 > 0):
+                up = not up
+                if up:
+                    if x1 * y2 - x2 * y1 > 0:
+                        total += 1
+                elif x1 * y2 - x2 * y1 < 0:
+                    total -= 1
+            if -1e-12 < y2 < 1e-12 and -1e-12 < x2 < 1e-12 and math.hypot(x2, y2) < 1e-12:
+                raise OriginOnCurveError("polyline vertex at the winding center")
+            x1, y1 = x2, y2
+    return total
+
+
+def _winding_or_origin(count, loops):
+    try:
+        return count(loops)
+    except OriginOnCurveError:
+        return "origin"
+
+
+# Coordinates on and around the 1e-12 bands of the origin check and the
+# up/down rule, small integers, and any float in between.
+_near_zero = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 7e-13, -7e-13, 8e-13, -8e-13, 9.9e-13, -9.9e-13, 1e-12, -1e-12, 2e-12, -2e-12)
+)
+_coordinates = st.one_of(_near_zero, st.integers(-3, 3).map(float), st.floats(-3.0, 3.0))
+
+
+@given(
+    st.lists(
+        st.lists(st.builds(complex, _coordinates, _coordinates), min_size=1, max_size=12).map(lambda p: (*p, p[0])),
+        min_size=1,
+        max_size=3,
+    )
+)
+@example([(1e-12 + 0j, 1j, -1 + 0j, -1j, 1e-12 + 0j)])
+@example([(1 + 0j, 1 + 1e-12j, 1j, -1 - 1e-12j, 1 - 1e-12j, 1 + 0j)])
+@example([(1 + 0j, 8e-13 + 8e-13j, -1 + 0j, 1 + 0j), (2 + 1j, -2 + 1j, -2 - 1j, 2 + 1j)])
+@example([(1 + 1j, -1 - 1j, 1 + 1j)])  # edges through the origin, with a cross product of 0
+@settings(max_examples=300)
+def test_winding_number_matches_the_tuple_rule(loops):
+    tuples = [tuple(map(_xy, loop)) for loop in loops]
+    assert _winding_or_origin(lambda l: winding_number(AnnularEmbedding(loops=tuple(l))), loops) == (
+        _winding_or_origin(_tuple_winding_number, tuples)
+    )
+
+
 def test_winding_counts_vertices_on_the_positive_axis_once():
     # Through (1, 0) and (2, 0) along the axis, and back up across it.
-    square = ((1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (1.0, 0.0))
+    square = (1 + 0j, 2 + 0j, 2 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 0j)
     assert winding_number(AnnularEmbedding(loops=(square,))) == 1
     assert winding_number(AnnularEmbedding(loops=(tuple(reversed(square)),))) == -1
-    touch = ((1.0, 0.0), (2.0, 1.0), (3.0, 0.0), (2.0, -1.0), (1.0, 0.0))
+    touch = (1 + 0j, 2 + 1j, 3 + 0j, 2 - 1j, 1 + 0j)
     assert winding_number(AnnularEmbedding(loops=(touch,))) == 0
 
 
 def test_winding_rejects_origin_on_curve():
-    emb = AnnularEmbedding(loops=(((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 0.0)),))
+    emb = AnnularEmbedding(loops=((0j, 1 + 0j, 1j, 0j),))
     with pytest.raises(OriginOnCurveError):
         winding_phase(emb)
 
@@ -491,9 +552,12 @@ def test_winding_rejects_origin_on_curve():
      ((8e-13, 8e-13), False), ((1e-12, 0.0), False), ((0.0, -1e-12), False), ((-2e-12, 1e-13), False)],
 )
 def test_origin_check_is_the_hypot_bound(vertex, rejected):
-    # hypot(8e-13, 8e-13) is above 1e-12 although both coordinates are below it
-    assert (math.hypot(*vertex) < 1e-12) is rejected
-    loop = (vertex, (1.0, 0.0), (0.0, 1.0), vertex)
+    # abs(z) is hypot(x, y), which is above 1e-12 at (8e-13, 8e-13)
+    # although both coordinates are below it
+    vertex = complex(*vertex)
+    assert abs(vertex) == math.hypot(vertex.real, vertex.imag)
+    assert (abs(vertex) < 1e-12) is rejected
+    loop = (vertex, 1 + 0j, 1j, vertex)
     if rejected:
         with pytest.raises(OriginOnCurveError):
             winding_number(AnnularEmbedding(loops=(loop,)))
@@ -502,8 +566,8 @@ def test_origin_check_is_the_hypot_bound(vertex, rejected):
 
 
 def test_winding_rejects_open_loop():
-    emb = AnnularEmbedding(loops=(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0)),))
-    for call, embedding in ((winding_phase, emb), (winding_number, AnnularEmbedding(loops=(((1.0, 0.0),),)))):
+    emb = AnnularEmbedding(loops=((1 + 0j, 1j, -1 + 0j),))
+    for call, embedding in ((winding_phase, emb), (winding_number, AnnularEmbedding(loops=((1 + 0j,),)))):
         with pytest.raises(OpenLoopError) as exc:
             call(embedding)
         assert type(exc.value) is OpenLoopError
@@ -511,18 +575,18 @@ def test_winding_rejects_open_loop():
 
 
 def test_geometric_sign():
-    assert crossing_sign_from_geometry((1.0, 0.0), (0.0, 1.0)) == 1
-    assert crossing_sign_from_geometry((0.0, 1.0), (1.0, 0.0)) == -1
-    assert crossing_sign_from_geometry((2.0, 0.0), (3.0, 3.0)) == 1
+    assert crossing_sign_from_geometry(1 + 0j, 1j) == 1
+    assert crossing_sign_from_geometry(1j, 1 + 0j) == -1
+    assert crossing_sign_from_geometry(2 + 0j, 3 + 3j) == 1
 
 
 def test_geometric_sign_rejects_parallel():
     with pytest.raises(ParallelStrandsError):
-        crossing_sign_from_geometry((1.0, 0.0), (2.0, 0.0))
+        crossing_sign_from_geometry(1 + 0j, 2 + 0j)
     with pytest.raises(ParallelStrandsError):
-        crossing_sign_from_geometry((1.0, 1.0), (-2.0, -2.0))
+        crossing_sign_from_geometry(1 + 1j, -2 - 2j)
     with pytest.raises(ParallelStrandsError):
-        crossing_sign_from_geometry((0.0, 0.0), (1.0, 0.0))
+        crossing_sign_from_geometry(0j, 1 + 0j)
 
 
 def test_markers_agree_with_diagram_signs():
@@ -533,5 +597,4 @@ def test_markers_agree_with_diagram_signs():
     for m in emb.markers:
         assert m.sign == by_id[m.crossing].sign
         assert crossing_sign_from_geometry(m.over_direction, m.under_direction) == m.sign
-        r = math.hypot(*m.point)
-        assert 1.0 < r < 3.0
+        assert 1.0 < abs(m.point) < 3.0

@@ -229,7 +229,7 @@ def test_embed_marker_signs_read_back(capsys, tmp_path, braid, extra):
     for row in rows:
         crossing, sign, _x, _y, *directions = row.split(",")
         over_dx, over_dy, under_dx, under_dy = map(float, directions)
-        assert int(sign) == crossing_sign_from_geometry((over_dx, over_dy), (under_dx, under_dy))
+        assert int(sign) == crossing_sign_from_geometry(complex(over_dx, over_dy), complex(under_dx, under_dy))
         assert int(sign) == (1 if braid.letters[int(crossing)] > 0 else -1)
 
 
@@ -297,6 +297,8 @@ LONG_LINK = " ".join(["1"] * 600)
 # Outside text an error quotes is cut (conftest.cut) to its first 40 characters.
 LONG_X = "x" * 20_000
 LONG_LETTER = "1" + "0" * 3_999
+# More digits than CPython's int() converts from a string (4,300 by default).
+MANY_DIGITS = "1" * 5_000
 LONG_RADII = ",".join(["1"] * 2_500)
 LONG_WALK = " ".join(["1"] * 2_001)  # 1000 strands * 2001 letters, one over the walk cap
 FIELD_OVER_LIMIT = "1" * 200_000  # one CSV cell over the csv module's 131072-character limit
@@ -315,6 +317,8 @@ FAILURES = [
           f"error: token 0: {cut(repr(LONG_X))} is not an integer\n"),
     fails("long-letter-out-of-range", ["build", "--braid", LONG_LETTER], 2,
           f"error: token 0: letter {cut(LONG_LETTER)} out of range for 3 strands\n"),
+    fails("long-many-digit-letter", ["build", "--braid", f"1 {MANY_DIGITS} x"], 2,
+          f"error: token 1: letter {cut(MANY_DIGITS)} out of range for 3 strands\n"),
     # The strand rule comes before any letter.
     *[
         fails(f"build-strands-{n}-with-a-letter", ["build", "--strands", n, "--braid", "1"], 2,
@@ -354,6 +358,8 @@ FAILURES = [
           f"error: line 2: unknown site {cut(repr(LONG_X))}\n"),
     fails("long-check-fixture-value", ["check-fixture", "{tmp}/long_value.csv"], 2,
           f"error: line 2: value {cut(repr(LONG_X))} is not an integer\n"),
+    fails("long-check-fixture-many-digits", ["check-fixture", "{tmp}/many_digits.csv"], 2,
+          f"error: line 2: value {cut(repr(MANY_DIGITS))} has more than 4300 digits\n"),
     fails("long-check-fixture-case", ["check-fixture", "{tmp}/long_case.csv"], 2,
           f"error: line 2: case {cut(LONG_X)} incomplete (1 of 20 entries)\n"),
     fails("long-errata-case", ["check-fixture", "--errata", "{tmp}/long_case_errata.csv"], 2,
@@ -411,6 +417,8 @@ FAILURES = [
           _usage_error("build", "argument --strands: invalid int value: 'x'")),
     fails("long-build-strands", ["build", "--strands", LONG_X], 2,
           _usage_error("build", f"argument --strands: invalid int value: {cut(repr(LONG_X))}")),
+    fails("long-build-many-digit-strands", ["build", "--strands", MANY_DIGITS], 2,
+          _usage_error("build", f"argument --strands: int value {cut(repr(MANY_DIGITS))} has more than 4300 digits")),
     *[
         fails(f"long-{command}-{option[2:]}", [command, *extra, option, LONG_X], 2,
               _usage_error(command, f"argument {option}: invalid choice: {cut(repr(LONG_X))} (choose from {choices})"))
@@ -464,6 +472,9 @@ FAILURES = [
     fails("long-embed-points-per-slot", ["embed", *OUT, "--points-per-slot", LONG_X], 2,
           _usage_error("embed", "argument --points-per-slot: expected a positive integer,"
                        f" got {cut(repr(LONG_X))}")),
+    fails("long-embed-many-digit-points-per-slot", ["embed", *OUT, "--points-per-slot", MANY_DIGITS], 2,
+          _usage_error("embed", f"argument --points-per-slot: integer {cut(repr(MANY_DIGITS))}"
+                       " has more than 4300 digits")),
     fails("long-embed-negative-points-per-slot", ["embed", *OUT, "--points-per-slot", f"-{LONG_LETTER}"], 2,
           _usage_error("embed", "argument --points-per-slot: must be at least 1,"
                        f" got {cut('-' + LONG_LETTER)}")),
@@ -512,7 +523,7 @@ FAILURES = [
 
 def test_long_inputs_print_a_short_line():
     long_rows = [row for row in FAILURES if row.id.startswith("long-")]
-    assert len(long_rows) == 22
+    assert len(long_rows) == 26
     for row in long_rows:
         _argv, _code, stderr, _leaves = row.values
         assert len(stderr.splitlines()[-1]) <= 160, row.id
@@ -530,6 +541,7 @@ def failure_files(tmp_path):
     (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
     for name, row in [
         ("long_site", f"a,{LONG_X},over,1"), ("long_value", f"a,A,over,{LONG_X}"), ("long_case", f"{LONG_X},A,over,1"),
+        ("many_digits", f"a,A,over,{MANY_DIGITS}"),
         ("field_too_long", f"a,A,over,{FIELD_OVER_LIMIT}"),
     ]:
         (tmp_path / f"{name}.csv").write_text(f"case,site,role,value\n{row}\n", encoding="utf-8")

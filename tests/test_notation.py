@@ -227,6 +227,20 @@ def test_parse_braid_word_reports_the_first_bad_token():
     assert info.value.token_index == 1
 
 
+def test_parse_braid_word_too_many_digits_is_out_of_range():
+    # int() refuses a 5,000-digit token, which is an integer all the same
+    many = "1" * 5_000
+    for text, index in ((f"1 {many} x", 1), (f"1 -2_{many}", 1), (f"5 {many}", 0)):
+        with pytest.raises(LetterOutOfRangeError) as info:
+            parse_braid_word(text, strands=3)
+        assert info.value.token_index == index
+    with pytest.raises(NonIntegerLetterError) as info:
+        parse_braid_word(f"1 x {many}", strands=3)
+    assert info.value.token_index == 1
+    with pytest.raises(NonIntegerLetterError):
+        parse_braid_word(f"1 {many}_", strands=3)  # a trailing underscore makes no integer
+
+
 def test_parse_braid_word_empty():
     for text in ("", "   "):
         with pytest.raises(EmptyBraidError) as info:
