@@ -7,8 +7,9 @@ Each rung is one knot-closure braid; the script prints the best of
 ``alexander_from_braid``; for ``annular_embed`` at its default 64
 samples per letter (the sampling of the benchmark and of ``knot818
 embed``), so that an embedding cost superlinear in the word shows on
-the long rungs; and for ``winding_number`` on that embedding.  The
-rungs:
+the long rungs; and for ``winding_number`` on that embedding.
+``embed_peak_b`` is the ``tracemalloc`` peak of one more, untimed
+``annular_embed``, in bytes per sample it holds.  The rungs:
 
 - 3 strands at 50, 200, 800, 3000 and 6000 letters: generators
   alternate 1, 2 with seeded random signs (when that closes to a link,
@@ -26,6 +27,7 @@ det(rho - I).  Run from a checkout with ``PYTHONPATH=src``::
 
 import argparse
 import random
+import tracemalloc
 from time import perf_counter
 
 from knot818.braid import BraidWord, annular_embed, winding_number
@@ -69,6 +71,17 @@ def best_ms(fn, repeat: int) -> float:
     return best * 1e3
 
 
+def traced_embed(braid: BraidWord):
+    """One embedding of ``braid`` and its tracemalloc peak in bytes per sample."""
+    tracemalloc.start()
+    try:
+        embedding = annular_embed(braid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return embedding, peak / sum(map(len, embedding.loops))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run only the two smallest 3-strand rungs")
@@ -78,7 +91,7 @@ def main(argv=None) -> int:
     rungs = ladder()[:2] if args.quick else ladder()
     print(
         f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12}"
-        f" {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8}"
+        f" {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8} {'embed_peak_b':>12}"
     )
     for name, braid in rungs:
         matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
@@ -88,11 +101,11 @@ def main(argv=None) -> int:
         det_ms = best_ms(matrix.det, args.repeat)
         alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
         embed = best_ms(lambda: annular_embed(braid), args.repeat)
-        embedding = annular_embed(braid)
+        embedding, peak_b = traced_embed(braid)
         winding = best_ms(lambda: winding_number(embedding), args.repeat)
         print(
             f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f}"
-            f" {embed:>10.2f} {winding:>10.2f} {bits:>8}"
+            f" {embed:>10.2f} {winding:>10.2f} {bits:>8} {peak_b:>12.1f}"
         )
     return 0
 

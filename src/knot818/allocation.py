@@ -11,48 +11,47 @@ deviation from it, and a mismatch flag.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .diagram import CLASS_SITES, SiteClass
+from .diagram import CLASS_SITES, LETTER_SITES, SiteClass
 from .errors import DomainError
 from .traversal import TABLE_KEYS, StateEnsemble, TraversalTable
 
 
 class IncompleteAllocationError(DomainError, ValueError):
-    """Totals are missing one or more of the twelve sites."""
+    """An allocation holds other than twelve site totals."""
 
 
 class SiteAllocation(NamedTuple):
-    """Integer totals per site, tagged with where they came from."""
+    """Integer totals of the twelve sites in A..L order, tagged with their source."""
 
     source: str
-    totals: tuple[tuple[str, int], ...]
-
-    @classmethod
-    def from_mapping(cls, source: str, totals: Mapping[str, int]) -> "SiteAllocation":
-        return cls(source, tuple(sorted(totals.items())))
+    totals: tuple[int, ...]
 
     @property
     def grand_total(self) -> int:
-        return sum(v for _, v in self.totals)
+        return sum(self.totals)
 
 
-def _summed(tables: Iterable[TraversalTable]) -> dict[str, int]:
-    totals: dict[str, int] = {}
-    for table in tables:
-        for (site, _role), value in zip(TABLE_KEYS, table.values):
-            totals[site] = totals.get(site, 0) + value
-    return totals
+# The position in LETTER_SITES of each TABLE_KEYS slot's site.
+_SLOT_SITE = tuple(LETTER_SITES.index(site) for site, _role in TABLE_KEYS)
+
+
+def _summed(source: str, tables: Iterable[TraversalTable]) -> SiteAllocation:
+    totals = [0] * len(LETTER_SITES)
+    for site, column in zip(_SLOT_SITE, zip(*(table.values for table in tables))):
+        totals[site] += sum(column)
+    return SiteAllocation(source, tuple(totals))
 
 
 def site_totals(table: TraversalTable) -> SiteAllocation:
     """Allocation of one table: over+under per shoulder, through per branch."""
-    return SiteAllocation.from_mapping(table.describe(), _summed([table]))
+    return _summed(table.describe(), [table])
 
 
 def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     """Site totals summed over every table of the ensemble."""
-    return SiteAllocation.from_mapping(ensemble.label, _summed(ensemble.tables))
+    return _summed(ensemble.label, ensemble.tables)
 
 
 class ClassStats(NamedTuple):
@@ -68,6 +67,10 @@ class DefectReport(NamedTuple):
     classes: tuple[ClassStats, ...]
 
 
+# Each class's sites and their positions in LETTER_SITES, in report order.
+_CLASS_AT = tuple((cls, sites, [LETTER_SITES.index(s) for s in sites]) for cls, sites in CLASS_SITES)
+
+
 def defect_report(allocation: SiteAllocation) -> DefectReport:
     """Exact per-class statistics of an allocation over all twelve sites.
 
@@ -78,18 +81,12 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
     is exactly the maximum of the rational deviations, reduced the same
     way by ``Fraction``.
     """
-    totals = dict(allocation.totals)
-    missing = [
-        site
-        for _cls, sites in CLASS_SITES
-        for site in sites
-        if site not in totals
-    ]
-    if missing:
-        raise IncompleteAllocationError(f"allocation missing sites {', '.join(sorted(missing))}")
+    totals = allocation.totals
+    if len(totals) != len(LETTER_SITES):
+        raise IncompleteAllocationError(f"allocation has {len(totals)} site totals, expected {len(LETTER_SITES)}")
     stats = []
-    for cls, sites in CLASS_SITES:
-        values = [totals[s] for s in sites]
+    for cls, sites, positions in _CLASS_AT:
+        values = [totals[p] for p in positions]
         n, total = len(values), sum(values)
         stats.append(
             ClassStats(

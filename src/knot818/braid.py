@@ -83,7 +83,7 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
         letters = tuple(int(l) for l in letters)
         bad = first_bad_letter(letters, strands)
         if bad is not None:
-            raise InvalidBraidError(f"letter {clip(str(letters[bad]))} out of range for {strands} strands")
+            raise InvalidBraidError(f"letter {clip(str(letters[bad]))} out of range for {clip(str(strands))} strands")
         return super().__new__(cls, strands, letters)
 
     @classmethod  # so that _replace, too, builds through __new__
@@ -145,22 +145,24 @@ def require_knot_closure(braid: BraidWord) -> list[int]:
 
     Raises :class:`NotAKnotError` unless the closure is a single knot.
     The message gives sizes, not the word, so it stays short however
-    long the word is.  Both bounds come before the walk stores its
-    strands * letters positions: fewer than strands - 1 letters, and
-    more than :data:`MAX_SAMPLES` positions (:class:`LongWalkError`).
+    long the word is.  Two bounds come before the walk stores its
+    strands * letters positions, in this order: more than
+    :data:`MAX_SAMPLES` positions (:class:`LongWalkError`), and fewer
+    than strands - 1 letters.
     """
     letters, strands = len(braid), braid.strands
+    if strands * letters > MAX_SAMPLES:
+        raise LongWalkError(f"strands * letters must be at most {MAX_SAMPLES}, got {clip(str(strands))} * {letters}")
     if letters < strands - 1:  # L transpositions leave at least n - L cycles
-        components = f"at least {strands - letters}"
-    elif strands * letters > MAX_SAMPLES:
-        raise LongWalkError(f"strands * letters must be at most {MAX_SAMPLES}, got {strands} * {letters}")
+        components = f"at least {clip(str(strands - letters))}"
     else:
         loops = _walk_loops(braid)
         if len(loops) == 1:
             return loops[0]
         components = str(len(loops))
     raise NotAKnotError(
-        f"closure of a {letters}-letter braid on {strands} strands has {components} components, so it is not a knot"
+        f"closure of a {letters}-letter braid on {clip(str(strands))} strands has {components} components,"
+        " so it is not a knot"
     )
 
 
@@ -182,18 +184,10 @@ class SignedCrossing(NamedTuple):
     site: str
 
 
-def _vertex_rule_applies(braid: BraidWord) -> bool:
-    # The marked-point rule is defined only on the main annular shape:
-    # three strands, eight letters alternating between the two generators
-    # with opposite signs (either generator may lead, either chirality).
-    if braid.strands != 3 or len(braid.letters) != 8:
-        return False
-    mags = tuple(abs(l) for l in braid.letters)
-    if mags not in ((1, 2) * 4, (2, 1) * 4):
-        return False
-    signs_1 = {l > 0 for l in braid.letters if abs(l) == 1}
-    signs_2 = {l > 0 for l in braid.letters if abs(l) == 2}
-    return len(signs_1) == 1 and len(signs_2) == 1 and signs_1 != signs_2
+# The marked-point rule holds only on the main annular shape: on three
+# strands, four turns of the two generators with opposite signs, either
+# leading, either chirality.  Each closes to the stored reference word.
+_VERTEX_SHAPES = {(1, -2) * 4, (-1, 2) * 4, (2, -1) * 4, (-2, 1) * 4}
 
 
 def closure_diagram(
@@ -201,19 +195,16 @@ def closure_diagram(
 ) -> tuple[DiagramWord, tuple[SignedCrossing, ...]]:
     """Walk the closure of ``braid`` into a diagram word.
 
-    The closure must be a single knot.  For the main annular shape (and
-    only there), a through vertex is inserted on each outermost arc
-    between consecutive outer crossings, unless ``insert_vertices`` is
-    false.
-
-    Fresh labels are assigned in first-visit order.  When the walked
-    loop turns out to be the stored reference word up to basepoint,
-    direction, and renaming, the whole presentation is re-based through
-    the :func:`cyclic_equivalent` witness so callers see that word
-    verbatim.
+    The closure must be a single knot.  Fresh labels are assigned in
+    first-visit order.  For the four words of the main annular shape
+    (and only there), unless ``insert_vertices`` is false, a through
+    vertex goes on each outermost arc between consecutive outer
+    crossings, and the walk, which is then the stored reference word up
+    to basepoint, direction and renaming, is re-based through the
+    :func:`cyclic_equivalent` witness so callers see that word verbatim.
     """
     loop = require_knot_closure(braid)
-    use_vertices = insert_vertices and _vertex_rule_applies(braid)
+    use_vertices = insert_vertices and braid.strands == 3 and braid.letters in _VERTEX_SHAPES
 
     letters = braid.letters
     passes = len(loop) - 1
@@ -249,12 +240,11 @@ def closure_diagram(
 
     word = DiagramWord(tuple(visits))
     if use_vertices:
+        # Re-base the walk so the word reads exactly as the stored one;
+        # crossing labels follow the same renaming.
         witness = cyclic_equivalent(word, canonical_818())
-        if witness is not None:
-            # Re-base the walk so the word reads exactly as the stored
-            # one; crossing labels follow the same renaming.
-            word = witness.apply(word)
-            slot_label = {slot: witness.mapping[label] for slot, label in slot_label.items()}
+        word = witness.apply(word)
+        slot_label = {slot: witness.mapping[label] for slot, label in slot_label.items()}
 
     # Each crossing site is visited once over and once under.
     over_at = {site: i for i, (site, role) in enumerate(word) if role is Role.OVER}
@@ -299,8 +289,8 @@ class AnnularEmbedding(NamedTuple):
     markers: tuple[CrossingMarker, ...] = ()
 
 
-# The most samples an embedding takes (at most about 51 bytes each while
-# it is built, some 100 MB), and the most positions a closure walk stores.
+# The most samples an embedding takes (at most about 43 bytes each while
+# it is built, some 86 MB), and the most positions a closure walk stores.
 MAX_SAMPLES = 2_000_000
 
 
@@ -321,13 +311,15 @@ def annular_embed(
     """
     letters = len(braid.letters)
     if slots_per_letter < 1:
-        raise BadSamplingError(f"slots_per_letter must be at least 1, got {slots_per_letter}")
+        raise BadSamplingError(f"slots_per_letter must be at least 1, got {clip(str(slots_per_letter))}")
     if slots_per_letter * letters < 3:
-        raise BadSamplingError(f"slots_per_letter * letters must be at least 3, got {slots_per_letter} * {letters}")
+        raise BadSamplingError(
+            f"slots_per_letter * letters must be at least 3, got {clip(str(slots_per_letter))} * {letters}"
+        )
     if braid.strands * letters * slots_per_letter > MAX_SAMPLES:
         raise BadSamplingError(
             f"strands * letters * slots_per_letter must be at most {MAX_SAMPLES},"
-            f" got {braid.strands} * {letters} * {slots_per_letter}"
+            f" got {clip(str(braid.strands))} * {letters} * {clip(str(slots_per_letter))}"
         )
     radii = tuple(float(r) for r in (range(1, braid.strands + 1) if radii is None else radii))
     if (
@@ -357,16 +349,17 @@ def annular_embed(
     loops = []
     for loop in _walk_loops(braid):
         # One pass over the loop; radii and angles stream from C-level
-        # iterators, with no list per pass.  Pass k samples at angles
+        # iterators into the loop's tuple, first point repeated at the
+        # end, with no list beside it.  Pass k samples at angles
         # k * width + offset, its start angle repeated once per offset.
         # cmath.rect(r, th) is complex(r * cos(th), r * sin(th)), bit for
         # bit, in one C call.
         rs = chain.from_iterable(map(profiles.__getitem__, zip(loop, loop[1:])))
         theta0s = map(mul, range(len(loop) - 1), repeat(width))
         angles = map(add, chain.from_iterable(map(repeat, theta0s, repeat(slots_per_letter))), cycle(offsets))
-        pts = list(map(cmath.rect, rs, angles))
-        pts.append(pts[0])
-        loops.append(tuple(pts))
+        samples = map(cmath.rect, rs, angles)
+        first = next(samples)
+        loops.append(tuple(chain((first,), samples, (first,))))
         for k, (entry, exit_pos) in enumerate(zip(loop, loop[1:])):
             if entry == exit_pos:
                 continue

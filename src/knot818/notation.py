@@ -118,7 +118,9 @@ class NonIntegerLetterError(BraidTextError):
 
 class LetterOutOfRangeError(BraidTextError):
     def __init__(self, token_index: int, letter: int | str, strands: int) -> None:
-        super().__init__(f"token {token_index}: letter {clip(str(letter))} out of range for {strands} strands")
+        super().__init__(
+            f"token {token_index}: letter {clip(str(letter))} out of range for {clip(str(strands))} strands"
+        )
         self.token_index = token_index
 
 

@@ -11,10 +11,12 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
+from knot818.allocation import SiteAllocation
 from knot818.braid import AnnularEmbedding, BraidWord
 from knot818.diagram import (
     BRANCH_SITES,
     INNER_SITES,
+    LETTER_SITES,
     OUTER_SITES,
     DiagramWord,
     Role,
@@ -79,6 +81,11 @@ def crossing_sign_from_geometry(over_direction: complex, under_direction: comple
 def table_value(table: TraversalTable, site: str, role: Role) -> int:
     """The value a table assigns the visit ``(site, role)``; KeyError if there is none."""
     return dict(zip(TABLE_KEYS, table.values))[site, role]
+
+
+def totals_by_site(allocation: SiteAllocation) -> dict[str, int]:
+    """An allocation's twelve totals keyed by site."""
+    return dict(zip(LETTER_SITES, allocation.totals))
 
 
 def word_sites(word: DiagramWord) -> tuple[str, ...]:

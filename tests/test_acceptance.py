@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from conftest import matmul, random_valid_word, subs_inverse, table_value
+from conftest import matmul, random_valid_word, subs_inverse, table_value, totals_by_site
 from knot818.braid import BRAID_818, BraidWord, annular_embed, closure_diagram, winding_phase
 from knot818.invariants import (
     PolyMatrix,
@@ -137,7 +137,7 @@ def test_criterion_07_mirror_law():
 def test_criterion_08_mismatch_reproduction():
     def check():
         case_a = traverse(canonical_818(), StartSpec("K", Direction.CW))
-        totals = dict(site_totals(case_a).totals)
+        totals = totals_by_site(site_totals(case_a))
         assert [totals[s] for s in "ABCD"] == [32, 22, 12, 22]
         assert [totals[s] for s in "EFGH"] == [17, 27, 17, 27]
         single = defect_report(site_totals(case_a))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_value
+from conftest import table_value, totals_by_site
 from knot818.allocation import (
     CLASS_SITES,
     ClassStats,
@@ -16,14 +16,16 @@ from knot818.allocation import (
     ensemble_totals,
     site_totals,
 )
-from knot818.diagram import Role, SiteClass, canonical_818
+from knot818.diagram import LETTER_SITES, Role, SiteClass, canonical_818
 from knot818.traversal import (
     Direction,
     StartSpec,
+    StateEnsemble,
     enumerate_all,
     enumerate_representatives,
     mirror_table,
     traverse,
+    with_mirrors,
 )
 
 
@@ -33,10 +35,12 @@ def case_a_table():
 
 def test_case_a_site_totals():
     alloc = site_totals(case_a_table())
-    totals = dict(alloc.totals)
+    totals = totals_by_site(alloc)
     assert {s: totals[s] for s in "ABCD"} == {"A": 32, "B": 22, "C": 12, "D": 22}
     assert {s: totals[s] for s in "EFGH"} == {"E": 17, "F": 27, "G": 17, "H": 27}
     assert {s: totals[s] for s in "IJKL"} == {"I": 11, "J": 6, "K": 1, "L": 16}
+    assert alloc.totals == (32, 22, 12, 22, 17, 27, 17, 27, 11, 6, 1, 16)  # A..L
+    assert all(type(total) is int for total in alloc.totals)
     assert alloc.grand_total == 210
     assert alloc.source == "K,cw"
 
@@ -65,7 +69,7 @@ def test_case_a_defect_report():
 
 def test_reps10_totals():
     alloc = ensemble_totals(enumerate_representatives())
-    assert dict(alloc.totals) == {
+    assert totals_by_site(alloc) == {
         "A": 180, "B": 220, "C": 220, "D": 220,
         "E": 220, "F": 180, "G": 220, "H": 220,
         "I": 110, "J": 110, "K": 90, "L": 110,
@@ -84,7 +88,7 @@ def test_all40_totals_balance_exactly():
     alloc = ensemble_totals(enumerate_all())
     expected = {s: 840 for s in "ABCDEFGH"}
     expected.update({s: 420 for s in "IJKL"})
-    assert dict(alloc.totals) == expected
+    assert totals_by_site(alloc) == expected
     assert alloc.grand_total == 40 * 210
     report = defect_report(alloc)
     assert not any(c.mismatch for c in report.classes)
@@ -96,7 +100,32 @@ def test_all40_totals_balance_exactly():
 
 def test_mirror_preserves_site_totals():
     for table in enumerate_all().tables:
-        assert dict(site_totals(mirror_table(table)).totals) == dict(site_totals(table).totals)
+        assert site_totals(mirror_table(table)).totals == site_totals(table).totals
+
+
+_MIRRORED_ALL = with_mirrors(enumerate_all())
+
+
+def _entry_sums(tables):
+    """Site totals summed straight from each table's (site, role, value) entries."""
+    sums = dict.fromkeys(LETTER_SITES, 0)
+    for table in tables:
+        for site, _role, value in table.entries:
+            sums[site] += value
+    return sums
+
+
+@given(st.sets(st.integers(0, len(_MIRRORED_ALL) - 1), min_size=1))
+def test_totals_match_a_sum_over_entries(picked):
+    tables = [_MIRRORED_ALL[i] for i in sorted(picked)]
+    alloc = ensemble_totals(StateEnsemble("drawn", tuple(tables)))
+    assert alloc.source == "drawn"
+    assert totals_by_site(alloc) == _entry_sums(tables)
+    assert alloc.grand_total == 210 * len(tables)
+    for table in tables:
+        single = site_totals(table)
+        assert totals_by_site(single) == _entry_sums([table])
+        assert single.grand_total == 210
 
 
 def test_mirrored_source_string():
@@ -104,11 +133,11 @@ def test_mirrored_source_string():
     assert alloc.source == "mirror(K,cw)"
 
 
-def test_defect_report_requires_all_sites():
-    partial = SiteAllocation.from_mapping("partial", {"A": 1, "B": 2})
+@pytest.mark.parametrize("count", [0, 2, 11, 13])
+def test_defect_report_requires_twelve_totals(count):
     with pytest.raises(IncompleteAllocationError) as info:
-        defect_report(partial)
-    assert "C" in str(info.value) and "K" in str(info.value)
+        defect_report(SiteAllocation("partial", (1,) * count))
+    assert str(info.value) == f"allocation has {count} site totals, expected 12"
 
 
 def test_class_site_partition():
@@ -123,7 +152,7 @@ def test_class_site_partition():
 
 def test_site_totals_uses_through_values():
     table = case_a_table()
-    alloc = dict(site_totals(table).totals)
+    alloc = totals_by_site(site_totals(table))
     for site in "IJKL":
         assert alloc[site] == table_value(table, site, Role.THROUGH)
     for site in "ABCDEFGH":
@@ -143,7 +172,7 @@ _TOTAL = st.one_of(st.integers(-3, 3), st.integers(-(2**80), 2**80))
 @given(st.lists(_TOTAL, min_size=12, max_size=12))
 def test_defect_report_matches_rational_definition(drawn):
     totals = dict(zip("ABCDEFGHIJKL", drawn))
-    report = defect_report(SiteAllocation.from_mapping("drawn", totals))
+    report = defect_report(SiteAllocation("drawn", tuple(drawn)))
     assert report.source == "drawn"
     assert len(report.classes) == len(CLASS_SITES)
     for stats, (cls, sites) in zip(report.classes, CLASS_SITES):

@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +15,7 @@ from conftest import (
     braid_words,
     closure_permutation,
     crossing_sign_from_geometry,
+    cut,
     polyline,
 )
 from knot818 import braid as braid_module
@@ -129,6 +131,38 @@ def test_walk_bounds_come_before_the_walk(monkeypatch):
     with pytest.raises(NotAKnotError) as exc:
         closure_diagram(BraidWord(5, (1, 2)))
     assert str(exc.value) == "closure of a 2-letter braid on 5 strands has at least 3 components, so it is not a knot"
+    # The cap comes first: 30 strands and one letter is over it as well as too few letters.
+    with pytest.raises(LongWalkError) as exc:
+        closure_diagram(BraidWord(30, (1,)))
+    assert str(exc.value) == "strands * letters must be at most 24, got 30 * 1"
+
+
+HUGE = 10**3999  # a 4,000-digit count, as --strands or --points-per-slot may give
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: BraidWord(HUGE, (0,)), InvalidBraidError, f"letter 0 out of range for {cut(str(HUGE))} strands"),
+        (lambda: require_knot_closure(BraidWord(HUGE, ())), NotAKnotError,
+         f"closure of a 0-letter braid on {cut(str(HUGE))} strands has at least {cut(str(HUGE))} components,"
+         " so it is not a knot"),
+        (lambda: require_knot_closure(BraidWord(HUGE, (1,))), LongWalkError,
+         f"strands * letters must be at most 2000000, got {cut(str(HUGE))} * 1"),
+        (lambda: annular_embed(BRAID_818, slots_per_letter=-HUGE), BadSamplingError,
+         f"slots_per_letter must be at least 1, got {cut(str(-HUGE))}"),
+        (lambda: annular_embed(BraidWord(3, ()), slots_per_letter=HUGE), BadSamplingError,
+         f"slots_per_letter * letters must be at least 3, got {cut(str(HUGE))} * 0"),
+        (lambda: annular_embed(BraidWord(HUGE, (1,)), slots_per_letter=HUGE), BadSamplingError,
+         f"strands * letters * slots_per_letter must be at most 2000000, got {cut(str(HUGE))} * 1 * {cut(str(HUGE))}"),
+    ],
+    ids=["letter-out-of-range", "too-few-letters", "walk-cap", "no-sample", "under-three", "sample-cap"],
+)
+def test_counts_are_echoed_clipped(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
 
 def test_trefoil_closure():
     word, crossings = closure_diagram(BraidWord(2, (1, 1, 1)))
@@ -189,10 +223,35 @@ def test_crossings_tie_back_on_every_vertex_shape(shape):
     # Each shape walks to the stored word by its own re-basing (offset,
     # reversal, renaming), and the crossing indices must follow it.
     word, crossings = closure_diagram(BraidWord(3, shape * 4))
-    assert len(word) == 20 and len(crossings) == 8
+    assert word == canonical_818() and len(crossings) == 8
     for c in crossings:
         assert word[c.over_strand] == Visit(c.site, Role.OVER)
         assert word[c.under_strand] == Visit(c.site, Role.UNDER)
+
+
+VERTEX_SHAPES = {(1, -2) * 4, (-1, 2) * 4, (2, -1) * 4, (-2, 1) * 4}
+
+
+def test_vertices_go_on_exactly_the_four_vertex_shapes():
+    # All 512 eight-letter words on three strands whose generators
+    # alternate: two orders of magnitude times 2**8 signs.
+    words = [
+        tuple(m * s for m, s in zip(mags, signs))
+        for mags in ((1, 2) * 4, (2, 1) * 4)
+        for signs in itertools.product((1, -1), repeat=8)
+    ]
+    assert len(set(words)) == 512
+    with_vertices = set()
+    for letters in words:
+        braid = BraidWord(3, letters)
+        assert braid.is_knot_closure
+        word, _ = closure_diagram(braid)
+        if any(v.role is Role.THROUGH for v in word):
+            with_vertices.add(letters)
+            assert word == canonical_818()
+        else:
+            assert len(word) == 16
+    assert with_vertices == VERTEX_SHAPES
 
 
 @given(braid_words())
@@ -260,6 +319,20 @@ def test_sample_cap_comes_before_any_allocation(monkeypatch):
     with pytest.raises(BadSamplingError) as exc:
         annular_embed(BRAID_818, radii=(), slots_per_letter=2)  # the bad radii are never looked at
     assert str(exc.value) == "strands * letters * slots_per_letter must be at most 47, got 3 * 8 * 2"
+
+
+def test_embedding_peak_stays_near_what_it_holds():
+    # 3 * 520 * 64 samples plus the repeated first point: the loop's
+    # tuple is built from the samples with no list of them beside it.
+    braid = BraidWord(3, (1, 2) * 260)
+    tracemalloc.start()
+    try:
+        embedding = annular_embed(braid)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, embedding.loops)) == 99_841
+    assert peak < 1.1 * held
 
 
 @pytest.mark.parametrize("braid, slots", [(BraidWord(2, (1,)), 3), (BraidWord(3, (1, -2)), 2), (BRAID_818, 1)])

@@ -319,6 +319,8 @@ FAILURES = [
           f"error: token 0: letter {cut(LONG_LETTER)} out of range for 3 strands\n"),
     fails("long-many-digit-letter", ["build", "--braid", f"1 {MANY_DIGITS} x"], 2,
           f"error: token 1: letter {cut(MANY_DIGITS)} out of range for 3 strands\n"),
+    fails("long-strands-letter-out-of-range", ["build", "--strands", LONG_LETTER, "--braid", "0"], 2,
+          f"error: token 0: letter 0 out of range for {cut(LONG_LETTER)} strands\n"),
     # The strand rule comes before any letter.
     *[
         fails(f"build-strands-{n}-with-a-letter", ["build", "--strands", n, "--braid", "1"], 2,
@@ -496,6 +498,12 @@ FAILURES = [
               "error: strands * letters must be at most 2000000, got 1000 * 2001\n")
         for command in ("build", "invariants")
     ],
+    # The walk cap comes first, so a strand count too long to fit it is echoed once, clipped.
+    *[
+        fails(f"long-{command}-strands-over-the-walk-cap", [command, "--strands", LONG_LETTER, "--braid", "1"], 3,
+              f"error: strands * letters must be at most 2000000, got {cut(LONG_LETTER)} * 1\n")
+        for command in ("build", "invariants")
+    ],
     *[
         fails(f"embed-radii-{radii}", ["embed", *OUT, "--braid", "1 2", "--radii", radii], 3,
               f"error: need 3 finite positive strictly increasing radii, got {shown}\n")
@@ -518,12 +526,16 @@ FAILURES = [
     fails("embed-over-the-sample-cap",
           ["embed", *OUT, "--strands", "2", "--braid", "1", "--points-per-slot", "1000001"], 3,
           "error: strands * letters * slots_per_letter must be at most 2000000, got 2 * 1 * 1000001\n"),
+    fails("long-embed-strands-over-the-sample-cap", ["embed", *OUT, "--strands", LONG_LETTER, "--braid", "1"], 3,
+          f"error: strands * letters * slots_per_letter must be at most 2000000, got {cut(LONG_LETTER)} * 1 * 64\n"),
+    fails("long-embed-points-per-slot-over-the-sample-cap", ["embed", *OUT, "--points-per-slot", LONG_LETTER], 3,
+          f"error: strands * letters * slots_per_letter must be at most 2000000, got 3 * 8 * {cut(LONG_LETTER)}\n"),
 ]
 
 
 def test_long_inputs_print_a_short_line():
     long_rows = [row for row in FAILURES if row.id.startswith("long-")]
-    assert len(long_rows) == 26
+    assert len(long_rows) == 31
     for row in long_rows:
         _argv, _code, stderr, _leaves = row.values
         assert len(stderr.splitlines()[-1]) <= 160, row.id

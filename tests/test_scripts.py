@@ -32,11 +32,13 @@ def test_alexander_ladder_quick(capsys):
     assert script.main(["--quick", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == [
-        "rung", "strands", "letters", "burau_ms", "det_ms", "alexander_ms", "embed_ms", "winding_ms", "det_bits"
+        "rung", "strands", "letters", "burau_ms", "det_ms", "alexander_ms", "embed_ms", "winding_ms", "det_bits",
+        "embed_peak_b",
     ]
     rows = [line.split() for line in lines[1:]]
     assert [row[:3] for row in rows] == [["3-strand/50", "3", "50"], ["3-strand/200", "3", "200"]]
     assert [int(row[8]) for row in rows] == [4, 41]
+    assert all(40 < float(row[9]) < 60 for row in rows)
 
 
 def test_alexander_ladder_rungs_close_to_knots():
