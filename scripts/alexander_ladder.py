@@ -4,7 +4,8 @@
 Each rung is one knot-closure braid; the script prints the best of
 ``--repeat`` wall times for the three stages of the Alexander path:
 ``burau_reduced``, the determinant of (rho - I), and the whole
-``alexander_from_braid``; for ``annular_embed`` at its default 64
+``alexander_from_braid``; for ``closure_diagram``, the walk that
+``knot818 build`` prints; for ``annular_embed`` at its default 64
 samples per letter (the sampling of the benchmark and of ``knot818
 embed``), so that an embedding cost superlinear in the word shows on
 the long rungs; and for ``winding_number`` on that embedding.
@@ -30,7 +31,7 @@ import random
 import tracemalloc
 from time import perf_counter
 
-from knot818.braid import BraidWord, annular_embed, winding_number
+from knot818.braid import BraidWord, annular_embed, closure_diagram, winding_number
 from knot818.cli import positive_int
 from knot818.invariants import PolyMatrix, alexander_from_braid, burau_reduced
 
@@ -91,7 +92,7 @@ def main(argv=None) -> int:
     rungs = ladder()[:2] if args.quick else ladder()
     print(
         f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12}"
-        f" {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8} {'embed_peak_b':>12}"
+        f" {'closure_ms':>10} {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8} {'embed_peak_b':>12}"
     )
     for name, braid in rungs:
         matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
@@ -100,12 +101,13 @@ def main(argv=None) -> int:
         burau = best_ms(lambda: burau_reduced(braid), args.repeat)
         det_ms = best_ms(matrix.det, args.repeat)
         alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
+        closure = best_ms(lambda: closure_diagram(braid), args.repeat)
         embed = best_ms(lambda: annular_embed(braid), args.repeat)
         embedding, peak_b = traced_embed(braid)
         winding = best_ms(lambda: winding_number(embedding), args.repeat)
         print(
             f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f}"
-            f" {embed:>10.2f} {winding:>10.2f} {bits:>8} {peak_b:>12.1f}"
+            f" {closure:>10.2f} {embed:>10.2f} {winding:>10.2f} {bits:>8} {peak_b:>12.1f}"
         )
     return 0
 

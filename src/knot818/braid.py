@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from itertools import chain, cycle, repeat
+from itertools import chain, count, cycle, repeat
 from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -32,7 +32,7 @@ from .diagram import (
     canonical_818,
     cyclic_equivalent,
 )
-from .errors import DomainError, UsageError, clip
+from .errors import DomainError, UsageError, clip, clip_count
 
 
 class InvalidBraidError(UsageError, ValueError):
@@ -83,7 +83,7 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
         letters = tuple(int(l) for l in letters)
         bad = first_bad_letter(letters, strands)
         if bad is not None:
-            raise InvalidBraidError(f"letter {clip(str(letters[bad]))} out of range for {clip(str(strands))} strands")
+            raise InvalidBraidError(f"letter {clip_count(letters[bad])} out of range for {clip_count(strands)} strands")
         return super().__new__(cls, strands, letters)
 
     @classmethod  # so that _replace, too, builds through __new__
@@ -152,16 +152,16 @@ def require_knot_closure(braid: BraidWord) -> list[int]:
     """
     letters, strands = len(braid), braid.strands
     if strands * letters > MAX_SAMPLES:
-        raise LongWalkError(f"strands * letters must be at most {MAX_SAMPLES}, got {clip(str(strands))} * {letters}")
+        raise LongWalkError(f"strands * letters must be at most {MAX_SAMPLES}, got {clip_count(strands)} * {letters}")
     if letters < strands - 1:  # L transpositions leave at least n - L cycles
-        components = f"at least {clip(str(strands - letters))}"
+        components = f"at least {clip_count(strands - letters)}"
     else:
         loops = _walk_loops(braid)
         if len(loops) == 1:
             return loops[0]
         components = str(len(loops))
     raise NotAKnotError(
-        f"closure of a {letters}-letter braid on {clip(str(strands))} strands has {components} components,"
+        f"closure of a {letters}-letter braid on {clip_count(strands)} strands has {components} components,"
         " so it is not a knot"
     )
 
@@ -171,22 +171,22 @@ BRAID_818 = BraidWord(3, (1, -2, 1, -2, 1, -2, 1, -2))
 
 
 class SignedCrossing(NamedTuple):
-    """One crossing of a closure, tied back to the word that walked it.
+    """One crossing of a closure: the slot of its letter, its sign and its site.
 
-    ``over_strand`` and ``under_strand`` index into the visit list of the
-    DiagramWord returned alongside.
+    The DiagramWord returned alongside holds its two visits,
+    ``Visit(site, Role.OVER)`` and ``Visit(site, Role.UNDER)``.
     """
 
     id: int
     sign: int
-    over_strand: int
-    under_strand: int
     site: str
 
 
-# The marked-point rule holds only on the main annular shape: on three
-# strands, four turns of the two generators with opposite signs, either
-# leading, either chirality.  Each closes to the stored reference word.
+# The marked-point rule holds only on the main annular shape: four turns
+# of the two generators with opposite signs, either leading, either
+# chirality.  Each closes to the stored reference word.  The words use
+# generators 1 and 2 alone, so they need three strands, and on more the
+# fourth never moves, so the closure is a link.
 _VERTEX_SHAPES = {(1, -2) * 4, (-1, 2) * 4, (2, -1) * 4, (-2, 1) * 4}
 
 
@@ -198,45 +198,37 @@ def closure_diagram(
     The closure must be a single knot.  Fresh labels are assigned in
     first-visit order.  For the four words of the main annular shape
     (and only there), unless ``insert_vertices`` is false, a through
-    vertex goes on each outermost arc between consecutive outer
-    crossings, and the walk, which is then the stored reference word up
-    to basepoint, direction and renaming, is re-based through the
-    :func:`cyclic_equivalent` witness so callers see that word verbatim.
+    vertex goes on the first outermost arc of each gap between
+    consecutive crossings, and the walk, which is then the stored
+    reference word up to basepoint, direction and renaming, is re-based
+    through the :func:`cyclic_equivalent` witness, so that the stored
+    word itself is returned.
     """
     loop = require_knot_closure(braid)
-    use_vertices = insert_vertices and braid.strands == 3 and braid.letters in _VERTEX_SHAPES
+    use_vertices = insert_vertices and braid.letters in _VERTEX_SHAPES
 
     letters = braid.letters
     passes = len(loop) - 1
     visits: list[Visit] = []
-    slot_label: dict[int, str] = {}
-    if use_vertices:
-        banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
-        vertex_bank = iter(BRANCH_SITES)
-    # One through vertex in each gap between consecutive crossings
-    # that holds an outermost arc, read from the first crossing on.
+    slot_label: list[Optional[str]] = [None] * len(letters)
+    numbers = map(str, count(1))
+    banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
+    vertex_bank = iter(BRANCH_SITES)
+    # One through vertex in each gap between consecutive crossings that
+    # holds an outermost arc, on its first such arc.  The walk is read
+    # from the first crossing, so a visit always comes before that arc.
     first = next(k for k in range(passes) if loop[k] != loop[k + 1])
-    pending = False  # an outermost arc since the last crossing
     for k in chain(range(first, passes), range(first)):
         entry, exit_pos = loop[k], loop[k + 1]
         if entry == exit_pos:
-            if use_vertices and entry == braid.strands:
-                pending = True
+            if use_vertices and entry == braid.strands and visits[-1].role is not Role.THROUGH:
+                visits.append(Visit(next(vertex_bank), Role.THROUGH))
             continue
-        if pending:
-            visits.append(Visit(next(vertex_bank), Role.THROUGH))
-            pending = False
         slot = k % len(letters)
-        label = slot_label.get(slot)
+        label = slot_label[slot]
         if label is None:
-            if use_vertices:
-                label = next(banks[abs(letters[slot])])
-            else:
-                label = str(len(slot_label) + 1)
-            slot_label[slot] = label
+            label = slot_label[slot] = next(banks[abs(letters[slot])] if use_vertices else numbers)
         visits.append(Visit(label, Role.OVER if (exit_pos > entry) == (letters[slot] > 0) else Role.UNDER))
-    if pending:
-        visits.append(Visit(next(vertex_bank), Role.THROUGH))
 
     word = DiagramWord(tuple(visits))
     if use_vertices:
@@ -244,20 +236,10 @@ def closure_diagram(
         # crossing labels follow the same renaming.
         witness = cyclic_equivalent(word, canonical_818())
         word = witness.apply(word)
-        slot_label = {slot: witness.mapping[label] for slot, label in slot_label.items()}
-
-    # Each crossing site is visited once over and once under.
-    over_at = {site: i for i, (site, role) in enumerate(word) if role is Role.OVER}
-    under_at = {site: i for i, (site, role) in enumerate(word) if role is Role.UNDER}
+        slot_label = [witness.mapping[label] for label in slot_label]
     crossings = tuple(
-        SignedCrossing(
-            id=slot,
-            sign=1 if braid.letters[slot] > 0 else -1,
-            over_strand=over_at[label],
-            under_strand=under_at[label],
-            site=label,
-        )
-        for slot, label in sorted(slot_label.items())
+        SignedCrossing(slot, 1 if letter > 0 else -1, label)
+        for slot, (letter, label) in enumerate(zip(letters, slot_label))
     )
     return word, crossings
 
@@ -311,15 +293,15 @@ def annular_embed(
     """
     letters = len(braid.letters)
     if slots_per_letter < 1:
-        raise BadSamplingError(f"slots_per_letter must be at least 1, got {clip(str(slots_per_letter))}")
+        raise BadSamplingError(f"slots_per_letter must be at least 1, got {clip_count(slots_per_letter)}")
     if slots_per_letter * letters < 3:
         raise BadSamplingError(
-            f"slots_per_letter * letters must be at least 3, got {clip(str(slots_per_letter))} * {letters}"
+            f"slots_per_letter * letters must be at least 3, got {clip_count(slots_per_letter)} * {letters}"
         )
     if braid.strands * letters * slots_per_letter > MAX_SAMPLES:
         raise BadSamplingError(
             f"strands * letters * slots_per_letter must be at most {MAX_SAMPLES},"
-            f" got {clip(str(braid.strands))} * {letters} * {clip(str(slots_per_letter))}"
+            f" got {clip_count(braid.strands)} * {letters} * {clip_count(slots_per_letter)}"
         )
     radii = tuple(float(r) for r in (range(1, braid.strands + 1) if radii is None else radii))
     if (

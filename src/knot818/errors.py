@@ -6,7 +6,7 @@ that escapes a command is a bug.
 """
 
 import sys
-from typing import Optional
+from typing import Optional, Union
 
 
 class Knot818Error(Exception):
@@ -29,6 +29,15 @@ def clip(text: str) -> str:
     if len(text) <= ECHO_LIMIT:
         return text
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
+
+
+def clip_count(count: Union[int, str]) -> str:
+    """A count for an error message, clipped like outside text; an integer
+    with more digits than CPython converts to a string shows its size in bits."""
+    try:
+        return clip(str(count))
+    except ValueError:
+        return f"{'a negative' if count < 0 else 'an'} integer of {count.bit_length()} bits"
 
 
 def too_many_digits(text: str) -> Optional[str]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .braid import BraidWord, InvalidBraidError, first_bad_letter
 from .diagram import _ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
-from .errors import UsageError, clip, too_many_digits
+from .errors import UsageError, clip, clip_count, too_many_digits
 
 
 class NotationError(UsageError, ValueError):
@@ -119,7 +119,7 @@ class NonIntegerLetterError(BraidTextError):
 class LetterOutOfRangeError(BraidTextError):
     def __init__(self, token_index: int, letter: int | str, strands: int) -> None:
         super().__init__(
-            f"token {token_index}: letter {clip(str(letter))} out of range for {clip(str(strands))} strands"
+            f"token {token_index}: letter {clip_count(letter)} out of range for {clip_count(strands)} strands"
         )
         self.token_index = token_index
 

@@ -309,7 +309,7 @@ def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
             reader = csv.reader(fh)
             rows = list(reader)
     except UnicodeDecodeError:
-        raise FixtureParseError(f"{path}: not UTF-8 text") from None
+        raise FixtureParseError(f"{clip(str(path))}: not UTF-8 text") from None
     except csv.Error as exc:
         raise FixtureParseError(f"line {reader.line_num}: {exc}") from None
     if rows[:1] != [header]:

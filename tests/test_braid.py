@@ -16,6 +16,7 @@ from conftest import (
     closure_permutation,
     crossing_sign_from_geometry,
     cut,
+    knot_braids,
     polyline,
 )
 from knot818 import braid as braid_module
@@ -37,6 +38,7 @@ from knot818.braid import (
     winding_phase,
 )
 from knot818.diagram import Role, SiteClass, Visit, canonical_818, site_class
+from knot818.notation import LetterOutOfRangeError, parse_braid_word
 
 
 def test_braid_word_validation():
@@ -138,6 +140,8 @@ def test_walk_bounds_come_before_the_walk(monkeypatch):
 
 
 HUGE = 10**3999  # a 4,000-digit count, as --strands or --points-per-slot may give
+TOO_LONG = 10**5000  # more digits than str() converts, so a message gives its size in bits
+BITS = "an integer of 16610 bits"
 
 
 @pytest.mark.parametrize(
@@ -155,8 +159,22 @@ HUGE = 10**3999  # a 4,000-digit count, as --strands or --points-per-slot may gi
          f"slots_per_letter * letters must be at least 3, got {cut(str(HUGE))} * 0"),
         (lambda: annular_embed(BraidWord(HUGE, (1,)), slots_per_letter=HUGE), BadSamplingError,
          f"strands * letters * slots_per_letter must be at most 2000000, got {cut(str(HUGE))} * 1 * {cut(str(HUGE))}"),
+        (lambda: BraidWord(TOO_LONG, (0,)), InvalidBraidError, f"letter 0 out of range for {BITS} strands"),
+        (lambda: BraidWord(3, (TOO_LONG,)), InvalidBraidError, f"letter {BITS} out of range for 3 strands"),
+        (lambda: require_knot_closure(BraidWord(TOO_LONG, (1,))), LongWalkError,
+         f"strands * letters must be at most 2000000, got {BITS} * 1"),
+        (lambda: annular_embed(BRAID_818, slots_per_letter=TOO_LONG), BadSamplingError,
+         f"strands * letters * slots_per_letter must be at most 2000000, got 3 * 8 * {BITS}"),
+        (lambda: annular_embed(BRAID_818, slots_per_letter=-TOO_LONG), BadSamplingError,
+         "slots_per_letter must be at least 1, got a negative integer of 16610 bits"),
+        (lambda: parse_braid_word("0", TOO_LONG), LetterOutOfRangeError,
+         f"token 0: letter 0 out of range for {BITS} strands"),
     ],
-    ids=["letter-out-of-range", "too-few-letters", "walk-cap", "no-sample", "under-three", "sample-cap"],
+    ids=[
+        "letter-out-of-range", "too-few-letters", "walk-cap", "no-sample", "under-three", "sample-cap",
+        "too-long-strands", "too-long-letter", "too-long-walk-cap", "too-long-sample-cap", "too-long-no-sample",
+        "too-long-parsed-strands",
+    ],
 )
 def test_counts_are_echoed_clipped(call, error, message):
     with pytest.raises(error) as exc:
@@ -170,9 +188,10 @@ def test_trefoil_closure():
     assert [c.sign for c in crossings] == [1, 1, 1]
     assert sum(c.sign for c in crossings) == 3
     for c in crossings:
-        assert word[c.over_strand].role is Role.OVER
-        assert word[c.under_strand].role is Role.UNDER
-        assert word[c.over_strand].site == word[c.under_strand].site == c.site
+        over, under = word.index(Visit(c.site, Role.OVER)), word.index(Visit(c.site, Role.UNDER))
+        assert word[over].role is Role.OVER
+        assert word[under].role is Role.UNDER
+        assert word[over].site == word[under].site == c.site
 
 
 def test_main_closure_reproduces_canonical_word():
@@ -221,12 +240,30 @@ def test_vertex_rule_inapplicable(braid):
 @pytest.mark.parametrize("shape", [(1, -2), (-1, 2), (2, -1), (-2, 1)])
 def test_crossings_tie_back_on_every_vertex_shape(shape):
     # Each shape walks to the stored word by its own re-basing (offset,
-    # reversal, renaming), and the crossing indices must follow it.
+    # reversal, renaming), and the crossing labels must follow it.
     word, crossings = closure_diagram(BraidWord(3, shape * 4))
     assert word == canonical_818() and len(crossings) == 8
     for c in crossings:
-        assert word[c.over_strand] == Visit(c.site, Role.OVER)
-        assert word[c.under_strand] == Visit(c.site, Role.UNDER)
+        over, under = word.index(Visit(c.site, Role.OVER)), word.index(Visit(c.site, Role.UNDER))
+        assert word[over] == Visit(c.site, Role.OVER)
+        assert word[under] == Visit(c.site, Role.UNDER)
+
+
+@pytest.mark.parametrize(
+    "shape, table",
+    [
+        ((1, -2), "D+ H- C+ G- B+ F- A+ E-"),
+        ((-1, 2), "A- F+ B- G+ C- H+ D- E+"),
+        ((2, -1), "E+ A- F+ B- G+ C- H+ D-"),
+        ((-2, 1), "E- D+ H- C+ G- B+ F- A+"),
+    ],
+)
+def test_vertex_shape_crossing_tables(shape, table):
+    # Slot k's site and sign: a vertex rule that still walks to the
+    # stored word but renames a crossing fails here.
+    _, crossings = closure_diagram(BraidWord(3, shape * 4))
+    expected = tuple((k, int(f"{cell[1]}1"), cell[0]) for k, cell in enumerate(table.split()))
+    assert crossings == expected
 
 
 VERTEX_SHAPES = {(1, -2) * 4, (-1, 2) * 4, (2, -1) * 4, (-2, 1) * 4}
@@ -265,8 +302,21 @@ def test_closure_word_shape(braid):
     assert len(crossings) == len(braid)
     assert sum(c.sign for c in crossings) == braid.exponent_sum
     for c in crossings:
-        assert word[c.over_strand] .role is Role.OVER
-        assert word[c.under_strand].role is Role.UNDER
+        over, under = word.index(Visit(c.site, Role.OVER)), word.index(Visit(c.site, Role.UNDER))
+        assert word[over].role is Role.OVER
+        assert word[under].role is Role.UNDER
+
+
+@given(knot_braids(), st.booleans())
+@example(BRAID_818, True)
+@example(BraidWord(3, (-2, 1) * 4), True)
+def test_crossings_are_slots_with_letter_signs(braid, insert_vertices):
+    word, crossings = closure_diagram(braid, insert_vertices=insert_vertices)
+    assert [c.id for c in crossings] == list(range(len(braid)))
+    assert [c.sign for c in crossings] == [1 if l > 0 else -1 for l in braid.letters]
+    for c in crossings:
+        assert word.count(Visit(c.site, Role.OVER)) == 1
+        assert word.count(Visit(c.site, Role.UNDER)) == 1
 
 
 # Embedding geometry.

@@ -3,10 +3,12 @@
 import argparse
 import ast
 import contextlib
+import errno
 import hashlib
 import importlib
 import io
 import json
+import os
 import pkgutil
 import re
 import shlex
@@ -302,11 +304,17 @@ MANY_DIGITS = "1" * 5_000
 LONG_RADII = ",".join(["1"] * 2_500)
 LONG_WALK = " ".join(["1"] * 2_001)  # 1000 strands * 2001 letters, one over the walk cap
 FIELD_OVER_LIMIT = "1" * 200_000  # one CSV cell over the csv module's 131072-character limit
+# A relative path longer than any file name the OS takes, so opening it fails and nothing is written.
+LONG_PATH = "p" * 6_005
+NAME_TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
 
 
 # Every failure path of the command line: (argv, exit code, exact stderr,
 # the files the failed run leaves).  "{tmp}" stands for the directory of
 # the files that the failure_files fixture writes, "{name}" for its name.
+# The run's working directory is that directory's parent, so "{tmp}" is
+# filled in as its name, and the paths an error echoes stay short enough
+# for clip to leave them whole.
 FAILURES = [
     # UsageError, exit 2
     fails("non-integer-letter", ["build", "--braid", "1 x"], 2, "error: token 1: 'x' is not an integer\n"),
@@ -396,6 +404,8 @@ FAILURES = [
           "error: --out and --markers name one file: {tmp}/x.csv\n"),
     fails("embed-markers-same-file-dotdot", ["embed", *OUT, "--markers", "{tmp}/../{name}/x.csv"], 2,
           "error: --out and --markers name one file: {tmp}/../{name}/x.csv\n"),
+    fails("long-embed-markers-same-file", ["embed", "--out", LONG_PATH, "--markers", LONG_PATH], 2,
+          f"error: --out and --markers name one file: {cut(LONG_PATH)}\n"),
     # OSError, exit 2
     fails("check-fixture-missing", ["check-fixture", "{tmp}/missing.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n"),
@@ -407,6 +417,9 @@ FAILURES = [
     # The markers are written after the points, which stay complete.
     fails("embed-markers-missing-directory", ["embed", *OUT, "--markers", "{tmp}/no-dir/m.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/no-dir/m.csv'\n", leaves=["x.csv"]),
+    # An OSError's path is outside text too.
+    fails("long-check-fixture-path", ["check-fixture", LONG_PATH], 2, f"error: {NAME_TOO_LONG}: {cut(repr(LONG_PATH))}\n"),
+    fails("long-embed-out-path", ["embed", "--out", LONG_PATH], 2, f"error: {NAME_TOO_LONG}: {cut(repr(LONG_PATH))}\n"),
     # argparse, exit 2
     fails("no-such-command", ["no-such-command"], 2,
           _usage_error(None, "argument command: invalid choice: 'no-such-command' (choose from 'build',"
@@ -535,7 +548,7 @@ FAILURES = [
 
 def test_long_inputs_print_a_short_line():
     long_rows = [row for row in FAILURES if row.id.startswith("long-")]
-    assert len(long_rows) == 31
+    assert len(long_rows) == 34
     for row in long_rows:
         _argv, _code, stderr, _leaves = row.values
         assert len(stderr.splitlines()[-1]) <= 160, row.id
@@ -547,16 +560,19 @@ def test_clip_keeps_short_text_and_cuts_long_text():
 
 
 @pytest.fixture
-def failure_files(tmp_path):
-    (tmp_path / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
-    (tmp_path / "header_only.csv").write_text("case,site,role,value\n", encoding="utf-8")
-    (tmp_path / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
+def failure_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    files = tmp_path / "f"
+    files.mkdir()
+    (files / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
+    (files / "header_only.csv").write_text("case,site,role,value\n", encoding="utf-8")
+    (files / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
     for name, row in [
         ("long_site", f"a,{LONG_X},over,1"), ("long_value", f"a,A,over,{LONG_X}"), ("long_case", f"{LONG_X},A,over,1"),
         ("many_digits", f"a,A,over,{MANY_DIGITS}"),
         ("field_too_long", f"a,A,over,{FIELD_OVER_LIMIT}"),
     ]:
-        (tmp_path / f"{name}.csv").write_text(f"case,site,role,value\n{row}\n", encoding="utf-8")
+        (files / f"{name}.csv").write_text(f"case,site,role,value\n{row}\n", encoding="utf-8")
     header = "case,site,role,value,corrected_value\n"
     for name, rows in [
         ("wrong_errata", ["h,D,over,13,2"]),
@@ -569,8 +585,8 @@ def failure_files(tmp_path):
         ("empty_case_errata", [",D,over,12,2"]),
         ("field_too_long_errata", [f"h,D,over,12,{FIELD_OVER_LIMIT}"]),
     ]:
-        (tmp_path / f"{name}.csv").write_text(header + "".join(f"{row}\n" for row in rows), encoding="utf-8")
-    return tmp_path
+        (files / f"{name}.csv").write_text(header + "".join(f"{row}\n" for row in rows), encoding="utf-8")
+    return files
 
 
 @pytest.mark.parametrize("argv, code, stderr, leaves", FAILURES)
@@ -578,7 +594,7 @@ def test_cli_failure(capsys, failure_files, argv, code, stderr, leaves):
     before = sorted(failure_files.iterdir())
 
     def fill(text):
-        return text.replace("{tmp}", str(failure_files)).replace("{name}", failure_files.name)
+        return text.replace("{tmp}", failure_files.name).replace("{name}", failure_files.name)
 
     assert run(capsys, *map(fill, argv)) == (code, "", fill(stderr))
     assert sorted(failure_files.iterdir()) == sorted(before + [failure_files / name for name in leaves])

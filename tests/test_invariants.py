@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import ZERO, braid_words, knot_braids, load_script, matmul, signs, subs_inverse
 from knot818.braid import BRAID_818, BraidWord, NotAKnotError, closure_diagram
-from knot818.diagram import Role
+from knot818.diagram import Role, Visit
 from knot818.invariants import (
     PolyMatrix,
     ZeroPolynomialError,
@@ -505,9 +505,9 @@ def crossing_matrix_alexander(braid):
     rows = []
     for crossing in crossings:
         row = [ZERO] * len(crossings)
-        entering = arc[crossing.under_strand]
+        entering = arc[word.index(Visit(crossing.site, Role.UNDER))]
         leaving = (entering + 1) % len(crossings)
-        row[arc[crossing.over_strand]] += ONE - T
+        row[arc[word.index(Visit(crossing.site, Role.OVER))]] += ONE - T
         row[entering] += T if crossing.sign > 0 else -ONE
         row[leaving] += -ONE if crossing.sign > 0 else T
         rows.append(row)

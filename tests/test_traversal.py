@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import relabel_table, table_value
+from conftest import cut, relabel_table, table_value
 from knot818.diagram import (
     LETTER_SITES,
     ROTATION_RELABEL,
@@ -338,6 +338,15 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def test_not_utf8_names_its_path_clipped(tmp_path):
+    (tmp_path / ("d" * 200)).mkdir()
+    path = tmp_path / ("d" * 200) / "not_utf8.csv"
+    path.write_bytes(b"\xff\xfecase,site,role,value\n")
+    with pytest.raises(FixtureParseError) as exc:
+        load_table_fixture(path)
+    assert str(exc.value) == f"{cut(str(path))}: not UTF-8 text"
 
 
 def test_fixture_parse_bad_header(tmp_path):
