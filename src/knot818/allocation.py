@@ -79,7 +79,9 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
     ``|v - S/n| = |n*v - S| / n``, every deviation is an integer over the
     same denominator n, so the maximum of the integers divided once by n
     is exactly the maximum of the rational deviations, reduced the same
-    way by ``Fraction``.
+    way by ``Fraction``.  That maximum integer is
+    ``max(n*max(v) - S, S - n*min(v))``, since ``n*v - S`` grows with v,
+    and the class is a mismatch exactly when ``min(v) != max(v)``.
     """
     totals = allocation.totals
     if len(totals) != len(LETTER_SITES):
@@ -87,14 +89,14 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
     stats = []
     for cls, sites, positions in _CLASS_AT:
         values = [totals[p] for p in positions]
-        n, total = len(values), sum(values)
+        n, total, lo, hi = len(values), sum(values), min(values), max(values)
         stats.append(
             ClassStats(
                 site_class=cls,
                 entries=tuple(zip(sites, values)),
                 mean=Fraction(total, n),
-                max_deviation=Fraction(max(abs(n * v - total) for v in values), n),
-                mismatch=len(set(values)) > 1,
+                max_deviation=Fraction(max(n * hi - total, total - n * lo), n),
+                mismatch=lo != hi,
             )
         )
     return DefectReport(allocation.source, tuple(stats))

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
 
 from .braid import BRAID_818, annular_embed, closure_diagram, winding_number
 from .diagram import Role
-from .errors import DomainError, UsageError, clip, clip_count, too_many_digits
+from .errors import DomainError, UsageError, clip, clip_count, clip_path, too_many_digits
 from .notation import emit_extended_gauss, parse_braid_word
 
 if TYPE_CHECKING:  # each command imports these only when it runs
@@ -227,7 +227,7 @@ def cmd_check_fixture(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 def cmd_embed(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     if args.markers is not None and os.path.realpath(args.markers) == os.path.realpath(args.out):
-        raise SamePathError(f"--out and --markers name one file: {clip(args.markers)}")
+        raise SamePathError(f"--out and --markers name one file: {clip_path(args.markers)}")
     braid = parse_braid_word(args.braid, args.strands)
     embedding = annular_embed(braid, args.radii, slots_per_letter=args.points_per_slot)
     turns = winding_number(embedding)  # before writing, so a failed run leaves no file
@@ -321,7 +321,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # worded as str(exc), with the path it names clipped
-        text = exc if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {clip(repr(exc.filename))}"
+        text = exc if exc.filename is None else f"[Errno {exc.errno}] {exc.strerror}: {clip_path(repr(exc.filename))}"
         print(f"error: {text}", file=sys.stderr)
         return 2
     except DomainError as exc:

@@ -28,6 +28,10 @@ class Role(Enum):
     UNDER = "under"
     THROUGH = "through"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with ==, and it runs in C where Enum's hashes the name.
+    __hash__ = object.__hash__
+
     @property
     def swapped(self) -> "Role":
         """Over and under exchanged; through is fixed."""

@@ -31,6 +31,14 @@ def clip(text: str) -> str:
     return f"{text[:ECHO_LIMIT]}... ({len(text)} characters)"
 
 
+def clip_path(path: str) -> str:
+    """A path for an error message: its last ECHO_LIMIT characters, which
+    hold the file name, and its length if longer."""
+    if len(path) <= ECHO_LIMIT:
+        return path
+    return f"...{path[-ECHO_LIMIT:]} ({len(path)} characters)"
+
+
 def clip_count(count: Union[int, str]) -> str:
     """A count for an error message, clipped like outside text; an integer
     with more digits than CPython converts to a string shows its size in bits."""

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import os.path
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .diagram import (
@@ -31,7 +32,7 @@ from .diagram import (
     canonical_818,
     validate_word,
 )
-from .errors import DomainError, UsageError, clip, too_many_digits
+from .errors import DomainError, UsageError, clip, clip_path, too_many_digits
 
 
 class InvalidStartSpecError(UsageError, ValueError):
@@ -53,6 +54,8 @@ class FixtureParseError(UsageError, ValueError):
 class Direction(Enum):
     CW = "cw"
     CCW = "ccw"
+
+    __hash__ = object.__hash__  # as Role's
 
     def __str__(self) -> str:
         return self.value
@@ -118,8 +121,8 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
 
     def __str__(self) -> str:
         if self.entry_role is None:
-            return f"{self.site},{self.direction}"
-        return f"{self.site},{self.direction},{self.entry_role}"
+            return f"{self.site},{self.direction.value}"
+        return f"{self.site},{self.direction.value},{self.entry_role.value}"
 
 
 class TraversalTable(NamedTuple):
@@ -166,19 +169,20 @@ def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
     return _traverse(_slots(word), start)
 
 
-def _gather_order(image) -> tuple[int, ...]:
-    """Slot i of the result reads slot order[i] when each key k moves to image(k)."""
+def _gather_order(image) -> itemgetter:
+    """The gather of a table's values when each key k moves to image(k):
+    slot i of its result reads the slot whose key moves to key i."""
     source = {image(key): i for i, key in enumerate(TABLE_KEYS)}
-    return tuple(source[key] for key in TABLE_KEYS)
+    return itemgetter(*(source[key] for key in TABLE_KEYS))
 
 
 _MIRROR_ORDER = _gather_order(lambda key: (key[0], key[1].swapped))
+_ROTATION_ORDER = _gather_order(lambda key: (ROTATION_RELABEL[key[0]], key[1]))
 
 
 def mirror_table(table: TraversalTable) -> TraversalTable:
     """The same traversal on the mirror diagram: over and under values swap."""
-    values = tuple(table.values[i] for i in _MIRROR_ORDER)
-    return TraversalTable(table.start, values, mirrored=not table.mirrored)
+    return TraversalTable(table.start, _MIRROR_ORDER(table.values), mirrored=not table.mirrored)
 
 
 def _spec_index(tables: Sequence[TraversalTable]) -> dict[tuple, int]:
@@ -248,7 +252,6 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
     must reproduce the ensemble's table for the relabeled start spec.
     """
     index = _spec_index(tables)
-    order = _gather_order(lambda k: (ROTATION_RELABEL[k[0]], k[1]))
     seen: set[int] = set()
     orbits: list[tuple[int, ...]] = []
     for i, table in enumerate(tables):
@@ -265,7 +268,7 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
                 rotated = StartSpec(ROTATION_RELABEL[site], direction, role)
                 raise ValueError(f"ensemble not closed under rotation at {rotated}")
             nxt = tables[nxt_i]
-            if nxt.values != tuple(cur.values[j] for j in order):
+            if nxt.values != _ROTATION_ORDER(cur.values):
                 raise ValueError(f"rotation equivariance violated at {nxt.start}")
             cur_i, cur = nxt_i, nxt
         orbits.append(tuple(orbit))
@@ -309,7 +312,7 @@ def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
             reader = csv.reader(fh)
             rows = list(reader)
     except UnicodeDecodeError:
-        raise FixtureParseError(f"{clip(str(path))}: not UTF-8 text") from None
+        raise FixtureParseError(f"{clip_path(str(path))}: not UTF-8 text") from None
     except csv.Error as exc:
         raise FixtureParseError(f"line {reader.line_num}: {exc}") from None
     if rows[:1] != [header]:
@@ -386,19 +389,28 @@ def apply_errata(case_id: str, values: tuple[int, ...], rows: Mapping[int, tuple
 
 
 def case_multiset_violations(values: tuple[int, ...]) -> list[str]:
-    """Diagnostics for a case whose values are not exactly {1..20}."""
-    by_value: dict[int, list[str]] = {}
-    for site, role, value in _labeled(values):
-        by_value.setdefault(value, []).append(f"{site} {role}")
+    """Diagnostics for a case whose values are not exactly {1..20}.
+
+    In value order, each value out of range or held by more than one
+    place, naming its places in :data:`TABLE_KEYS` order; then each
+    missing value.  Only those places are spelled out.
+    """
+    slots_by_value: dict[int, list[int]] = {}
+    for slot, value in enumerate(values):
+        slots_by_value.setdefault(value, []).append(slot)
     diags = []
-    for value in sorted(by_value):
-        places = by_value[value]
+    for value in sorted(slots_by_value):
+        slots = slots_by_value[value]
         if not 1 <= value <= 20:
-            diags.append(f"value {value} out of range at {', '.join(places)}")
-        elif len(places) > 1:
-            diags.append(f"value {value} duplicated at {', '.join(places)}")
+            what = "out of range"
+        elif len(slots) > 1:
+            what = "duplicated"
+        else:
+            continue
+        places = ", ".join(f"{site} {role}" for site, role in map(TABLE_KEYS.__getitem__, slots))
+        diags.append(f"value {value} {what} at {places}")
     for value in range(1, 21):
-        if value not in by_value:
+        if value not in slots_by_value:
             diags.append(f"value {value} missing")
     return diags
 

@@ -45,6 +45,11 @@ def cut(text: str) -> str:
     return f"{text[:40]}... ({len(text)} characters)"
 
 
+def cut_path(text: str) -> str:
+    """How an error message shows a path longer than 40 characters: its last 40, with the file name."""
+    return f"...{text[-40:]} ({len(text)} characters)"
+
+
 class MultiLoopError(ValueError):
     """One polyline asked of an embedding with other than one loop."""
 

@@ -20,11 +20,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 
-from conftest import crossing_sign_from_geometry, cut, knot_braids
+from conftest import crossing_sign_from_geometry, cut, cut_path, knot_braids
 import knot818
 from knot818 import cli, invariants
 from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
-from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip
+from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip, clip_path
 from knot818.invariants import ZeroPolynomialError
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
 
@@ -306,6 +306,8 @@ LONG_WALK = " ".join(["1"] * 2_001)  # 1000 strands * 2001 letters, one over the
 FIELD_OVER_LIMIT = "1" * 200_000  # one CSV cell over the csv module's 131072-character limit
 # A relative path longer than any file name the OS takes, so opening it fails and nothing is written.
 LONG_PATH = "p" * 6_005
+# A missing file in a deep directory: the error keeps the path's tail (conftest.cut_path), so its name.
+DEEP_MISSING = "no-dir/" * 10 + "missing.csv"
 NAME_TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}"
 
 
@@ -314,7 +316,7 @@ NAME_TOO_LONG = f"[Errno {errno.ENAMETOOLONG}] {os.strerror(errno.ENAMETOOLONG)}
 # the files that the failure_files fixture writes, "{name}" for its name.
 # The run's working directory is that directory's parent, so "{tmp}" is
 # filled in as its name, and the paths an error echoes stay short enough
-# for clip to leave them whole.
+# for clip_path to leave them whole.
 FAILURES = [
     # UsageError, exit 2
     fails("non-integer-letter", ["build", "--braid", "1 x"], 2, "error: token 1: 'x' is not an integer\n"),
@@ -405,7 +407,7 @@ FAILURES = [
     fails("embed-markers-same-file-dotdot", ["embed", *OUT, "--markers", "{tmp}/../{name}/x.csv"], 2,
           "error: --out and --markers name one file: {tmp}/../{name}/x.csv\n"),
     fails("long-embed-markers-same-file", ["embed", "--out", LONG_PATH, "--markers", LONG_PATH], 2,
-          f"error: --out and --markers name one file: {cut(LONG_PATH)}\n"),
+          f"error: --out and --markers name one file: {cut_path(LONG_PATH)}\n"),
     # OSError, exit 2
     fails("check-fixture-missing", ["check-fixture", "{tmp}/missing.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/missing.csv'\n"),
@@ -418,8 +420,11 @@ FAILURES = [
     fails("embed-markers-missing-directory", ["embed", *OUT, "--markers", "{tmp}/no-dir/m.csv"], 2,
           "error: [Errno 2] No such file or directory: '{tmp}/no-dir/m.csv'\n", leaves=["x.csv"]),
     # An OSError's path is outside text too.
-    fails("long-check-fixture-path", ["check-fixture", LONG_PATH], 2, f"error: {NAME_TOO_LONG}: {cut(repr(LONG_PATH))}\n"),
-    fails("long-embed-out-path", ["embed", "--out", LONG_PATH], 2, f"error: {NAME_TOO_LONG}: {cut(repr(LONG_PATH))}\n"),
+    fails("long-check-fixture-path", ["check-fixture", LONG_PATH], 2,
+          f"error: {NAME_TOO_LONG}: {cut_path(repr(LONG_PATH))}\n"),
+    fails("long-embed-out-path", ["embed", "--out", LONG_PATH], 2, f"error: {NAME_TOO_LONG}: {cut_path(repr(LONG_PATH))}\n"),
+    fails("long-check-fixture-deep-missing", ["check-fixture", DEEP_MISSING], 2,
+          f"error: [Errno 2] No such file or directory: {cut_path(repr(DEEP_MISSING))}\n"),
     # argparse, exit 2
     fails("no-such-command", ["no-such-command"], 2,
           _usage_error(None, "argument command: invalid choice: 'no-such-command' (choose from 'build',"
@@ -522,6 +527,7 @@ FAILURES = [
               f"error: need 3 finite positive strictly increasing radii, got {shown}\n")
         for radii, shown in [
             ("3,2,1", "(3.0, 2.0, 1.0)"),
+            ("1,3,2", "(1.0, 3.0, 2.0)"),
             ("nan,1,2", "(nan, 1.0, 2.0)"),
             ("1,2,inf", "(1.0, 2.0, inf)"),
         ]
@@ -548,7 +554,7 @@ FAILURES = [
 
 def test_long_inputs_print_a_short_line():
     long_rows = [row for row in FAILURES if row.id.startswith("long-")]
-    assert len(long_rows) == 34
+    assert len(long_rows) == 35
     for row in long_rows:
         _argv, _code, stderr, _leaves = row.values
         assert len(stderr.splitlines()[-1]) <= 160, row.id
@@ -557,6 +563,11 @@ def test_long_inputs_print_a_short_line():
 def test_clip_keeps_short_text_and_cuts_long_text():
     assert clip("x" * ECHO_LIMIT) == "x" * ECHO_LIMIT
     assert clip("x" * (ECHO_LIMIT + 1)) == f"{'x' * ECHO_LIMIT}... ({ECHO_LIMIT + 1} characters)"
+
+
+def test_clip_path_keeps_short_paths_and_the_tail_of_long_ones():
+    assert clip_path("d" * (ECHO_LIMIT - 4) + "/x.c") == "d" * (ECHO_LIMIT - 4) + "/x.c"
+    assert clip_path("d" * ECHO_LIMIT + "/x.c") == f"...{'d' * (ECHO_LIMIT - 4)}/x.c ({ECHO_LIMIT + 4} characters)"
 
 
 @pytest.fixture

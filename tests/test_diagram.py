@@ -12,6 +12,7 @@ from knot818.diagram import (
     OUTER_SITES,
     ROTATION_RELABEL,
     DiagramWord,
+    EquivalenceWitness,
     Role,
     SiteClass,
     Visit,
@@ -292,3 +293,7 @@ def test_witness_semantics_offset_then_relabel():
 
 def test_length_mismatch():
     assert cyclic_equivalent(canonical_818(), DiagramWord(())) is None
+
+
+def test_empty_words_are_equivalent():
+    assert cyclic_equivalent(DiagramWord(()), DiagramWord(())) == EquivalenceWitness(0, False, {})

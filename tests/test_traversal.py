@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cut, relabel_table, table_value
+from conftest import cut_path, relabel_table, table_value
 from knot818.diagram import (
     LETTER_SITES,
     ROTATION_RELABEL,
@@ -334,6 +334,31 @@ def test_multiset_violations_clean_case():
     assert case_multiset_violations(cases["a"]) == []
 
 
+def _case_a_with(changes):
+    """Case a's values with the ``(site, role): value`` entries of ``changes`` replaced."""
+    return tuple({**CASE_A, **changes}[key] for key in TABLE_KEYS)
+
+
+@pytest.mark.parametrize(
+    "changes, diags",
+    [
+        pytest.param({("K", Role.THROUGH): 2}, ["value 2 duplicated at G under, K through", "value 1 missing"],
+                     id="one-missing-two-repeated"),
+        pytest.param({("A", Role.OVER): 0, ("A", Role.UNDER): 21},
+                     ["value 0 out of range at A over", "value 21 out of range at A under",
+                      "value 13 missing", "value 19 missing"],
+                     id="zero-and-twenty-one"),
+        pytest.param({("A", Role.OVER): 25, ("B", Role.OVER): 25},
+                     ["value 25 out of range at A over, B over", "value 8 missing", "value 13 missing"],
+                     id="out-of-range-at-two-places"),
+        pytest.param({("L", Role.THROUGH): -3}, ["value -3 out of range at L through", "value 16 missing"],
+                     id="negative"),
+    ],
+)
+def test_multiset_violations_name_every_place_in_order(changes, diags):
+    assert case_multiset_violations(_case_a_with(changes)) == diags
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -346,7 +371,8 @@ def test_not_utf8_names_its_path_clipped(tmp_path):
     path.write_bytes(b"\xff\xfecase,site,role,value\n")
     with pytest.raises(FixtureParseError) as exc:
         load_table_fixture(path)
-    assert str(exc.value) == f"{cut(str(path))}: not UTF-8 text"
+    assert str(exc.value) == f"{cut_path(str(path))}: not UTF-8 text"
+    assert "/not_utf8.csv (" in str(exc.value)
 
 
 def test_fixture_parse_bad_header(tmp_path):
