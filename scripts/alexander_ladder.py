@@ -20,6 +20,9 @@ the long rungs; and for ``winding_number`` on that embedding.
 - torus words (1 2 ... 7)^k on 8 strands, k = 9, 35, 71, 143 (up to
   1001 letters), closing to the torus knots T(8, k).
 
+``det_ms`` times the Bareiss reference, ``PolyMatrix.det`` of rho - I,
+on every rung.  The 3-strand rungs' ``alexander_ms`` no longer includes
+it: ``alexander_from_braid`` takes det rho - tr rho + 1 there.
 ``det_bits`` is the bit length of the largest coefficient of
 det(rho - I).  Run from a checkout with ``PYTHONPATH=src``::
 

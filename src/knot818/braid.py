@@ -198,7 +198,7 @@ def closure_diagram(
     The closure must be a single knot.  Fresh labels are assigned in
     first-visit order.  For the four words of the main annular shape
     (and only there), unless ``insert_vertices`` is false, a through
-    vertex goes on the first outermost arc of each gap between
+    vertex goes on each outermost arc, the only one of its gap between
     consecutive crossings, and the walk, which is then the stored
     reference word up to basepoint, direction and renaming, is re-based
     through the :func:`cyclic_equivalent` witness, so that the stored
@@ -208,20 +208,19 @@ def closure_diagram(
     use_vertices = insert_vertices and braid.letters in _VERTEX_SHAPES
 
     letters = braid.letters
-    passes = len(loop) - 1
     visits: list[Visit] = []
     slot_label: list[Optional[str]] = [None] * len(letters)
     numbers = map(str, count(1))
     banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
     vertex_bank = iter(BRANCH_SITES)
-    # One through vertex in each gap between consecutive crossings that
-    # holds an outermost arc, on its first such arc.  The walk is read
-    # from the first crossing, so a visit always comes before that arc.
-    first = next(k for k in range(passes) if loop[k] != loop[k + 1])
-    for k in chain(range(first, passes), range(first)):
+    # One through vertex on each outermost arc.  On the vertex words the
+    # generators alternate and every generator-2 slot moves the strand at
+    # position 3, so a gap between consecutive crossings holds at most
+    # one outermost arc.
+    for k in range(len(loop) - 1):
         entry, exit_pos = loop[k], loop[k + 1]
         if entry == exit_pos:
-            if use_vertices and entry == braid.strands and visits[-1].role is not Role.THROUGH:
+            if use_vertices and entry == braid.strands:
                 visits.append(Visit(next(vertex_bank), Role.THROUGH))
             continue
         slot = k % len(letters)

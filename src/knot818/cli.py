@@ -32,7 +32,10 @@ class SamePathError(UsageError, ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with the outside text its invalid-choice and unrecognized-arguments errors echo clipped."""
+    """argparse's parser, with the outside text its invalid-choice and unrecognized-arguments errors echo clipped.
+
+    Its invalid-choice wording is the same on every CPython release.
+    """
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -41,10 +44,11 @@ class _Parser(argparse.ArgumentParser):
         return args
 
     def _check_value(self, action, value):
-        try:
-            super()._check_value(action, value)
-        except argparse.ArgumentError as exc:
-            raise argparse.ArgumentError(action, exc.message.replace(repr(value), clip(repr(value)), 1)) from None
+        # The wording of CPython 3.10-3.12, which later releases change
+        # (3.13.13 prints the choices through str(), without quotes).
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {clip(repr(value))} (choose from {choices})")
 
 
 def clipped_int(text: str) -> int:
@@ -276,7 +280,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_traverse)
 
-    p = sub.add_parser("analyze", help="allocation totals and defect report")
+    # argparse from 3.13 on wraps a usage line inside a mutually exclusive
+    # group; this pins the wording of 3.10-3.12 at 80 columns.
+    p = sub.add_parser(
+        "analyze",
+        help="allocation totals and defect report",
+        usage="%(prog)s [-h]\n"
+        "                       [--ensemble {reps10,all40,with-mirrors} | --state STATE]\n"
+        "                       [--format {text,csv,json}]",
+    )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ensemble", choices=("reps10", "all40", "with-mirrors"), default="reps10")
     group.add_argument("--state", default=None, help="single start spec, e.g. K,cw or A,ccw,under")

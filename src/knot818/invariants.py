@@ -8,6 +8,13 @@ for a braid b on n strands whose closure is a knot,
 up to a unit, so the quotient is formed exactly in the integer Laurent
 ring and then normalized to minimum exponent 0 with positive constant
 term.
+
+Each generator's image has determinant -t^(+-1), so det rho(b) is the
+monomial (-1)^L t^e for L letters of exponent sum e.  On three strands
+rho is 2x2, and det(rho - I) = det rho - tr rho + 1 (Burau, Abh. Math.
+Sem. Hamburg 11, 1936; Birman, *Braids, Links, and Mapping Class
+Groups*, 1974) needs no elimination; on any other strand count
+:meth:`PolyMatrix.det` takes it.
 """
 
 from __future__ import annotations
@@ -248,9 +255,19 @@ def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:
 
 
 def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
-    """Normalized Alexander polynomial of the closure (a knot)."""
+    """Normalized Alexander polynomial of the closure (a knot).
+
+    On three strands det(rho - I) is det rho - tr rho + 1, with det rho =
+    (-1)^L t^e (Burau 1936; Birman 1974; see the module docstring), so
+    no determinant is eliminated.  On any other strand count
+    :meth:`PolyMatrix.det` eliminates rho - I.
+    """
     require_knot_closure(braid)
-    mat = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
-    numerator = mat.det() * (ONE - T)
+    rho = burau_reduced(braid)
+    if braid.strands == 3:
+        det = LaurentPoly(braid.exponent_sum, ((-1) ** len(braid),)) - (rho.rows[0][0] + rho.rows[1][1]) + ONE
+    else:
+        det = (rho - PolyMatrix.identity(braid.strands - 1)).det()
+    numerator = det * (ONE - T)
     denominator = ONE - T ** braid.strands
     return normalize_alexander(numerator.exact_div(denominator))

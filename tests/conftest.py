@@ -30,11 +30,12 @@ from knot818.traversal import TABLE_KEYS, StartSpec, TraversalTable
 ZERO = LaurentPoly()
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+PERFBENCH = SCRIPTS.parent / "perfbench"
 
 
-def load_script(name: str):
-    """Import ``scripts/<name>.py`` as a module."""
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load_script(name: str, home: Path = SCRIPTS):
+    """Import ``<home>/<name>.py``, by default from ``scripts/``, as a module."""
+    spec = importlib.util.spec_from_file_location(name, home / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -573,7 +573,12 @@ def test_clip_path_keeps_short_paths_and_the_tail_of_long_ones():
 @pytest.fixture
 def failure_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    files = tmp_path / "f"
+    return write_failure_files(tmp_path)
+
+
+def write_failure_files(root):
+    """Write the failure table's input files into ``root/f``, its "{tmp}", and return that directory."""
+    files = root / "f"
     files.mkdir()
     (files / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
     (files / "header_only.csv").write_text("case,site,role,value\n", encoding="utf-8")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ZERO, braid_words, knot_braids, load_script, matmul, signs, subs_inverse
+from conftest import PERFBENCH, ZERO, braid_words, knot_braids, load_script, matmul, signs, subs_inverse
 from knot818.braid import BRAID_818, BraidWord, NotAKnotError, closure_diagram
 from knot818.diagram import Role, Visit
 from knot818.invariants import (
@@ -304,6 +304,51 @@ def test_det_matches_leibniz_on_long_entries(braid):
     # Entries of hundreds of coefficients, which no drawn matrix reaches.
     matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
     assert matrix.det() == leibniz_det(matrix.rows)
+
+
+@given(braid_words(max_strands=8, max_len=24))
+@example(BraidWord(2, ()))
+@example(BraidWord(3, ()))
+@example(BraidWord(2, (1, 1)))
+@example(BraidWord(3, (1, 2, 1, 2, 2, 1, 2)))
+@example(BraidWord(5, (-1, -2, -3, -4, -1, 2, -3)))
+@example(BraidWord(8, (1, -2, 3, -4, 5, -6, 7) * 3))
+@settings(max_examples=80)
+def test_burau_determinant_is_a_signed_monomial(braid):
+    # Each generator's image has determinant -t^(+-1); links, the empty
+    # word and unbalanced signs included.  alexander_from_braid rests on
+    # this on three strands.
+    expected = LaurentPoly(braid.exponent_sum, ((-1) ** len(braid),))
+    assert burau_reduced(braid).det() == expected
+
+
+# The 258- and 400-letter invariants_long words of the benchmark's seed
+# 0, with alternating and with random signs.
+LONG_BRAIDS = [
+    BraidWord(strands, tuple(map(int, text.split())))
+    for strands, text in load_script("inputs", PERFBENCH).long_braids(0)[3::4]
+]
+
+
+def bareiss_alexander(braid):
+    """Delta through ``PolyMatrix.det`` of rho - I, the route of every strand count but three."""
+    matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
+    return normalize_alexander((matrix.det() * (ONE - T)).exact_div(ONE - T ** braid.strands))
+
+
+@given(knot_braids(min_strands=3, max_strands=3))
+@example(BRAID_818)
+@example(BraidWord(3, (1, 2)))
+@example(BraidWord(3, (-1, -2) * 4))
+@settings(max_examples=60, deadline=None)
+def test_three_strand_alexander_matches_bareiss(braid):
+    assert alexander_from_braid(braid) == bareiss_alexander(braid)
+
+
+@pytest.mark.parametrize("braid", LONG_BRAIDS, ids=["alternating-258", "alternating-400", "random-258", "random-400"])
+def test_three_strand_alexander_matches_bareiss_on_long_braids(braid):
+    assert braid.strands == 3
+    assert alexander_from_braid(braid) == bareiss_alexander(braid)
 
 
 # Alexander polynomials computed independently, by a dense Burau matrix
