@@ -199,10 +199,10 @@ def closure_diagram(
     first-visit order.  For the four words of the main annular shape
     (and only there), unless ``insert_vertices`` is false, a through
     vertex goes on each outermost arc, the only one of its gap between
-    consecutive crossings, and the walk, which is then the stored
-    reference word up to basepoint, direction and renaming, is re-based
-    through the :func:`cyclic_equivalent` witness, so that the stored
-    word itself is returned.
+    consecutive crossings.  The walk is then the stored reference word up
+    to basepoint, direction and renaming, so the stored word itself is
+    returned, and the :func:`cyclic_equivalent` witness renames the
+    crossing labels.
     """
     loop = require_knot_closure(braid)
     use_vertices = insert_vertices and braid.letters in _VERTEX_SHAPES
@@ -231,11 +231,11 @@ def closure_diagram(
 
     word = DiagramWord(tuple(visits))
     if use_vertices:
-        # Re-base the walk so the word reads exactly as the stored one;
-        # crossing labels follow the same renaming.
-        witness = cyclic_equivalent(word, canonical_818())
-        word = witness.apply(word)
-        slot_label = [witness.mapping[label] for label in slot_label]
+        # A found witness carries the walk onto the stored word by
+        # construction; crossing labels follow its renaming.
+        mapping = cyclic_equivalent(word, canonical_818()).mapping
+        word = canonical_818()
+        slot_label = [mapping[label] for label in slot_label]
     crossings = tuple(
         SignedCrossing(slot, 1 if letter > 0 else -1, label)
         for slot, (letter, label) in enumerate(zip(letters, slot_label))
@@ -266,7 +266,6 @@ class AnnularEmbedding(NamedTuple):
     """
 
     loops: tuple[tuple[complex, ...], ...]
-    radii: tuple[float, ...] = ()
     markers: tuple[CrossingMarker, ...] = ()
 
 
@@ -367,7 +366,7 @@ def annular_embed(
                 under_direction=under_dir,
             )
         )
-    return AnnularEmbedding(tuple(loops), radii, tuple(markers))
+    return AnnularEmbedding(tuple(loops), tuple(markers))
 
 
 def winding_number(embedding: AnnularEmbedding) -> int:

@@ -99,7 +99,7 @@ class Visit(NamedTuple):
     role: Role
 
 
-_ROLE_PREFIX = {Role.OVER: "O", Role.UNDER: "U", Role.THROUGH: "V"}
+ROLE_PREFIX = {Role.OVER: "O", Role.UNDER: "U", Role.THROUGH: "V"}
 
 
 class DiagramWord(tuple):
@@ -116,7 +116,7 @@ class DiagramWord(tuple):
         return f"DiagramWord(visits={tuple(self)!r})"
 
     def __str__(self) -> str:
-        return " ".join(_ROLE_PREFIX[v.role] + v.site for v in self)
+        return " ".join(ROLE_PREFIX[v.role] + v.site for v in self)
 
     def rotated(self, k: int) -> "DiagramWord":
         """Move the basepoint k visits forward."""

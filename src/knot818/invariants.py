@@ -3,11 +3,11 @@
 The Alexander polynomial comes from the reduced Burau representation:
 for a braid b on n strands whose closure is a knot,
 
-    det(rho(b) - I) = Delta(t) * (1 - t^n) / (1 - t)
+    det(rho(b) - I) = Delta(t) * (1 + t + ... + t^(n-1))
 
-up to a unit, so the quotient is formed exactly in the integer Laurent
-ring and then normalized to minimum exponent 0 with positive constant
-term.
+up to a unit (Burau 1936, cited below), so one exact division in the
+integer Laurent ring gives Delta, which is then normalized to minimum
+exponent 0 with positive constant term.
 
 Each generator's image has determinant -t^(+-1), so det rho(b) is the
 monomial (-1)^L t^e for L letters of exponent sum e.  On three strands
@@ -15,19 +15,61 @@ rho is 2x2, and det(rho - I) = det rho - tr rho + 1 (Burau, Abh. Math.
 Sem. Hamburg 11, 1936; Birman, *Braids, Links, and Mapping Class
 Groups*, 1974) needs no elimination; on any other strand count
 :meth:`PolyMatrix.det` takes it.
+
+The Burau walk and the determinant carry long polynomials as integers
+packed by :func:`_pack` (Kronecker substitution): the walk at one base
+B, the determinant even and odd coefficients apart at B^2.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, NamedTuple, NoReturn
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .braid import BraidWord, require_knot_closure
-from .laurent import ONE, InexactDivisionError, LaurentPoly, T, _digit_width, _pack, _unpack
+from .laurent import ONE, InexactDivisionError, LaurentPoly
 
 
 class ZeroPolynomialError(ValueError):
     """Normalization target has no nonzero coefficient."""
+
+
+def _bias(count: int, width: int) -> int:
+    # 2^(8*width - 1) in each of ``count`` base-2^(8*width) digits
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+
+
+def _digit_width(bound: int) -> int:
+    """Fewest bytes per digit that hold every c with |c| <= bound."""
+    return bound.bit_length() // 8 + 1
+
+
+def _pack(coeffs: Sequence[int], width: int) -> int:
+    """Evaluate ``sum(c * B**i)`` at B = 2^(8*width) in one pass.
+
+    Every coefficient needs -2^(8*width - 1) <= c < 2^(8*width - 1):
+    biased by that half it becomes one unsigned ``width``-byte digit, the
+    digits are joined and read as one integer, and the bias of all digits
+    is taken back off.
+    """
+    half = 1 << (8 * width - 1)
+    digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+    return int.from_bytes(digits, "little") - _bias(len(coeffs), width)
+
+
+def _unpack(x: int, width: int) -> list[int]:
+    """Inverse of :func:`_pack`: the signed base-2^(8*width) digits of ``x``.
+
+    Exact when ``x`` is ``sum(c * B**i)`` with |c| < B/2 for every c
+    (as :func:`_digit_width` makes it), except that the top one may be
+    -B/2: adding the bias then makes every digit nonnegative without
+    carries, and ``bit_length // (8 * width) + 1`` digits reach the top
+    one, so the list may end in zeros.
+    """
+    count = abs(x).bit_length() // (8 * width) + 1
+    half = 1 << (8 * width - 1)
+    digits = (x + _bias(count, width)).to_bytes(width * count, "little")
+    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
 class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...], ...])])):
@@ -87,7 +129,7 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
 
         With lo the least exponent in the matrix, t^-lo * p is a polynomial
         for each entry p, and its value at +-B is E(B^2) +- B * O(B^2) for
-        its even and odd parts E and O, each packed with ``laurent._pack``
+        its even and odd parts E and O, each packed with :func:`_pack`
         at base B^2.  Since t -> +-B is a ring map, the integer
         determinants of the two evaluated matrices are Q(B) and Q(-B),
         where Q = t^(-n*lo) det.  Then (Q(B) + Q(-B)) / 2 = Q_even(B^2)
@@ -127,20 +169,12 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
             plus.append(at_plus)
             minus.append(at_minus)
         q_plus, q_minus = _bareiss(plus), _bareiss(minus)
-        evens = _digits((q_plus + q_minus) >> 1, width)
-        odds = _digits((q_plus - q_minus) >> bits // 2 + 1, width)
+        evens = _unpack((q_plus + q_minus) >> 1, width)
+        odds = _unpack((q_plus - q_minus) >> bits // 2 + 1, width)
         coeffs = [0] * (2 * max(len(evens), len(odds)))
         coeffs[0 : 2 * len(evens) : 2] = evens
         coeffs[1 : 2 * len(odds) : 2] = odds
         return LaurentPoly(n * lo, coeffs)
-
-
-def _digits(x: int, width: int) -> list[int]:
-    """The signed base-2^(8*width) digits of ``x``, when each is under half a base.
-
-    Then the top digit is digit ``bit_length // (8 * width)``.
-    """
-    return _unpack(x, abs(x).bit_length() // (8 * width) + 1, width)
 
 
 def _bareiss(a: list[list[int]]) -> int:
@@ -188,7 +222,7 @@ def burau_reduced(braid: BraidWord) -> PolyMatrix:
     shift, a negation and an addition, with no polynomial product.
 
     Entries are carried as ``(min_exp, x)`` with the coefficients packed
-    into x as signed base-2^(8*width) digits (``laurent._pack``), so a
+    into x as signed base-2^(8*width) digits (:func:`_pack`), so a
     shift moves min_exp, a negation is -x and an addition is one aligning
     left shift and one integer sum.  The digit width is fixed up front by
     a bound: with L1 the sum of |coefficients|, every entry of column j
@@ -241,7 +275,7 @@ def burau_reduced(braid: BraidWord) -> PolyMatrix:
         if n % _TRIM_EVERY == 0:
             cols = [[trim(e, x) for e, x in col] for col in cols]
 
-    return PolyMatrix(tuple(tuple(LaurentPoly(e, _digits(x, width)) for e, x in row) for row in zip(*cols)))
+    return PolyMatrix(tuple(tuple(LaurentPoly(e, _unpack(x, width)) for e, x in row) for row in zip(*cols)))
 
 
 def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:
@@ -249,7 +283,7 @@ def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:
     if poly.is_zero:
         raise ZeroPolynomialError("cannot normalize the zero polynomial")
     shifted = poly.shifted(-poly.min_exp)
-    if shifted.coeff(0) < 0:
+    if shifted.coeffs[0] < 0:
         shifted = -shifted
     return shifted
 
@@ -260,7 +294,8 @@ def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
     On three strands det(rho - I) is det rho - tr rho + 1, with det rho =
     (-1)^L t^e (Burau 1936; Birman 1974; see the module docstring), so
     no determinant is eliminated.  On any other strand count
-    :meth:`PolyMatrix.det` eliminates rho - I.
+    :meth:`PolyMatrix.det` eliminates rho - I.  Either way one exact
+    division by 1 + t + ... + t^(n-1) leaves Delta.
     """
     require_knot_closure(braid)
     rho = burau_reduced(braid)
@@ -268,6 +303,4 @@ def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
         det = LaurentPoly(braid.exponent_sum, ((-1) ** len(braid),)) - (rho.rows[0][0] + rho.rows[1][1]) + ONE
     else:
         det = (rho - PolyMatrix.identity(braid.strands - 1)).det()
-    numerator = det * (ONE - T)
-    denominator = ONE - T ** braid.strands
-    return normalize_alexander(numerator.exact_div(denominator))
+    return normalize_alexander(det.exact_div(LaurentPoly(0, (1,) * braid.strands)))

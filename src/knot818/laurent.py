@@ -9,12 +9,6 @@ A polynomial is stored in canonical trimmed form: ``coeffs[k]``
 multiplies ``t**(min_exp + k)``, the first and last coefficients are
 nonzero, and the zero polynomial is ``(min_exp=0, coeffs=())``.  The
 constructor trims, so two equal polynomials are equal tuples.
-
-Products are one schoolbook loop.  The Burau walk and the determinant
-(``knot818.invariants``) carry long polynomials as integers instead,
-through the digit codec :func:`_pack` / :func:`_unpack` below: the walk
-packs whole polynomials at one base B, the determinant packs even and
-odd coefficients apart at B^2 to evaluate at t = B and t = -B.
 """
 
 from __future__ import annotations
@@ -29,9 +23,6 @@ class InexactDivisionError(ArithmeticError):
 
 class ZeroArgumentError(ValueError):
     """Evaluation point 0 is outside the Laurent domain."""
-
-
-Scalar = Union[int, Fraction]
 
 
 class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[int, ...])])):
@@ -64,12 +55,6 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
         if self.is_zero:
             raise ValueError("zero polynomial has no degree")
         return self.min_exp + len(self.coeffs) - 1
-
-    def coeff(self, exp: int) -> int:
-        k = exp - self.min_exp
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return 0
 
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs, ascending, zero terms omitted."""
@@ -174,7 +159,7 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
 
     # -- evaluation and display ----------------------------------------
 
-    def evaluate(self, t0: Scalar) -> Fraction:
+    def evaluate(self, t0: Union[int, Fraction]) -> Fraction:
         """Exact value at a nonzero rational point.
 
         With t0 = p/q, Horner's rule runs on integers: the numerator
@@ -208,41 +193,6 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def _bias(count: int, width: int) -> int:
-    # 2^(8*width - 1) in each of ``count`` base-2^(8*width) digits
-    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-
-
-def _digit_width(bound: int) -> int:
-    """Fewest bytes per digit that hold every c with |c| <= bound."""
-    return bound.bit_length() // 8 + 1
-
-
-def _pack(coeffs: Sequence[int], width: int) -> int:
-    """Evaluate ``sum(c * B**i)`` at B = 2^(8*width) in one pass.
-
-    Every coefficient needs -2^(8*width - 1) <= c < 2^(8*width - 1):
-    biased by that half it becomes one unsigned ``width``-byte digit, the
-    digits are joined and read as one integer, and the bias of all digits
-    is taken back off.
-    """
-    half = 1 << (8 * width - 1)
-    digits = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
-    return int.from_bytes(digits, "little") - _bias(len(coeffs), width)
-
-
-def _unpack(x: int, count: int, width: int) -> list[int]:
-    """Inverse of :func:`_pack`: the ``count`` signed digits of ``x``.
-
-    Exact when ``x`` is ``sum(c * B**i)`` over ``count`` coefficients in
-    the range :func:`_pack` accepts; adding the bias then makes every
-    digit nonnegative without carries.
-    """
-    half = 1 << (8 * width - 1)
-    digits = (x + _bias(count, width)).to_bytes(width * count, "little")
-    return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
 ONE = LaurentPoly(0, (1,))

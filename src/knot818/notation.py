@@ -14,7 +14,7 @@ negated when that visit is the over pass.
 from __future__ import annotations
 
 from .braid import BraidWord, InvalidBraidError, first_bad_letter
-from .diagram import _ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
+from .diagram import ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
 from .errors import UsageError, clip, clip_count, too_many_digits
 
 
@@ -38,7 +38,7 @@ class MultiplicityError(NotationError):
     """A label visited the wrong number of times or with duplicate roles."""
 
 
-_PREFIX_ROLE = {prefix: role for role, prefix in _ROLE_PREFIX.items()}
+_PREFIX_ROLE = {prefix: role for role, prefix in ROLE_PREFIX.items()}
 
 
 def parse_extended_gauss(text: str) -> DiagramWord:

@@ -332,7 +332,7 @@ def test_bad_radii():
             annular_embed(BRAID_818, (1.0, 2.0, bad))
         with pytest.raises(BadRadiiError):
             annular_embed(BRAID_818, (bad, 1.0, 2.0))
-    assert annular_embed(BRAID_818, slots_per_letter=2).radii == (1.0, 2.0, 3.0)
+    assert annular_embed(BRAID_818, slots_per_letter=2) == annular_embed(BRAID_818, (1.0, 2.0, 3.0), slots_per_letter=2)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Every module of the library and of scripts/ uses each name it imports."""
+"""Every module of the library and of scripts/ uses each name it imports,
+and no library module imports another module's private name."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,24 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
     assert _unused(path.read_text(encoding="utf-8")) == []
+
+
+def _private_imports(source):
+    """``from .module import _name`` lines: one module reading another's private name."""
+    return [
+        f"line {node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_the_check_finds_a_private_import():
+    source = "from .laurent import ONE, _pack\nfrom . import _codec\nfrom typing import _T\n"
+    assert _private_imports(source) == ["line 1: _pack from .laurent", "line 2: _codec from ."]
+
+
+def test_no_library_module_imports_a_private_name():
+    found = {path.name: _private_imports(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "knot818").glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -16,6 +16,9 @@ from knot818.diagram import Role, Visit
 from knot818.invariants import (
     PolyMatrix,
     ZeroPolynomialError,
+    _digit_width,
+    _pack,
+    _unpack,
     alexander_from_braid,
     burau_reduced,
     normalize_alexander,
@@ -62,6 +65,44 @@ def test_identity_multiplication():
     eye = PolyMatrix.identity(2)
     assert matmul(eye, m) == m
     assert matmul(m, eye) == m
+
+
+@st.composite
+def digit_runs(draw):
+    """A digit width in bytes and signed digits under half a digit base in
+    magnitude, as ``_digit_width`` makes every coefficient, edges included."""
+    width = draw(st.integers(1, 12))
+    half = 1 << (8 * width - 1)
+    digit = st.one_of(st.just(0), st.sampled_from((1 - half, half - 1, -1, 1)), st.integers(1 - half, half - 1))
+    return width, draw(st.lists(digit, max_size=30))
+
+
+@given(digit_runs())
+@example((1, [-128, 127, 0, -1, 0]))
+@example((9, [0, -(2**71), 2**71 - 1, 2**64, -(2**64) - 1]))
+@example((3, []))  # packs to 0, which unpacks to one zero digit
+@example((1, [0, -128]))  # a top digit of -half, read with one more zero
+@example((4, [7, 0, -(2**31), 0]))  # a top digit of -half, read without
+def test_pack_unpack_round_trip(run):
+    width, digits = run
+    packed = _pack(digits, width)
+    assert packed == sum(d << (8 * width * i) for i, d in enumerate(digits))
+    kept = list(digits)
+    while kept and not kept[-1]:
+        kept.pop()
+    unpacked = _unpack(packed, width)
+    assert unpacked[: len(kept)] == kept
+    assert unpacked[len(kept) :] in ([], [0])
+
+
+@given(st.one_of(st.integers(0, 2**200), st.integers(0, 40).map(lambda n: 2 ** (8 * n + 7) - 1)))
+@example(2**63 - 1)
+@example(2**63)
+@example(255)
+def test_digit_width_is_the_fewest_bytes_that_fit(bound):
+    width = _digit_width(bound)
+    assert bound < 1 << (8 * width - 1)
+    assert width == 1 or bound >= 1 << (8 * width - 9)
 
 
 def _generator_image(letter, strands):

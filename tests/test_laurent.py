@@ -13,9 +13,6 @@ from knot818.laurent import (
     InexactDivisionError,
     LaurentPoly,
     ZeroArgumentError,
-    _digit_width,
-    _pack,
-    _unpack,
 )
 
 polys = st.builds(
@@ -187,33 +184,3 @@ wide_polys = st.builds(
 @example(LaurentPoly(0, (3 * 2**60,) * 16), LaurentPoly(-2, (-3 * 2**60,) * 16))
 def test_product_matches_schoolbook(a, b):
     assert a * b == schoolbook(a, b)
-
-
-@st.composite
-def digit_runs(draw):
-    """A digit width in bytes and signed digits that fit it, edges included."""
-    width = draw(st.integers(1, 12))
-    half = 1 << (8 * width - 1)
-    digit = st.one_of(st.just(0), st.sampled_from((-half, half - 1, -1, 1)), st.integers(-half, half - 1))
-    return width, draw(st.lists(digit, max_size=30))
-
-
-@given(digit_runs())
-@example((1, [-128, 127, 0, -1, 0]))
-@example((9, [0, -(2**71), 2**71 - 1, 2**64, -(2**64) - 1]))
-@example((3, []))
-def test_pack_unpack_round_trip(run):
-    width, digits = run
-    packed = _pack(digits, width)
-    assert packed == sum(d << (8 * width * i) for i, d in enumerate(digits))
-    assert _unpack(packed, len(digits), width) == digits
-
-
-@given(st.one_of(st.integers(0, 2**200), st.integers(0, 40).map(lambda n: 2 ** (8 * n + 7) - 1)))
-@example(2**63 - 1)
-@example(2**63)
-@example(255)
-def test_digit_width_is_the_fewest_bytes_that_fit(bound):
-    width = _digit_width(bound)
-    assert bound < 1 << (8 * width - 1)
-    assert width == 1 or bound >= 1 << (8 * width - 9)

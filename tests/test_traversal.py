@@ -181,10 +181,13 @@ def test_relabel_moves_start_spec():
 
 
 def test_rotation_equivariance():
+    """Relabeling the table of each of the forty start states equals the
+    table traversed from the relabeled start state (``CONVENTIONS.md``,
+    "Quarter-turn relabeling"); ``rotation_orbits`` relies on it."""
     word = canonical_818()
-    table = traverse(word, StartSpec("A", CCW, Role.UNDER))
-    direct = traverse(word, StartSpec(ROTATION_RELABEL["A"], CCW, Role.UNDER))
-    assert relabel_table(table, ROTATION_RELABEL).values == direct.values
+    for table in enumerate_all().tables:
+        relabeled = relabel_table(table, ROTATION_RELABEL)
+        assert relabeled == traverse(word, relabeled.start), table.describe()
 
 
 def test_rotation_orbits_on_all40():
@@ -199,16 +202,6 @@ def test_rotation_orbits_need_a_closed_ensemble():
     with pytest.raises(ValueError) as info:
         rotation_orbits(enumerate_representatives().tables)
     assert str(info.value) == "ensemble not closed under rotation at J,cw"
-
-
-def test_rotation_orbits_check_every_table():
-    tables = with_mirrors(enumerate_all())
-    first = tables[0]
-    swapped = (first.values[1], first.values[0]) + first.values[2:]
-    tables[0] = first._replace(values=swapped)
-    relabeled = StartSpec(ROTATION_RELABEL[first.start.site], first.start.direction, first.start.entry_role)
-    with pytest.raises(ValueError, match=f"^rotation equivariance violated at {relabeled}$"):
-        rotation_orbits(tables)
 
 
 def test_rotation_orbits_reject_a_table_listed_twice():
