@@ -22,16 +22,7 @@ from itertools import chain, count, cycle, repeat
 from operator import add, mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .diagram import (
-    BRANCH_SITES,
-    INNER_SITES,
-    OUTER_SITES,
-    DiagramWord,
-    Role,
-    Visit,
-    canonical_818,
-    cyclic_equivalent,
-)
+from .diagram import DiagramWord, Role, Visit, canonical_818
 from .errors import DomainError, UsageError, clip, clip_count
 
 
@@ -98,13 +89,9 @@ class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int
         return sum(1 if l > 0 else -1 for l in self.letters)
 
     @property
-    def closure_components(self) -> int:
-        """Number of components of the closure: the loops of its walk."""
-        return len(_walk_loops(self))
-
-    @property
     def is_knot_closure(self) -> bool:
-        return self.closure_components == 1
+        """Whether the closure is one component: one loop of its walk."""
+        return len(_walk_loops(self)) == 1
 
 
 def _walk_loops(braid: BraidWord) -> list[list[int]]:
@@ -184,10 +171,17 @@ class SignedCrossing(NamedTuple):
 
 # The marked-point rule holds only on the main annular shape: four turns
 # of the two generators with opposite signs, either leading, either
-# chirality.  Each closes to the stored reference word.  The words use
-# generators 1 and 2 alone, so they need three strands, and on more the
-# fourth never moves, so the closure is a link.
-_VERTEX_SHAPES = {(1, -2) * 4, (-1, 2) * 4, (2, -1) * 4, (-2, 1) * 4}
+# chirality.  Each closes to the stored reference word once a through
+# vertex goes on each outermost arc, and its eight crossings, in slot
+# order, sit at these sites of that word (test_braid.py derives them from
+# the walk).  The words use generators 1 and 2 alone, so they need three
+# strands, and on more the fourth never moves, so the closure is a link.
+_VERTEX_SITES = {
+    (1, -2) * 4: "DHCGBFAE",
+    (-1, 2) * 4: "AFBGCHDE",
+    (2, -1) * 4: "EAFBGCHD",
+    (-2, 1) * 4: "EDHCGBFA",
+}
 
 
 def closure_diagram(
@@ -196,49 +190,36 @@ def closure_diagram(
     """Walk the closure of ``braid`` into a diagram word.
 
     The closure must be a single knot.  Fresh labels are assigned in
-    first-visit order.  For the four words of the main annular shape
-    (and only there), unless ``insert_vertices`` is false, a through
-    vertex goes on each outermost arc, the only one of its gap between
-    consecutive crossings.  The walk is then the stored reference word up
-    to basepoint, direction and renaming, so the stored word itself is
-    returned, and the :func:`cyclic_equivalent` witness renames the
-    crossing labels.
+    first-visit order.  The four words of the main annular shape (and
+    only they), unless ``insert_vertices`` is false, take a through vertex
+    on each outermost arc, the only one of its gap between consecutive
+    crossings.  Their walk is then the stored reference word up to
+    basepoint, direction and renaming, so the stored word itself is
+    returned, with each crossing at its site in ``_VERTEX_SITES``.
     """
     loop = require_knot_closure(braid)
-    use_vertices = insert_vertices and braid.letters in _VERTEX_SHAPES
-
     letters = braid.letters
-    visits: list[Visit] = []
-    slot_label: list[Optional[str]] = [None] * len(letters)
-    numbers = map(str, count(1))
-    banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
-    vertex_bank = iter(BRANCH_SITES)
-    # One through vertex on each outermost arc.  On the vertex words the
-    # generators alternate and every generator-2 slot moves the strand at
-    # position 3, so a gap between consecutive crossings holds at most
-    # one outermost arc.
-    for k in range(len(loop) - 1):
-        entry, exit_pos = loop[k], loop[k + 1]
-        if entry == exit_pos:
-            if use_vertices and entry == braid.strands:
-                visits.append(Visit(next(vertex_bank), Role.THROUGH))
-            continue
-        slot = k % len(letters)
-        label = slot_label[slot]
-        if label is None:
-            label = slot_label[slot] = next(banks[abs(letters[slot])] if use_vertices else numbers)
-        visits.append(Visit(label, Role.OVER if (exit_pos > entry) == (letters[slot] > 0) else Role.UNDER))
-
-    word = DiagramWord(tuple(visits))
-    if use_vertices:
-        # A found witness carries the walk onto the stored word by
-        # construction; crossing labels follow its renaming.
-        mapping = cyclic_equivalent(word, canonical_818()).mapping
+    sites = _VERTEX_SITES.get(letters) if insert_vertices else None
+    if sites is not None:
         word = canonical_818()
-        slot_label = [mapping[label] for label in slot_label]
+    else:
+        visits: list[Visit] = []
+        slot_label: list[Optional[str]] = [None] * len(letters)
+        numbers = map(str, count(1))
+        for k in range(len(loop) - 1):
+            entry, exit_pos = loop[k], loop[k + 1]
+            if entry == exit_pos:
+                continue
+            slot = k % len(letters)
+            label = slot_label[slot]
+            if label is None:
+                label = slot_label[slot] = next(numbers)
+            visits.append(Visit(label, Role.OVER if (exit_pos > entry) == (letters[slot] > 0) else Role.UNDER))
+        word = DiagramWord(tuple(visits))
+        sites = slot_label
     crossings = tuple(
-        SignedCrossing(slot, 1 if letter > 0 else -1, label)
-        for slot, (letter, label) in enumerate(zip(letters, slot_label))
+        SignedCrossing(slot, 1 if letter > 0 else -1, site)
+        for slot, (letter, site) in enumerate(zip(letters, sites))
     )
     return word, crossings
 

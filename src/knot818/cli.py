@@ -224,7 +224,7 @@ def cmd_check_fixture(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         lines.extend(f"  inconsistency: {violation}" for violation in result.violations)
     matched = sum(1 for r in report.results if r.status is not trav.MatchStatus.UNMATCHED)
     total = len(report.results)
-    if report.all_matched:
+    if matched == total:
         return 0, [*lines, f"all {total} cases matched"]
     return 1, [*lines, f"{matched} of {total} cases matched"]
 
@@ -257,7 +257,7 @@ def _add_braid_args(parser: argparse.ArgumentParser) -> None:
         default=" ".join(map(str, BRAID_818.letters)),
         help="braid word, signed generator indices",
     )
-    parser.add_argument("--strands", type=clipped_int, default=3, help="number of strands")
+    parser.add_argument("--strands", type=clipped_int, default=BRAID_818.strands, help="number of strands")
 
 
 def build_parser() -> argparse.ArgumentParser:

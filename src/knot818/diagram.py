@@ -21,16 +21,23 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 from .errors import clip
 
 
-class Role(Enum):
+class TextEnum(Enum):
+    """An enum whose members print as their values."""
+
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with ==, and it runs in C where Enum's hashes the name.
+    __hash__ = object.__hash__
+
+    def __str__(self) -> str:
+        return self.value
+
+
+class Role(TextEnum):
     """How the strand meets a site on one visit."""
 
     OVER = "over"
     UNDER = "under"
     THROUGH = "through"
-
-    # Members are singletons compared by identity, so the identity hash is
-    # consistent with ==, and it runs in C where Enum's hashes the name.
-    __hash__ = object.__hash__
 
     @property
     def swapped(self) -> "Role":
@@ -41,18 +48,12 @@ class Role(Enum):
             return Role.OVER
         return self
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class SiteClass(Enum):
+class SiteClass(TextEnum):
     INNER_SHOULDER = "inner-shoulder"
     OUTER_SHOULDER = "outer-shoulder"
     BRANCH_CENTER = "branch-center"
     CROSSING = "crossing"  # generic crossing in a diagram outside the 12-site model
-
-    def __str__(self) -> str:
-        return self.value
 
 
 INNER_SITES = ("A", "B", "C", "D")

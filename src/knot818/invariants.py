@@ -86,10 +86,6 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
     def _make(cls, fields: Iterable) -> "PolyMatrix":
         return cls(*fields)
 
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
     @classmethod
     def identity(cls, dim: int) -> "PolyMatrix":
         return cls(
@@ -115,7 +111,7 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        if self.dim != other.dim:
+        if len(self.rows) != len(other.rows):
             raise ValueError("dimension mismatch")
         return PolyMatrix(
             tuple(
@@ -143,7 +139,7 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         (``_bareiss``) is exact on any integer matrix, so Q(B) or Q(-B)
         may be 0 while Q is not (Q = t - B vanishes at +B only).
         """
-        n = self.dim
+        n = len(self.rows)
         if n == 0:
             return ONE
         bound = prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*self.rows))

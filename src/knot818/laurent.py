@@ -50,12 +50,6 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("zero polynomial has no degree")
-        return self.min_exp + len(self.coeffs) - 1
-
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs, ascending, zero terms omitted."""
         return [
@@ -74,8 +68,7 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
         if other.is_zero:
             return self
         lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        out = [0] * (hi - lo + 1)
+        out = [0] * (max(self.min_exp + len(self.coeffs), other.min_exp + len(other.coeffs)) - lo)
         for k, c in enumerate(self.coeffs):
             out[self.min_exp + k - lo] += c
         for k, c in enumerate(other.coeffs):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import os.path
-from enum import Enum
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -29,6 +28,7 @@ from .diagram import (
     SHOULDER_SITES,
     DiagramWord,
     Role,
+    TextEnum,
     canonical_818,
     validate_word,
 )
@@ -51,19 +51,10 @@ class FixtureParseError(UsageError, ValueError):
     pass
 
 
-class Direction(Enum):
+class Direction(TextEnum):
     CW = "cw"
     CCW = "ccw"
 
-    __hash__ = object.__hash__  # as Role's
-
-    def __str__(self) -> str:
-        return self.value
-
-
-# Clockwise is pinned to the stored visit order of canonical_818(): the
-# (K, cw) table reproduces fixture case a.
-_FORWARD = Direction.CW
 
 REPRESENTATIVE_SITES = ("K", "F", "A")  # one per class: branch, outer, inner
 
@@ -148,7 +139,9 @@ def _traverse(slots: Optional[tuple[int, ...]], start: StartSpec) -> TraversalTa
         raise TableUndefinedError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
     # A model word holds each key once, and StartSpec fits the role to the site.
     at = slots.index(_SLOT[start.site, start.entry_role or Role.THROUGH])
-    walk = slots[at:] + slots[:at] if start.direction is _FORWARD else slots[at::-1] + slots[:at:-1]
+    # Clockwise is pinned to the stored visit order of canonical_818(): the
+    # (K, cw) table reproduces fixture case a.
+    walk = slots[at:] + slots[:at] if start.direction is Direction.CW else slots[at::-1] + slots[:at:-1]
     values = [0] * len(walk)
     for value, slot in enumerate(walk, 1):
         values[slot] = value
@@ -165,14 +158,9 @@ def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
     return _traverse(_slots(word), start)
 
 
-def _gather_order(image) -> itemgetter:
-    """The gather of a table's values when each key k moves to image(k):
-    slot i of its result reads the slot whose key moves to key i."""
-    source = {image(key): i for i, key in enumerate(TABLE_KEYS)}
-    return itemgetter(*(source[key] for key in TABLE_KEYS))
-
-
-_MIRROR_ORDER = _gather_order(lambda key: (key[0], key[1].swapped))
+# Slot i of a mirrored table reads the slot of key i with over and under
+# swapped: the swap is an involution, so that slot's key moves to key i.
+_MIRROR_ORDER = itemgetter(*(_SLOT[site, role.swapped] for site, role in TABLE_KEYS))
 
 
 def mirror_table(table: TraversalTable) -> TraversalTable:
@@ -408,13 +396,10 @@ def case_multiset_violations(values: tuple[int, ...]) -> list[str]:
     return diags
 
 
-class MatchStatus(Enum):
+class MatchStatus(TextEnum):
     MATCHED = "MATCHED"
     MATCHED_WITH_ERRATUM = "MATCHED_WITH_ERRATUM"
     UNMATCHED = "UNMATCHED"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class CaseResult(NamedTuple):
@@ -430,10 +415,6 @@ class CaseResult(NamedTuple):
 
 class FixtureReport(NamedTuple):
     results: tuple[CaseResult, ...]
-
-    @property
-    def all_matched(self) -> bool:
-        return all(r.status is not MatchStatus.UNMATCHED for r in self.results)
 
 
 def check_fixture(

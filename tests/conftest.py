@@ -115,7 +115,7 @@ def subs_inverse(p: LaurentPoly) -> LaurentPoly:
     """p with t replaced by 1/t."""
     if p.is_zero:
         return p
-    return LaurentPoly(-p.max_exp, tuple(reversed(p.coeffs)))
+    return LaurentPoly(-(p.min_exp + len(p.coeffs) - 1), tuple(reversed(p.coeffs)))
 
 
 def matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:

@@ -31,13 +31,25 @@ from knot818.braid import (
     NotAKnotError,
     OpenLoopError,
     OriginOnCurveError,
+    _walk_loops,
     annular_embed,
     closure_diagram,
     require_knot_closure,
     winding_number,
     winding_phase,
 )
-from knot818.diagram import Role, SiteClass, Visit, canonical_818, site_class
+from knot818.diagram import (
+    BRANCH_SITES,
+    INNER_SITES,
+    OUTER_SITES,
+    DiagramWord,
+    Role,
+    SiteClass,
+    Visit,
+    canonical_818,
+    cyclic_equivalent,
+    site_class,
+)
 from knot818.notation import LetterOutOfRangeError, parse_braid_word
 
 
@@ -91,9 +103,11 @@ def _cycle_count(perm):
 @example(BraidWord(5, ()))
 @settings(max_examples=200)
 def test_components_are_the_permutation_cycles(braid):
-    assert braid.closure_components == _cycle_count(closure_permutation(braid))
+    components = len(_walk_loops(braid))
+    assert components == _cycle_count(closure_permutation(braid))
+    assert braid.is_knot_closure == (components == 1)
     # L transpositions join at most L of the n strands' cycles.
-    assert braid.closure_components >= braid.strands - len(braid)
+    assert components >= braid.strands - len(braid)
 
 
 def test_is_knot_closure():
@@ -101,9 +115,9 @@ def test_is_knot_closure():
     assert BraidWord(2, (1, 1, 1)).is_knot_closure
     assert not BraidWord(2, (1, 1)).is_knot_closure
     assert not BraidWord(3, (1, -2, 1, -2, 1, -2)).is_knot_closure
-    assert BraidWord(3, (1, -2, 1, -2, 1, -2)).closure_components == 3
-    assert BraidWord(4, (1, 3)).closure_components == 2
-    assert BraidWord(4, ()).closure_components == 4
+    assert len(_walk_loops(BraidWord(3, (1, -2, 1, -2, 1, -2)))) == 3
+    assert len(_walk_loops(BraidWord(4, (1, 3)))) == 2
+    assert len(_walk_loops(BraidWord(4, ()))) == 4
 
 
 def test_closure_rejects_links():
@@ -269,26 +283,63 @@ def test_vertex_shape_crossing_tables(shape, table):
 VERTEX_SHAPES = {(1, -2) * 4, (-1, 2) * 4, (2, -1) * 4, (-2, 1) * 4}
 
 
+def derive_vertex_sites(braid):
+    """Each slot's site on canonical_818(), by the outermost-arc rule, or
+    None when the rule does not walk the closure onto the stored word.
+
+    A through vertex goes on each pass at the outermost position that
+    crosses nothing; generator-1 crossings take inner-ring labels and
+    generator-2 crossings outer-ring labels, each in first-visit order.
+    The walk must then be the stored word up to basepoint, direction and
+    renaming, and the cyclic_equivalent witness renames the crossings.
+    """
+    loop = require_knot_closure(braid)
+    letters = braid.letters
+    visits = []
+    slot_label = [None] * len(letters)
+    banks = {1: iter(INNER_SITES), 2: iter(OUTER_SITES)}
+    vertex_bank = iter(BRANCH_SITES)
+    for k in range(len(loop) - 1):
+        entry, exit_pos = loop[k], loop[k + 1]
+        if entry == exit_pos:
+            if entry == braid.strands:
+                visits.append(Visit(next(vertex_bank), Role.THROUGH))
+            continue
+        slot = k % len(letters)
+        if slot_label[slot] is None:
+            slot_label[slot] = next(banks[abs(letters[slot])])
+        visits.append(Visit(slot_label[slot], Role.OVER if (exit_pos > entry) == (letters[slot] > 0) else Role.UNDER))
+    witness = cyclic_equivalent(DiagramWord(visits), canonical_818())
+    return None if witness is None else "".join(witness.mapping[label] for label in slot_label)
+
+
 def test_vertices_go_on_exactly_the_four_vertex_shapes():
     # All 512 eight-letter words on three strands whose generators
-    # alternate: two orders of magnitude times 2**8 signs.
+    # alternate: two orders of magnitude times 2**8 signs.  Each has one
+    # idle outermost pass per generator-1 slot, so four through vertices.
+    # The rule walks onto the stored word on the four vertex shapes alone,
+    # and there closure_diagram puts every crossing at the derived site.
     words = [
         tuple(m * s for m, s in zip(mags, signs))
         for mags in ((1, 2) * 4, (2, 1) * 4)
         for signs in itertools.product((1, -1), repeat=8)
     ]
     assert len(set(words)) == 512
-    with_vertices = set()
+    derived, with_vertices = {}, set()
     for letters in words:
         braid = BraidWord(3, letters)
         assert braid.is_knot_closure
-        word, _ = closure_diagram(braid)
+        sites = derive_vertex_sites(braid)
+        if sites is not None:
+            derived[letters] = sites
+        word, crossings = closure_diagram(braid)
         if any(v.role is Role.THROUGH for v in word):
             with_vertices.add(letters)
             assert word == canonical_818()
+            assert "".join(c.site for c in crossings) == sites
         else:
             assert len(word) == 16
-    assert with_vertices == VERTEX_SHAPES
+    assert set(derived) == with_vertices == VERTEX_SHAPES
 
 
 @given(braid_words())

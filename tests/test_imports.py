@@ -1,4 +1,4 @@
-"""Every module of the library and of scripts/ uses each name it imports,
+"""Every module of the library, of scripts/ and of tests/ uses each name it imports,
 and no library module imports another module's private name."""
 
 import ast
@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(ROOT / "src" / "knot818").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+SOURCES = sorted(
+    [*(ROOT / "src" / "knot818").glob("*.py"), *(ROOT / "scripts").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+)
 
 
 def _imported(tree):
