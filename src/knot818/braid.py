@@ -296,17 +296,18 @@ def annular_embed(
     fractions = [m / slots_per_letter for m in range(slots_per_letter)]
     offsets = [s * width for s in fractions]
     easing = [1.0 - math.cos(math.pi * s) for s in fractions]
-    # One radius profile per (entry, exit) position pair: constant on a
-    # plain pass, the eased swap on a crossing.
-    profiles: dict[tuple[int, int], list[float]] = {}
-    for entry, r_in in enumerate(radii, 1):
-        profiles[entry, entry] = [r_in] * slots_per_letter
-        for exit_pos in (entry - 1, entry + 1):
-            if 1 <= exit_pos <= braid.strands:
-                swap = radii[exit_pos - 1] - r_in
-                profiles[entry, exit_pos] = [r_in + swap * e / 2.0 for e in easing]
+    # One radius profile per (entry, exit) position pair: the eased swap,
+    # which on a plain pass swaps by 0.0 and stays at r_in, bit for bit.
+    profiles = {
+        (entry, exit_pos): [r_in + (radii[exit_pos - 1] - r_in) * e / 2.0 for e in easing]
+        for entry, r_in in enumerate(radii, 1)
+        for exit_pos in (entry - 1, entry, entry + 1)
+        if 1 <= exit_pos <= braid.strands
+    }
     cos, sin = math.cos, math.sin
-    marker_parts: dict[int, list] = {}  # slot -> [over part, under part]
+    # Each slot is crossed once over and once under, over all loops.
+    overs: list = [None] * letters  # slot -> (point, over direction)
+    unders: list = [None] * letters  # slot -> under direction
     loops = []
     for loop in _walk_loops(braid):
         # One pass over the loop; radii and angles stream from C-level
@@ -333,21 +334,15 @@ def annular_embed(
             direction = complex(dr * cos_t - r_mid * width * sin_t, dr * sin_t + r_mid * width * cos_t)
             point = complex(r_mid * cos_t, r_mid * sin_t)
             slot = k % letters
-            is_under = (exit_pos > entry) != (braid.letters[slot] > 0)
-            marker_parts.setdefault(slot, [None, None])[is_under] = (point, direction)
-
-    markers = []
-    for slot, ((point, over_dir), (_, under_dir)) in sorted(marker_parts.items()):
-        markers.append(
-            CrossingMarker(
-                crossing=slot,
-                sign=1 if braid.letters[slot] > 0 else -1,
-                point=point,
-                over_direction=over_dir,
-                under_direction=under_dir,
-            )
-        )
-    return AnnularEmbedding(tuple(loops), tuple(markers))
+            if (exit_pos > entry) == (braid.letters[slot] > 0):
+                overs[slot] = (point, direction)
+            else:
+                unders[slot] = direction
+    markers = tuple(
+        CrossingMarker(slot, 1 if letter > 0 else -1, point, over_dir, under_dir)
+        for slot, (letter, (point, over_dir), under_dir) in enumerate(zip(braid.letters, overs, unders))
+    )
+    return AnnularEmbedding(tuple(loops), markers)
 
 
 def winding_number(embedding: AnnularEmbedding) -> int:

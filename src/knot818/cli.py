@@ -181,19 +181,8 @@ def cmd_traverse(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import traversal as trav
 
     role = Role(args.role) if args.role else None
-    spec = trav.StartSpec(args.start.upper(), trav.Direction(args.dir), role)
+    spec = trav.StartSpec(args.start, trav.Direction(args.dir), role)
     return 0, _table_lines(trav.traverse(trav.canonical_818(), spec), args.format)
-
-
-def _ensemble_by_name(name: str) -> trav.StateEnsemble:
-    from . import traversal as trav
-
-    if name == "reps10":
-        return trav.enumerate_representatives()
-    if name == "all40":
-        return trav.enumerate_all()
-    reps = trav.enumerate_representatives()
-    return trav.StateEnsemble("with-mirrors", tuple(trav.with_mirrors(reps)))
 
 
 def cmd_analyze(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
@@ -205,7 +194,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         table = trav.traverse(trav.canonical_818(), spec)
         allocation = alloc.site_totals(table)
     else:
-        allocation = alloc.ensemble_totals(_ensemble_by_name(args.ensemble))
+        ensemble = trav.enumerate_all() if args.ensemble == "all40" else trav.enumerate_representatives()
+        if args.ensemble == "with-mirrors":
+            ensemble = trav.StateEnsemble("with-mirrors", tuple(trav.with_mirrors(ensemble)))
+        allocation = alloc.ensemble_totals(ensemble)
     return 0, _report_lines(alloc.defect_report(allocation), allocation.grand_total, args.format)
 
 

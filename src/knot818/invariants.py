@@ -148,23 +148,20 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         lo = min(p.min_exp for row in self.rows for p in row if p.coeffs)
         width = _digit_width(bound)  # bytes per digit at base B^2
         bits = 8 * width  # B^2 = 2^bits
-        plus, minus = [], []
-        for row in self.rows:
-            at_plus, at_minus = [], []
-            for p in row:
-                if not p.coeffs:
-                    at_plus.append(0)
-                    at_minus.append(0)
-                    continue
-                s = p.min_exp - lo
-                e = s % 2  # coeffs[e::2] sit at the even exponents of t^-lo * p
-                even = _pack(p.coeffs[e::2], width) << (s + e) // 2 * bits
-                odd = _pack(p.coeffs[1 - e :: 2], width) << s // 2 * bits + bits // 2
-                at_plus.append(even + odd)
-                at_minus.append(even - odd)
-            plus.append(at_plus)
-            minus.append(at_minus)
-        q_plus, q_minus = _bareiss(plus), _bareiss(minus)
+
+        def at_both_signs(p: LaurentPoly) -> tuple[int, int]:
+            """``t^-lo * p`` at t = B and at t = -B."""
+            if not p.coeffs:
+                return 0, 0
+            s = p.min_exp - lo
+            e = s % 2  # coeffs[e::2] sit at the even exponents of t^-lo * p
+            even = _pack(p.coeffs[e::2], width) << (s + e) // 2 * bits
+            odd = _pack(p.coeffs[1 - e :: 2], width) << s // 2 * bits + bits // 2
+            return even + odd, even - odd
+
+        values = [[at_both_signs(p) for p in row] for row in self.rows]
+        q_plus = _bareiss([[v[0] for v in row] for row in values])
+        q_minus = _bareiss([[v[1] for v in row] for row in values])
         evens = _unpack((q_plus + q_minus) >> 1, width)
         odds = _unpack((q_plus - q_minus) >> bits // 2 + 1, width)
         coeffs = [0] * (2 * max(len(evens), len(odds)))

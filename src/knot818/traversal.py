@@ -76,6 +76,7 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
     __slots__ = ()
 
     def __new__(cls, site: str, direction: Direction, entry_role: Optional[Role] = None) -> "StartSpec":
+        site = site.upper() if site.isascii() else site  # no other text (dotless i, sharp s) folds onto a site
         if site not in LETTER_SITES:
             raise InvalidStartSpecError(f"start site must be one of A..L, got {clip(repr(site))}")
         if site in BRANCH_SITES:
@@ -104,7 +105,7 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
             role = Role(parts[2].lower()) if len(parts) == 3 else None
         except ValueError:
             raise InvalidStartSpecError(f"entry role must be over or under, got {clip(repr(parts[2]))}") from None
-        return cls(parts[0].upper(), direction, role)
+        return cls(parts[0], direction, role)
 
     def __str__(self) -> str:
         if self.entry_role is None:
@@ -192,19 +193,15 @@ class StateEnsemble(NamedTuple("StateEnsemble", [("label", str), ("tables", tupl
         return cls(*fields)
 
 
-def _start_specs_for(site: str) -> list[StartSpec]:
-    if site in BRANCH_SITES:
-        return [StartSpec(site, d) for d in (Direction.CW, Direction.CCW)]
-    return [
-        StartSpec(site, d, r)
-        for d in (Direction.CW, Direction.CCW)
-        for r in (Role.OVER, Role.UNDER)
-    ]
-
-
 def _ensemble(label: str, sites: Sequence[str]) -> StateEnsemble:
+    """Tables by site, then direction (cw first), then entry role (over first, none at a branch center)."""
     slots = _slots(canonical_818())
-    tables = tuple(_traverse(slots, spec) for site in sites for spec in _start_specs_for(site))
+    tables = tuple(
+        _traverse(slots, StartSpec(site, direction, role))
+        for site in sites
+        for direction in (Direction.CW, Direction.CCW)
+        for role in ((None,) if site in BRANCH_SITES else (Role.OVER, Role.UNDER))
+    )
     return StateEnsemble(label, tables)
 
 
@@ -231,28 +228,26 @@ def with_mirrors(ensemble: StateEnsemble) -> list[TraversalTable]:
 def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], ...]:
     """Group table indices into orbits of the quarter-turn relabeling.
 
-    Each step follows the relabeled start spec and compares no values:
+    Orbits come by lowest index; each starts there and follows the quarter
+    turn, stepping to the relabeled start spec without comparing values:
     on ``canonical_818()`` relabeling a table gives the table of the
     relabeled start (``CONVENTIONS.md``, "Quarter-turn relabeling").
     """
     index = _spec_index(tables)
     seen: set[int] = set()
     orbits: list[tuple[int, ...]] = []
-    for i, table in enumerate(tables):
-        if i in seen:
-            continue
-        orbit: list[int] = []
-        cur_i, cur = i, table
-        while cur_i not in seen:
-            seen.add(cur_i)
-            orbit.append(cur_i)
-            (site, direction, role), mirrored = cur.start, cur.mirrored
-            nxt_i = index.get(((ROTATION_RELABEL[site], direction, role), mirrored))
-            if nxt_i is None:
+    for first in range(len(tables)):
+        orbit, at = [], first
+        while at not in seen:
+            seen.add(at)
+            orbit.append(at)
+            (site, direction, role), _, mirrored = tables[at]
+            at = index.get(((ROTATION_RELABEL[site], direction, role), mirrored))
+            if at is None:
                 rotated = StartSpec(ROTATION_RELABEL[site], direction, role)
                 raise ValueError(f"ensemble not closed under rotation at {rotated}")
-            cur_i, cur = nxt_i, tables[nxt_i]
-        orbits.append(tuple(orbit))
+        if orbit:
+            orbits.append(tuple(orbit))
     return tuple(orbits)
 
 

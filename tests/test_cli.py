@@ -347,6 +347,9 @@ FAILURES = [
     fails("traverse-missing-role", ["traverse", "--start", "A"], 2,
           "error: shoulder start A needs an over or under entry role\n"),
     fails("traverse-unknown-site", ["traverse", "--start", "Z"], 2, "error: start site must be one of A..L, got 'Z'\n"),
+    # Only ASCII folds: dotless i would upper-case to I, sharp s to SS.
+    fails("traverse-non-ascii-site", ["traverse", "--start", "ı"], 2, "error: start site must be one of A..L, got 'ı'\n"),
+    fails("analyze-non-ascii-site", ["analyze", "--state", "ß,cw"], 2, "error: start site must be one of A..L, got 'ß'\n"),
     fails("analyze-bad-state", ["analyze", "--state", "K"], 2, "error: state must be SITE,DIR[,ROLE], got 'K'\n"),
     fails("analyze-bad-direction", ["analyze", "--state", "K,up"], 2,
           "error: direction must be cw or ccw, got 'up'\n"),

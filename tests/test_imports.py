@@ -1,5 +1,6 @@
 """Every module of the library, of scripts/ and of tests/ uses each name it imports,
-and no library module imports another module's private name."""
+no library module imports another module's private name, and every public
+name the library defines has a reader outside tests/."""
 
 import ast
 from pathlib import Path
@@ -27,9 +28,9 @@ def _names(tree):
     return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
 
 
-def _referenced(tree):
-    """Every name the code reads, the names inside string annotations included."""
-    names = _names(tree)
+def _annotated(tree):
+    """The names inside string annotations."""
+    names = set()
     annotations = [
         node.returns if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else node.annotation
         for node in ast.walk(tree)
@@ -40,6 +41,11 @@ def _referenced(tree):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names |= _names(ast.parse(node.value, mode="eval"))
     return names
+
+
+def _referenced(tree):
+    """Every name the code reads, the names inside string annotations included."""
+    return _names(tree) | _annotated(tree)
 
 
 def _unused(source):
@@ -80,3 +86,57 @@ def test_the_check_finds_a_private_import():
 def test_no_library_module_imports_a_private_name():
     found = {path.name: _private_imports(path.read_text(encoding="utf-8")) for path in (ROOT / "src" / "knot818").glob("*.py")}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+LIBRARY = sorted((ROOT / "src" / "knot818").glob("*.py"))
+# Besides the library itself, its readers are scripts/ and perfbench/ (read, never written); tests/ is none.
+OUTSIDE_READERS = sorted([*(ROOT / "scripts").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")])
+
+
+def _defined(tree):
+    """The public names a module's top level defines: functions, classes and assigned names."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _read(tree):
+    """Every name the code reads: loaded names, attributes, imported names and string annotations."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names | _annotated(tree)
+
+
+def _unread(library, outside):
+    """``file: name`` for each public name of a ``{file: source}`` library that neither it nor ``outside`` reads."""
+    read = set().union(*(_read(ast.parse(source)) for source in [*library.values(), *outside]))
+    return [
+        f"{name}: {defined}"
+        for name, source in sorted(library.items())
+        for defined in _defined(ast.parse(source))
+        if not defined.startswith("_") and defined not in read
+    ]
+
+
+def _sources():
+    library = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY}
+    return library, [path.read_text(encoding="utf-8") for path in OUTSIDE_READERS]
+
+
+def test_the_check_finds_a_name_only_tests_read():
+    library, outside = _sources()
+    library["errors.py"] += "\n\ndef only_tests():\n    pass\n"
+    assert _unread(library, outside) == ["errors.py: only_tests"]
+
+
+def test_every_public_name_has_a_reader():
+    assert _unread(*_sources()) == []

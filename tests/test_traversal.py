@@ -91,6 +91,10 @@ def test_start_spec_parses_what_it_prints():
     for spec in all_specs():
         assert StartSpec.parse(str(spec)) == spec
     assert StartSpec.parse(" a , CCW , Under ") == StartSpec("A", CCW, Role.UNDER)
+    # Only ASCII folds: dotless i would upper-case to I, sharp s to SS.
+    for site in ("ı", "ß"):
+        with pytest.raises(InvalidStartSpecError, match=f"^start site must be one of A..L, got '{site}'$"):
+            StartSpec.parse(f"{site},cw")
     # The entry-role rule is StartSpec's own, whatever the text names.
     with pytest.raises(InvalidStartSpecError, match="^shoulder start A needs an over or under entry role$"):
         StartSpec.parse("A,cw,through")
@@ -188,12 +192,23 @@ def test_rotation_equivariance():
         assert relabeled == traverse(word, relabeled.start), table.describe()
 
 
+ALL40_ORBITS = (
+    (0, 12, 8, 4), (1, 13, 9, 5), (2, 14, 10, 6), (3, 15, 11, 7),
+    (16, 28, 24, 20), (17, 29, 25, 21), (18, 30, 26, 22), (19, 31, 27, 23),
+    (32, 38, 36, 34), (33, 39, 37, 35),
+)
+
+
 def test_rotation_orbits_on_all40():
     orbits = rotation_orbits(enumerate_all().tables)
     assert len(orbits) == 10
     assert all(len(orbit) == 4 for orbit in orbits)
     flattened = sorted(i for orbit in orbits for i in orbit)
     assert flattened == list(range(40))
+    # By lowest index, each orbit from there along the quarter turn; mirrors keep to their own.
+    assert orbits == ALL40_ORBITS
+    mirrored = tuple(tuple(i + 40 for i in orbit) for orbit in ALL40_ORBITS)
+    assert rotation_orbits(with_mirrors(enumerate_all())) == ALL40_ORBITS + mirrored
 
 
 def test_rotation_orbits_need_a_closed_ensemble():
