@@ -20,11 +20,14 @@ the long rungs; and for ``winding_number`` on that embedding.
 - torus words (1 2 ... 7)^k on 8 strands, k = 9, 35, 71, 143 (up to
   1001 letters), closing to the torus knots T(8, k).
 
-``det_ms`` times the Bareiss reference, ``PolyMatrix.det`` of rho - I,
-on every rung.  The 3-strand rungs' ``alexander_ms`` no longer includes
-it: ``alexander_from_braid`` takes det rho - tr rho + 1 there.
-``det_bits`` is the bit length of the largest coefficient of
-det(rho - I).  Run from a checkout with ``PYTHONPATH=src``::
+``det_ms`` times ``PolyMatrix.det`` of rho - I given the braid, as
+``alexander_from_braid`` calls it on every strand count but three: it
+packs at the smaller of the column norms' product and the Kauffman state
+bound.  ``bound_bits`` is the bit length of the one it packs at, and
+``det_bits`` the bit length of the largest
+coefficient of det(rho - I).  The 3-strand rungs' ``alexander_ms`` does
+not include ``det``: ``alexander_from_braid`` takes det rho - tr rho + 1
+there.  Run from a checkout with ``PYTHONPATH=src``::
 
     python scripts/alexander_ladder.py [--quick] [--repeat K]
 """
@@ -95,14 +98,16 @@ def main(argv=None) -> int:
     rungs = ladder()[:2] if args.quick else ladder()
     print(
         f"{'rung':<16} {'strands':>7} {'letters':>7} {'burau_ms':>10} {'det_ms':>10} {'alexander_ms':>12}"
-        f" {'closure_ms':>10} {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8} {'embed_peak_b':>12}"
+        f" {'closure_ms':>10} {'embed_ms':>10} {'winding_ms':>10} {'det_bits':>8} {'bound_bits':>10}"
+        f" {'embed_peak_b':>12}"
     )
     for name, braid in rungs:
         matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
-        det = matrix.det()
+        det = matrix.det(braid)
         bits = max(abs(c).bit_length() for c in det.coeffs)
+        bound_bits = matrix.det_bound(braid).bit_length()
         burau = best_ms(lambda: burau_reduced(braid), args.repeat)
-        det_ms = best_ms(matrix.det, args.repeat)
+        det_ms = best_ms(lambda: matrix.det(braid), args.repeat)
         alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
         closure = best_ms(lambda: closure_diagram(braid), args.repeat)
         embed = best_ms(lambda: annular_embed(braid), args.repeat)
@@ -110,7 +115,7 @@ def main(argv=None) -> int:
         winding = best_ms(lambda: winding_number(embedding), args.repeat)
         print(
             f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f}"
-            f" {closure:>10.2f} {embed:>10.2f} {winding:>10.2f} {bits:>8} {peak_b:>12.1f}"
+            f" {closure:>10.2f} {embed:>10.2f} {winding:>10.2f} {bits:>8} {bound_bits:>10} {peak_b:>12.1f}"
         )
     return 0
 

@@ -18,11 +18,16 @@ Groups*, 1974) needs no elimination; on any other strand count
 
 The Burau walk and the determinant carry long polynomials as integers
 packed by :func:`_pack` (Kronecker substitution): the walk at one base
-B, the determinant even and odd coefficients apart at B^2.
+B, the determinant even and odd coefficients apart at B^2.  The
+determinant's digit must hold every coefficient of the entries and of
+det(rho - I).  A product of column norms bounds them for any matrix;
+for rho - I a count of Kauffman states (:func:`_state_bound`) does too,
+often far lower, and :func:`alexander_from_braid` packs at the smaller.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
@@ -120,7 +125,37 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
             )
         )
 
-    def det(self) -> LaurentPoly:
+    def det_bound(self, closure: BraidWord | None = None) -> int:
+        """A bound on every coefficient of the determinant and of every entry.
+
+        Without ``closure`` it is the product of the column L1 norms, which
+        bounds every coefficient of the determinant of any matrix and,
+        each column norm being at least 1 unless the product is 0, every
+        coefficient of every entry too.
+
+        ``closure``, given only when the matrix is rho - I of that
+        knot-closure braid, brings in a bound S on the closure's number of
+        Kauffman states (:func:`_state_bound`).  Every coefficient of
+        det(rho - I) is at most sum |Delta_j|, which is at most the number
+        of states, so max(S, largest |coefficient| of any entry) is a
+        bound too, and the smaller of the two is returned.  The ``min``
+        matters both ways: on full-cycle words such as
+        (1 -2 3 -4 5 -6 7)^9, S has 58 bits and the product 157, while on
+        the torus word (1 2 ... 7)^35 S has 216 bits and the product 10.
+        S is computed only when :func:`_state_floor` leaves it room to be
+        the smaller, as it does not on torus words, where the segment scan
+        would cost more than the determinant saves.
+        """
+        norms = [sum(abs(c) for p in col for c in p.coeffs) for col in zip(*self.rows)]
+        bound = prod(norms)
+        if closure is None or _state_floor(closure) >= bound:
+            return bound
+        states = _state_bound(closure)
+        if states < max(norms):  # the largest column norm bounds every entry's coefficients
+            states = max(states, max(max(map(abs, p.coeffs), default=0) for row in self.rows for p in row))
+        return min(bound, states)
+
+    def det(self, closure: BraidWord | None = None) -> LaurentPoly:
         """Determinant by Bareiss elimination on integers at t = B and t = -B.
 
         With lo the least exponent in the matrix, t^-lo * p is a polynomial
@@ -131,18 +166,18 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         where Q = t^(-n*lo) det.  Then (Q(B) + Q(-B)) / 2 = Q_even(B^2)
         and (Q(B) - Q(-B)) / 2B = Q_odd(B^2), which unpack at base B^2
         into the even and odd coefficients of Q.  This is exact when
-        B^2 / 2 exceeds the product of the column L1 norms, and B^2 =
-        2^(8 * width) for the fewest bytes that make it so: that product
-        bounds every coefficient of the determinant, and, each column norm
-        being at least 1, every coefficient of every entry too, so every
-        packed digit fits.  Nothing else needs the width: integer Bareiss
+        B^2 / 2 exceeds :meth:`det_bound`, and B^2 = 2^(8 * width) for
+        the fewest bytes that make it so, since that bound holds every
+        coefficient of the determinant and of every entry: every packed
+        digit fits.  Nothing else needs the width: integer Bareiss
         (``_bareiss``) is exact on any integer matrix, so Q(B) or Q(-B)
         may be 0 while Q is not (Q = t - B vanishes at +B only).
+        ``closure`` is passed on to :meth:`det_bound`.
         """
         n = len(self.rows)
         if n == 0:
             return ONE
-        bound = prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*self.rows))
+        bound = self.det_bound(closure)
         if not bound:
             return LaurentPoly()
         lo = min(p.min_exp for row in self.rows for p in row if p.coeffs)
@@ -281,19 +316,78 @@ def normalize_alexander(poly: LaurentPoly) -> LaurentPoly:
     return shifted
 
 
+def _state_bound(braid: BraidWord) -> int:
+    """A bound S on every coefficient of det(rho - I) for a knot closure.
+
+    The chain of bounds:
+
+    - det(rho - I) = +-t^k * Delta * (1 + t + ... + t^(n-1)) (Burau 1936),
+      and each coefficient of that product sums n consecutive ones of
+      Delta, so it is at most sum |Delta_j|;
+    - Delta is a sum of one +-monomial per state of the closure diagram
+      (Kauffman, *Formal Knot Theory*, 1983), so sum |Delta_j| is at most
+      the number of states, which equals the number tau of spanning
+      trees of the diagram's Tait (checkerboard) graph, of either class;
+    - tau <= prod(deg v for v != root) for any root vertex and degrees
+      without loops: pointing each tree at the root picks one edge out of
+      every other vertex, and the picks determine the tree.
+
+    The closure of a word on n strands has these regions, as vertices:
+    the inner disk, of degree m_1 (the letters on generator 1); the outer
+    region, of degree m_(n-1); and for each gap g between positions g and
+    g+1, the m_g segments that the letters on g cut the gap into.  A
+    segment meets the letters on g at its two ends (degree 2 when m_g >= 2;
+    with m_g = 1 that letter is a loop, degree 0), and each letter on
+    g-1 or g+1 inside its span joins it to a region two gaps away.  The
+    disk is gap 0 and the outer region gap n, and a class is the gaps of
+    one parity.  S is the smaller, over the two classes, of the product
+    of the class's degrees with its largest left out as the root.  A knot
+    closure uses every generator, so every degree in a class of two or
+    more vertices is at least 1.
+    """
+    n = braid.strands
+    word = "".join(map(chr, map(abs, braid.letters)))
+    degrees = [[word.count(chr(1))], []]
+    degrees[n % 2].append(word.count(chr(n - 1)))
+    near: list[str | None] = [None] * (n + 1)  # str.translate deletes what maps to None
+    for g in range(1, n):
+        near[g - 1 : g + 2] = ".|."
+        # the letters on g-1 and g+1 between consecutive letters on g
+        head, *inner, tail = word.translate(near).split("|")
+        own = 2 if inner else 0
+        degrees[g % 2] += [own + len(span) for span in inner]
+        degrees[g % 2].append(own + len(head) + len(tail))  # the segment that wraps around
+        near[g - 1 : g + 2] = None, None, None
+    return min(prod(sorted(d)[:-1]) for d in degrees)
+
+
+def _state_floor(braid: BraidWord) -> int:
+    """A lower bound on :func:`_state_bound` from the letter counts alone.
+
+    Each segment of a gap with two or more letters has degree at least 2,
+    and every other vertex at least 1, so a class with w such segments
+    has a product of at least 2^(w-1) with any one vertex left out.
+    """
+    signed = Counter(braid.letters)
+    letters_on = [signed[g] + signed[-g] for g in range(braid.strands)]  # 0 at gap 0, the disk
+    wide = min(sum(m for m in letters_on[c::2] if m >= 2) for c in (0, 1))
+    return 1 << max(wide - 1, 0)
+
+
 def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of the closure (a knot).
 
     On three strands det(rho - I) is det rho - tr rho + 1, with det rho =
     (-1)^L t^e (Burau 1936; Birman 1974; see the module docstring), so
     no determinant is eliminated.  On any other strand count
-    :meth:`PolyMatrix.det` eliminates rho - I.  Either way one exact
-    division by 1 + t + ... + t^(n-1) leaves Delta.
+    :meth:`PolyMatrix.det` eliminates rho - I, given the braid so that
+    it may pack at the narrower width a state bound allows.  Either way
+    one exact division by 1 + t + ... + t^(n-1) leaves Delta.
     """
     require_knot_closure(braid)
     rho = burau_reduced(braid)
     if braid.strands == 3:
         det = LaurentPoly(braid.exponent_sum, ((-1) ** len(braid),)) - (rho.rows[0][0] + rho.rows[1][1]) + ONE
     else:
-        det = (rho - PolyMatrix.identity(braid.strands - 1)).det()
+        det = (rho - PolyMatrix.identity(braid.strands - 1)).det(braid)
     return normalize_alexander(det.exact_div(LaurentPoly(0, (1,) * braid.strands)))

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from conftest import PERFBENCH, ZERO, braid_words, knot_braids, load_script, matmul, signs, subs_inverse
 from knot818.braid import BRAID_818, BraidWord, NotAKnotError, closure_diagram
 from knot818.diagram import Role, Visit
+from knot818 import invariants
 from knot818.invariants import (
     PolyMatrix,
     ZeroPolynomialError,
     _digit_width,
     _pack,
+    _state_bound,
+    _state_floor,
     _unpack,
     alexander_from_braid,
     burau_reduced,
@@ -390,6 +393,193 @@ def test_three_strand_alexander_matches_bareiss(braid):
 def test_three_strand_alexander_matches_bareiss_on_long_braids(braid):
     assert braid.strands == 3
     assert alexander_from_braid(braid) == bareiss_alexander(braid)
+
+
+@st.composite
+def patterned_knot_braids(draw):
+    """Knot braids on 2 and 4-9 strands with random, all-positive or alternating signs.
+
+    Alternating gives generator i the sign (-1)^(i+1), as in 1 -2 3 ...
+    """
+    braid = draw(st.one_of(knot_braids(min_strands=2, max_strands=2), knot_braids(min_strands=4, max_strands=9)))
+    pattern = draw(st.sampled_from(("random", "positive", "alternating")))
+    if pattern == "random":
+        return braid
+    return BraidWord(braid.strands, tuple(abs(l) if pattern == "positive" or l % 2 else -abs(l) for l in braid.letters))
+
+
+FIGURE_EIGHT = BraidWord(3, (1, -2, 1, -2))
+
+
+@given(patterned_knot_braids())
+@example(LADDER.full_cycle(8))
+@example(LADDER.torus(35))
+@settings(max_examples=60, deadline=None)
+def test_alexander_matches_bareiss_at_column_norm_width(braid):
+    # alexander_from_braid packs det at the state bound where that is
+    # narrower; bareiss_alexander keeps the column norms' width.
+    assert alexander_from_braid(braid) == bareiss_alexander(braid)
+
+
+def tait_graphs(braid):
+    """Edge lists of the closure diagram's two Tait graphs, built region by region.
+
+    A region is ("gap", g, j): gap 0 is the inner disk and gap n the
+    outer region, one region each; gap g in between is cut into m_g
+    segments by the letters on g, segment j running from its j-th letter
+    on g to the next (the last one wraps around).  A letter on g touches
+    the segments of gap g before and after it, an edge (a loop when m_g
+    = 1) of the class of gap g's parity, and the regions of gaps g-1 and
+    g+1 where it stands, an edge of the other class.
+    """
+    n = braid.strands
+    gaps = [abs(l) for l in braid.letters]
+    count = [1] + [gaps.count(g) for g in range(1, n)] + [1]
+    seen = [0] * (n + 1)
+
+    def region(g):
+        return ("gap", g, 0) if g in (0, n) else ("gap", g, (seen[g] - 1) % count[g])
+
+    edges = ([], [])
+    for g in gaps:
+        before = region(g)
+        seen[g] += 1
+        edges[g % 2].append((before, region(g)))
+        edges[1 - g % 2].append((region(g - 1), region(g + 1)))
+    return edges
+
+
+def spanning_trees(edges):
+    """Spanning trees of a multigraph by the matrix-tree theorem, loops dropped."""
+    vertices = sorted({v for edge in edges for v in edge})
+    index = {v: i for i, v in enumerate(vertices)}
+    laplacian = [[Fraction(0)] * len(vertices) for _ in vertices]
+    for u, v in edges:
+        if u != v:
+            i, j = index[u], index[v]
+            laplacian[i][i] += 1
+            laplacian[j][j] += 1
+            laplacian[i][j] -= 1
+            laplacian[j][i] -= 1
+    minor = [row[1:] for row in laplacian[1:]]
+    det = Fraction(1)
+    for k in range(len(minor)):
+        pivot = next((i for i in range(k, len(minor)) if minor[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            minor[k], minor[pivot] = minor[pivot], minor[k]
+            det = -det
+        det *= minor[k][k]
+        for row in minor[k + 1 :]:
+            factor = row[k] / minor[k][k]
+            row[k:] = [a - factor * b for a, b in zip(row[k:], minor[k][k:])]
+    return int(det)
+
+
+def degree_product(edges):
+    """The product of the degrees, loops dropped, with the largest left out."""
+    degree = {}
+    for u, v in edges:
+        for w in (u, v):
+            degree[w] = degree.get(w, 0) + (u != v)
+    return math.prod(sorted(degree.values())[:-1])
+
+
+@given(patterned_knot_braids())
+@example(FIGURE_EIGHT)
+@settings(max_examples=60, deadline=None)
+def test_state_bound_holds_every_coefficient(braid):
+    # sum |Delta_j| <= states = tau of either Tait graph <= the degree
+    # product of the smaller class, which _state_bound computes.
+    graphs = tait_graphs(braid)
+    trees = [spanning_trees(edges) for edges in graphs]
+    assert trees[0] == trees[1]
+    assert sum(map(abs, alexander_from_braid(braid).coeffs)) <= trees[0]
+    assert trees[0] <= _state_bound(braid) == min(map(degree_product, graphs))
+
+
+# A short word whose state bound is computed in full (its letter counts
+# give only 4) and still lands above the column norms' product.
+STATES_ABOVE_NORMS = BraidWord(4, (1, 2, 3, 3, 2, 1, 3, 2, 1))
+
+
+def test_state_bound_examples():
+    # The figure eight: disk, outer region and the two segments of each
+    # gap have degrees 2, 2, 3, 3, 3, 3; each class (2, 3, 3) gives 2 * 3.
+    # It has 5 states, and Delta = 1 - 3t + t^2.
+    assert _state_bound(FIGURE_EIGHT) == 6
+    assert [spanning_trees(edges) for edges in tait_graphs(FIGURE_EIGHT)] == [5, 5]
+    # Bit lengths of the state bound and of the column norms' product.
+    for braid, bits in ((LADDER.torus(35), (216, 10)), (STATES_ABOVE_NORMS, (8, 6)), (LADDER.full_cycle(8), (58, 157))):
+        matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
+        assert (_state_bound(braid).bit_length(), det_bound_and_base(matrix.rows)[0].bit_length()) == bits
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9, 21])
+def test_state_bound_is_tight_on_two_strand_torus_knots(k):
+    # sigma_1^k closes to T(2, k): disk and outer region joined by k
+    # edges, k states, and Delta = 1 - t + ... + t^(k-1).
+    braid = BraidWord(2, (1,) * k)
+    assert _state_bound(braid) == k == sum(map(abs, alexander_from_braid(braid).coeffs))
+
+
+def packed_bounds(braid):
+    """The bounds ``alexander_from_braid`` fixes digit widths from, in call order."""
+    bounds = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invariants, "_digit_width", lambda bound: bounds.append(bound) or _digit_width(bound))
+        alexander_from_braid(braid)
+    return bounds
+
+
+def test_det_width_is_the_column_norms_when_the_state_bound_is_wider():
+    # On (1 2 ... 7)^35 the state bound has 216 bits and the column norms'
+    # product 10; packing at the state bound would slow det hundreds of times.
+    braid = LADDER.torus(35)
+    matrix = burau_reduced(braid) - PolyMatrix.identity(7)
+    assert packed_bounds(braid)[-1] == det_bound_and_base(matrix.rows)[0]
+
+
+@given(patterned_knot_braids())
+@example(STATES_ABOVE_NORMS)
+@example(LADDER.full_cycle(8))
+@example(LADDER.torus(35))
+@settings(max_examples=60, deadline=None)
+def test_det_packs_at_the_smaller_bound(braid):
+    matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
+    column_norms = det_bound_and_base(matrix.rows)[0]
+    entries = max(abs(c) for row in matrix.rows for p in row for c in p.coeffs)
+    smaller = min(column_norms, max(_state_bound(braid), entries))
+    assert matrix.det_bound(braid) == smaller
+    assert packed_bounds(braid)[-1] == smaller
+
+
+@given(patterned_knot_braids())
+@example(BraidWord(5, (1, 2, 3, 4)))  # S = 1; each gap has one letter, and those count for nothing
+@settings(max_examples=60, deadline=None)
+def test_state_floor_is_below_the_state_bound(braid):
+    assert _state_floor(braid) <= _state_bound(braid)
+
+
+def test_state_floor_examples():
+    # (1 2 ... 7)^35: 35 letters on each generator, 105 segments in the
+    # even gaps 2, 4, 6 and 140 in the odd ones; far above the column
+    # norms' 10 bits, so det_bound never scans the segments.
+    assert _state_floor(LADDER.torus(35)) == 2**104
+    assert _state_floor(STATES_ABOVE_NORMS) == 4  # 3 segments in gap 2
+    assert _state_floor(BraidWord(2, (1,) * 5)) == 1  # the even class has no segments
+
+
+def test_det_bound_takes_the_largest_entry_coefficient_past_the_states():
+    # The formula min(product, max(S, largest entry coefficient)) on a
+    # matrix that is not rho - I, so that an entry outgrows S = 3 of the
+    # trefoil sigma_1^3: columns of norms 100 and 2.
+    trefoil = BraidWord(2, (1, 1, 1))
+    assert _state_bound(trefoil) == 3
+    assert PolyMatrix(((poly(0, 100), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 100
+    assert PolyMatrix(((poly(0, 2, -2), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 3
+    assert PolyMatrix(((poly(0, 1), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 2
 
 
 # Alexander polynomials computed independently, by a dense Burau matrix

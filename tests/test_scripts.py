@@ -33,12 +33,13 @@ def test_alexander_ladder_quick(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split() == [
         "rung", "strands", "letters", "burau_ms", "det_ms", "alexander_ms", "closure_ms", "embed_ms", "winding_ms",
-        "det_bits", "embed_peak_b",
+        "det_bits", "bound_bits", "embed_peak_b",
     ]
     rows = [line.split() for line in lines[1:]]
     assert [row[:3] for row in rows] == [["3-strand/50", "3", "50"], ["3-strand/200", "3", "200"]]
     assert [int(row[9]) for row in rows] == [4, 41]
-    assert all(40 < float(row[10]) < 60 for row in rows)
+    assert [int(row[10]) for row in rows] == [20, 91]
+    assert all(40 < float(row[11]) < 60 for row in rows)
 
 
 def test_alexander_ladder_rungs_close_to_knots():
