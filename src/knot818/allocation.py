@@ -11,11 +11,12 @@ deviation from it, and a mismatch flag.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from operator import add
+from typing import NamedTuple, Sequence
 
 from .diagram import CLASS_SITES, LETTER_SITES, SiteClass
 from .errors import DomainError
-from .traversal import TABLE_KEYS, StateEnsemble, TraversalTable
+from .traversal import StateEnsemble, TraversalTable
 
 
 class IncompleteAllocationError(DomainError, ValueError):
@@ -33,25 +34,20 @@ class SiteAllocation(NamedTuple):
         return sum(self.totals)
 
 
-# The position in LETTER_SITES of each TABLE_KEYS slot's site.
-_SLOT_SITE = tuple(LETTER_SITES.index(site) for site, _role in TABLE_KEYS)
-
-
-def _summed(source: str, tables: Iterable[TraversalTable]) -> SiteAllocation:
-    totals = [0] * len(LETTER_SITES)
-    for site, column in zip(_SLOT_SITE, zip(*(table.values for table in tables))):
-        totals[site] += sum(column)
-    return SiteAllocation(source, tuple(totals))
+def _summed(source: str, sums: Sequence[int]) -> SiteAllocation:
+    """The allocation of twenty per-key sums in :data:`TABLE_KEYS` order: each
+    shoulder's adjacent over and under slots added, then the through slots."""
+    return SiteAllocation(source, (*map(add, sums[0:16:2], sums[1:16:2]), *sums[16:]))
 
 
 def site_totals(table: TraversalTable) -> SiteAllocation:
     """Allocation of one table: over+under per shoulder, through per branch."""
-    return _summed(table.describe(), [table])
+    return _summed(table.describe(), table.values)
 
 
 def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     """Site totals summed over every table of the ensemble."""
-    return _summed(ensemble.label, ensemble.tables)
+    return _summed(ensemble.label, tuple(map(sum, zip(*(table.values for table in ensemble.tables)))))
 
 
 class ClassStats(NamedTuple):
@@ -67,8 +63,10 @@ class DefectReport(NamedTuple):
     classes: tuple[ClassStats, ...]
 
 
-# Each class's sites and their positions in LETTER_SITES, in report order.
-_CLASS_AT = tuple((cls, sites, [LETTER_SITES.index(s) for s in sites]) for cls, sites in CLASS_SITES)
+# Each class, its sites and their run in LETTER_SITES, in report order.
+_CLASS_SPANS = tuple(
+    (cls, sites, slice(LETTER_SITES.index(sites[0]), LETTER_SITES.index(sites[-1]) + 1)) for cls, sites in CLASS_SITES
+)
 
 
 def defect_report(allocation: SiteAllocation) -> DefectReport:
@@ -87,16 +85,9 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
     if len(totals) != len(LETTER_SITES):
         raise IncompleteAllocationError(f"allocation has {len(totals)} site totals, expected {len(LETTER_SITES)}")
     stats = []
-    for cls, sites, positions in _CLASS_AT:
-        values = [totals[p] for p in positions]
+    for cls, sites, span in _CLASS_SPANS:
+        values = totals[span]
         n, total, lo, hi = len(values), sum(values), min(values), max(values)
-        stats.append(
-            ClassStats(
-                site_class=cls,
-                entries=tuple(zip(sites, values)),
-                mean=Fraction(total, n),
-                max_deviation=Fraction(max(n * hi - total, total - n * lo), n),
-                mismatch=lo != hi,
-            )
-        )
+        mean, max_deviation = Fraction(total, n), Fraction(max(n * hi - total, total - n * lo), n)
+        stats.append(ClassStats(cls, tuple(zip(sites, values)), mean, max_deviation, lo != hi))
     return DefectReport(allocation.source, tuple(stats))

@@ -331,8 +331,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except Exception as exc:  # internal error contract
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:  # internal error contract; a message-less one (MemoryError()) is named by class
+        print(f"internal error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

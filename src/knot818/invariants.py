@@ -240,6 +240,14 @@ def _bareiss(a: list[list[int]]) -> int:
 _TRIM_EVERY = 64
 
 
+def _trim(e: int, x: int, k: int) -> tuple[int, int]:
+    """A packed entry ``(min_exp, x)`` of k-bit digits with its zero low digits shed into min_exp."""
+    if not x:
+        return 0, 0
+    zeros = ((x & -x).bit_length() - 1) // k
+    return e + zeros, x >> zeros * k
+
+
 def burau_reduced(braid: BraidWord) -> PolyMatrix:
     """Reduced Burau matrix of the whole word (identity for the empty word).
 
@@ -284,12 +292,6 @@ def burau_reduced(braid: BraidWord) -> PolyMatrix:
             return ea, xa + (x << (e - ea) * k)
         return e, x + (xa << (ea - e) * k)
 
-    def trim(e: int, x: int) -> tuple[int, int]:
-        if not x:
-            return 0, 0
-        zeros = ((x & -x).bit_length() - 1) // k
-        return e + zeros, x >> zeros * k
-
     cols = [[(0, int(i == j)) for i in range(dim)] for j in range(dim)]
     for n, letter in enumerate(braid.letters, 1):
         r = abs(letter) - 1
@@ -301,7 +303,7 @@ def burau_reduced(braid: BraidWord) -> PolyMatrix:
             cols[r + 1] = [plus(a, e + right, x) for a, (e, x) in zip(cols[r + 1], pivot)]
         cols[r] = [(e + left + right, -x) for e, x in pivot]
         if n % _TRIM_EVERY == 0:
-            cols = [[trim(e, x) for e, x in col] for col in cols]
+            cols = [[_trim(e, x, k) for e, x in col] for col in cols]
 
     return PolyMatrix(tuple(tuple(LaurentPoly(e, _unpack(x, width)) for e, x in row) for row in zip(*cols)))
 

@@ -17,7 +17,10 @@ a case cannot be matched raw.
 from __future__ import annotations
 
 import csv
+import io
 import os.path
+from functools import partial
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
@@ -281,24 +284,37 @@ def _parse_int(lineno: int, text: str, column: str) -> int:
         raise FixtureParseError(f"line {lineno}: {column} {why}") from None
 
 
+# The most bytes a fixture or errata file may hold (CONVENTIONS.md, "File formats").
+MAX_FIXTURE_BYTES = 1 << 20
+_READ_CHUNK = 1 << 16
+
+
 def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, row)`` for each CSV row after ``header``, checked to have its width and a case id."""
+    """Yield ``(line number, row)`` for each CSV row after ``header``, checked to have its width and a case id.
+
+    A file, pipe or device alike is read in chunks, at most one chunk past
+    :data:`MAX_FIXTURE_BYTES`, and rejected if it holds more.
+    """
+    with open(path, "rb") as fh:
+        data = b"".join(islice(iter(partial(fh.read, _READ_CHUNK), b""), MAX_FIXTURE_BYTES // _READ_CHUNK + 1))
+    if len(data) > MAX_FIXTURE_BYTES:
+        raise FixtureParseError(f"{clip_path(str(path))}: larger than {MAX_FIXTURE_BYTES} bytes")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
         raise FixtureParseError(f"{clip_path(str(path))}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        if next(reader, None) != header:
+            raise FixtureParseError(f"line 1: expected header {','.join(header)}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise FixtureParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+            if not row[0]:
+                raise FixtureParseError(f"line {lineno}: empty case id")
+            yield lineno, row
     except csv.Error as exc:
         raise FixtureParseError(f"line {reader.line_num}: {exc}") from None
-    if rows[:1] != [header]:
-        raise FixtureParseError(f"line 1: expected header {','.join(header)}")
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise FixtureParseError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
-        if not row[0]:
-            raise FixtureParseError(f"line {lineno}: empty case id")
-        yield lineno, row
 
 
 def load_table_fixture(path) -> dict[str, tuple[int, ...]]:

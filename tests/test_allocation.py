@@ -18,9 +18,11 @@ from knot818.allocation import (
 )
 from knot818.diagram import LETTER_SITES, Role, SiteClass, canonical_818
 from knot818.traversal import (
+    TABLE_KEYS,
     Direction,
     StartSpec,
     StateEnsemble,
+    TraversalTable,
     enumerate_all,
     enumerate_representatives,
     mirror_table,
@@ -150,6 +152,22 @@ def test_class_site_partition():
     ]
 
 
+def test_slot_layout_the_totals_read():
+    # site_totals adds slots 2i and 2i+1 for shoulder i and keeps slots 16..19.
+    shoulders, branches = LETTER_SITES[:8], LETTER_SITES[8:]
+    assert TABLE_KEYS[0:16:2] == tuple((s, Role.OVER) for s in shoulders)
+    assert TABLE_KEYS[1:16:2] == tuple((s, Role.UNDER) for s in shoulders)
+    assert TABLE_KEYS[16:] == tuple((s, Role.THROUGH) for s in branches)
+    assert len(TABLE_KEYS) == 20
+
+
+def test_each_class_is_one_run_of_letter_sites():
+    # defect_report reads each class as one slice of the totals.
+    for _cls, sites in CLASS_SITES:
+        start = LETTER_SITES.index(sites[0])
+        assert LETTER_SITES[start : start + len(sites)] == sites
+
+
 def test_site_totals_uses_through_values():
     table = case_a_table()
     alloc = totals_by_site(site_totals(table))
@@ -181,3 +199,25 @@ def test_defect_report_matches_rational_definition(drawn):
         assert type(stats.mean) is type(expected.mean) is Fraction
         assert type(stats.max_deviation) is type(expected.max_deviation) is Fraction
         assert type(stats.mismatch) is bool
+
+
+def _keyed_totals(value_rows):
+    """Site totals in LETTER_SITES order, each value added to its TABLE_KEYS site."""
+    sums = dict.fromkeys(LETTER_SITES, 0)
+    for values in value_rows:
+        for (site, _role), value in zip(TABLE_KEYS, values):
+            sums[site] += value
+    return tuple(sums[s] for s in LETTER_SITES)
+
+
+_STARTS = [table.start for table in enumerate_all().tables]
+
+
+@given(st.lists(st.lists(_TOTAL, min_size=20, max_size=20).map(tuple), min_size=1, max_size=4))
+def test_totals_match_a_keyed_sum_for_any_values(value_rows):
+    tables = tuple(TraversalTable(start, values) for start, values in zip(_STARTS, value_rows))
+    for table in tables:
+        alloc = site_totals(table)
+        assert alloc == SiteAllocation(table.describe(), _keyed_totals([table.values]))
+    alloc = ensemble_totals(StateEnsemble("drawn", tables))
+    assert alloc == SiteAllocation("drawn", _keyed_totals(value_rows))

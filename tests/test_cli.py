@@ -14,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError
 from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip, clip_path
 from knot818.invariants import ZeroPolynomialError
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
+from knot818.traversal import MAX_FIXTURE_BYTES
 
 
 def run(capsys, *argv):
@@ -404,6 +406,11 @@ FAILURES = [
           "error: line 2: field larger than field limit (131072)\n"),
     fails("errata-field-too-long", ["check-fixture", "--errata", "{tmp}/field_too_long_errata.csv"], 2,
           "error: line 2: field larger than field limit (131072)\n"),
+    # A file over the byte limit is refused before the rest of it is read.
+    fails("check-fixture-over-limit", ["check-fixture", "{tmp}/over_limit.csv"], 2,
+          f"error: {{tmp}}/over_limit.csv: larger than {MAX_FIXTURE_BYTES} bytes\n"),
+    fails("errata-over-limit", ["check-fixture", "--errata", "{tmp}/over_limit.csv"], 2,
+          f"error: {{tmp}}/over_limit.csv: larger than {MAX_FIXTURE_BYTES} bytes\n"),
     # Checked before any write, however the two paths are spelled.
     fails("embed-markers-same-file", ["embed", *OUT, "--markers", "{tmp}/x.csv"], 2,
           "error: --out and --markers name one file: {tmp}/x.csv\n"),
@@ -586,6 +593,9 @@ def write_failure_files(root):
     (files / "bad_header.csv").write_text("case,site\n", encoding="utf-8")
     (files / "header_only.csv").write_text("case,site,role,value\n", encoding="utf-8")
     (files / "not_utf8.csv").write_bytes(b"\xff\xfecase,site,role,value\n")
+    with open(files / "over_limit.csv", "wb") as fh:  # a header, then NUL bytes the file system stores sparse
+        fh.write(b"case,site,role,value\n")
+        fh.truncate(MAX_FIXTURE_BYTES + 1)
     for name, row in [
         ("long_site", f"a,{LONG_X},over,1"), ("long_value", f"a,A,over,{LONG_X}"), ("long_case", f"{LONG_X},A,over,1"),
         ("many_digits", f"a,A,over,{MANY_DIGITS}"),
@@ -617,6 +627,16 @@ def test_cli_failure(capsys, failure_files, argv, code, stderr, leaves):
 
     assert run(capsys, *map(fill, argv)) == (code, "", fill(stderr))
     assert sorted(failure_files.iterdir()) == sorted(before + [failure_files / name for name in leaves])
+
+
+@pytest.mark.parametrize("row_id", ["check-fixture-over-limit", "errata-over-limit"])
+def test_a_file_over_the_byte_limit_fails_fast(capsys, failure_files, row_id):
+    (argv, code, _stderr, _leaves), = (row.values for row in FAILURES if row.id == row_id)
+    started = time.perf_counter()
+    result = run(capsys, *(arg.replace("{tmp}", failure_files.name) for arg in argv))
+    assert time.perf_counter() - started < 1
+    assert result[:2] == (code, "")
+    assert len(result[2]) < 100
 
 
 class _CountingStdout(io.StringIO):
@@ -802,6 +822,15 @@ def test_internal_errors_exit_one(capsys, monkeypatch):
         code, _, err = run(capsys, "invariants")
         assert code == 1
         assert err == "internal error: wires crossed\n"
+
+
+@pytest.mark.parametrize("error", [MemoryError(), RuntimeError()])
+def test_an_internal_error_without_a_message_names_its_class(capsys, monkeypatch, error):
+    def boom(_args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_analyze", boom)
+    assert run(capsys, "analyze") == (1, "", f"internal error: {type(error).__name__}\n")
 
 
 def test_output_is_deterministic(capsys):

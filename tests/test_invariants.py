@@ -21,6 +21,7 @@ from knot818.invariants import (
     _pack,
     _state_bound,
     _state_floor,
+    _trim,
     _unpack,
     alexander_from_braid,
     burau_reduced,
@@ -106,6 +107,26 @@ def test_digit_width_is_the_fewest_bytes_that_fit(bound):
     width = _digit_width(bound)
     assert bound < 1 << (8 * width - 1)
     assert width == 1 or bound >= 1 << (8 * width - 9)
+
+
+@pytest.mark.parametrize("width", [1, 2, 9])
+def test_trim_sheds_exactly_the_zero_low_digits(width):
+    # The lowest set bit of the lowest nonzero digit may be any bit of it,
+    # up to the top two: |c| = 2^(k-2), or -2^(k-1) as the top digit.  A
+    # Burau entry has it there only if its lowest coefficient is half the
+    # column bound, which no braid of up to 40 letters on 3-5 strands with
+    # a bound below 16 reaches, so burau_reduced does not show a miscount
+    # there; this does.
+    k = 8 * width
+    half = 1 << (k - 1)
+    lows = [sign << bit for bit in (0, 1, k - 3, k - 2) for sign in (1, -1)]
+    for zeros in (0, 1, 3):
+        for low in lows:
+            for higher in ([], [-1], [1 - half, 0, half - 1]):
+                packed = _pack([0] * zeros + [low, *higher], width)
+                assert _trim(7, packed, k) == (7 + zeros, _pack([low, *higher], width))
+        assert _trim(7, _pack([0] * zeros + [-half], width), k) == (7 + zeros, -half)
+    assert _trim(7, 0, k) == (0, 0)
 
 
 def _generator_image(letter, strands):

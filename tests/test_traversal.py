@@ -1,5 +1,8 @@
 """Start-state traversal tables, the reference fixture, and its errata."""
 
+import os
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,7 @@ from knot818.traversal import (
     Direction,
     EmptyEnsembleError,
     FixtureParseError,
+    MAX_FIXTURE_BYTES,
     InvalidStartSpecError,
     MatchStatus,
     StartSpec,
@@ -379,6 +383,32 @@ def test_not_utf8_names_its_path_clipped(tmp_path):
         load_table_fixture(path)
     assert str(exc.value) == f"{cut_path(str(path))}: not UTF-8 text"
     assert "/not_utf8.csv (" in str(exc.value)
+
+
+def test_a_fixture_of_exactly_the_byte_limit_loads_and_one_byte_more_does_not(tmp_path):
+    shipped = Path(shipped_fixture_path()).read_bytes()
+    tails = [f",{site},{role.value},{value}\n".encode() for value, (site, role) in enumerate(TABLE_KEYS, 1)]
+    room = MAX_FIXTURE_BYTES - len(shipped) - sum(map(len, tails))
+    case_id = b"p" * (room // len(tails))
+    tails[0] = tails[0].replace(b",1\n", b"," + b"0" * (room % len(tails)) + b"1\n")  # the odd bytes
+    path = tmp_path / "full.csv"
+    path.write_bytes(shipped + b"".join(case_id + tail for tail in tails))
+    assert path.stat().st_size == MAX_FIXTURE_BYTES
+    cases = load_table_fixture(path)
+    assert cases[case_id.decode()] == tuple(range(1, 21))
+    with open(path, "ab") as fh:
+        fh.write(b"\n")
+    with pytest.raises(FixtureParseError) as exc:
+        load_table_fixture(path)
+    assert str(exc.value) == f"{cut_path(str(path))}: larger than {MAX_FIXTURE_BYTES} bytes"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize("load", [load_table_fixture, load_errata])
+def test_a_device_is_read_up_to_the_byte_limit(load):
+    with pytest.raises(FixtureParseError) as exc:
+        load("/dev/zero")
+    assert str(exc.value) == f"/dev/zero: larger than {MAX_FIXTURE_BYTES} bytes"
 
 
 def test_fixture_parse_bad_header(tmp_path):
