@@ -22,12 +22,11 @@ the long rungs; and for ``winding_number`` on that embedding.
 
 ``det_ms`` times ``PolyMatrix.det`` of rho - I given the braid, as
 ``alexander_from_braid`` calls it on every strand count but three: it
-packs at the smaller of the column norms' product and the Kauffman state
-bound.  ``bound_bits`` is the bit length of the one it packs at, and
-``det_bits`` the bit length of the largest
-coefficient of det(rho - I).  The 3-strand rungs' ``alexander_ms`` does
-not include ``det``: ``alexander_from_braid`` takes det rho - tr rho + 1
-there.  Run from a checkout with ``PYTHONPATH=src``::
+packs at min(column norms' product, max(Kauffman state bound, largest
+column norm)).  ``bound_bits`` is the bit length of that bound, and
+``det_bits`` the bit length of the largest coefficient of det(rho - I).
+The 3-strand rungs' ``alexander_ms`` does not include ``det``:
+``alexander_from_braid`` takes det rho - tr rho + 1 there.  Run from a checkout with ``PYTHONPATH=src``::
 
     python scripts/alexander_ladder.py [--quick] [--repeat K]
 """

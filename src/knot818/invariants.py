@@ -21,13 +21,13 @@ packed by :func:`_pack` (Kronecker substitution): the walk at one base
 B, the determinant even and odd coefficients apart at B^2.  The
 determinant's digit must hold every coefficient of the entries and of
 det(rho - I).  A product of column norms bounds them for any matrix;
-for rho - I a count of Kauffman states (:func:`_state_bound`) does too,
-often far lower, and :func:`alexander_from_braid` packs at the smaller.
+for rho - I so does the larger of the largest column norm and a count
+of Kauffman states (:func:`_state_bound`), often far lower, and
+:func:`alexander_from_braid` packs at the smaller of the two.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from math import prod
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
@@ -137,23 +137,17 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         knot-closure braid, brings in a bound S on the closure's number of
         Kauffman states (:func:`_state_bound`).  Every coefficient of
         det(rho - I) is at most sum |Delta_j|, which is at most the number
-        of states, so max(S, largest |coefficient| of any entry) is a
-        bound too, and the smaller of the two is returned.  The ``min``
-        matters both ways: on full-cycle words such as
-        (1 -2 3 -4 5 -6 7)^9, S has 58 bits and the product 157, while on
-        the torus word (1 2 ... 7)^35 S has 216 bits and the product 10.
-        S is computed only when :func:`_state_floor` leaves it room to be
-        the smaller, as it does not on torus words, where the segment scan
-        would cost more than the determinant saves.
+        of states, and the largest column norm bounds every entry's
+        coefficients, so max(S, largest column norm) is a bound too, and
+        the smaller of the two is returned.  The ``min`` matters both
+        ways: on full-cycle words such as (1 -2 3 -4 5 -6 7)^9, S has 58
+        bits and the product 157, while on the torus word (1 2 ... 7)^35
+        S has 216 bits and the product 10.
         """
         norms = [sum(abs(c) for p in col for c in p.coeffs) for col in zip(*self.rows)]
-        bound = prod(norms)
-        if closure is None or _state_floor(closure) >= bound:
-            return bound
-        states = _state_bound(closure)
-        if states < max(norms):  # the largest column norm bounds every entry's coefficients
-            states = max(states, max(max(map(abs, p.coeffs), default=0) for row in self.rows for p in row))
-        return min(bound, states)
+        if closure is None:
+            return prod(norms)
+        return min(prod(norms), max(_state_bound(closure), *norms))
 
     def det(self, closure: BraidWord | None = None) -> LaurentPoly:
         """Determinant by Bareiss elimination on integers at t = B and t = -B.
@@ -363,19 +357,6 @@ def _state_bound(braid: BraidWord) -> int:
     return min(prod(sorted(d)[:-1]) for d in degrees)
 
 
-def _state_floor(braid: BraidWord) -> int:
-    """A lower bound on :func:`_state_bound` from the letter counts alone.
-
-    Each segment of a gap with two or more letters has degree at least 2,
-    and every other vertex at least 1, so a class with w such segments
-    has a product of at least 2^(w-1) with any one vertex left out.
-    """
-    signed = Counter(braid.letters)
-    letters_on = [signed[g] + signed[-g] for g in range(braid.strands)]  # 0 at gap 0, the disk
-    wide = min(sum(m for m in letters_on[c::2] if m >= 2) for c in (0, 1))
-    return 1 << max(wide - 1, 0)
-
-
 def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
     """Normalized Alexander polynomial of the closure (a knot).
 
@@ -383,8 +364,9 @@ def alexander_from_braid(braid: BraidWord) -> LaurentPoly:
     (-1)^L t^e (Burau 1936; Birman 1974; see the module docstring), so
     no determinant is eliminated.  On any other strand count
     :meth:`PolyMatrix.det` eliminates rho - I, given the braid so that
-    it may pack at the narrower width a state bound allows.  Either way
-    one exact division by 1 + t + ... + t^(n-1) leaves Delta.
+    it packs at the smaller of the column norms' product and max(state
+    bound, largest column norm).  Either way one exact division by
+    1 + t + ... + t^(n-1) leaves Delta.
     """
     require_knot_closure(braid)
     rho = burau_reduced(braid)

@@ -101,11 +101,11 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
         if len(parts) not in (2, 3) or not all(parts):
             raise InvalidStartSpecError(f"state must be SITE,DIR[,ROLE], got {clip(repr(text))}")
         try:
-            direction = Direction(parts[1].lower())
+            direction = Direction(parts[1])
         except ValueError:
             raise InvalidStartSpecError(f"direction must be cw or ccw, got {clip(repr(parts[1]))}") from None
         try:
-            role = Role(parts[2].lower()) if len(parts) == 3 else None
+            role = Role(parts[2]) if len(parts) == 3 else None
         except ValueError:
             raise InvalidStartSpecError(f"entry role must be over or under, got {clip(repr(parts[2]))}") from None
         return cls(parts[0], direction, role)

@@ -355,6 +355,9 @@ FAILURES = [
     fails("analyze-bad-state", ["analyze", "--state", "K"], 2, "error: state must be SITE,DIR[,ROLE], got 'K'\n"),
     fails("analyze-bad-direction", ["analyze", "--state", "K,up"], 2,
           "error: direction must be cw or ccw, got 'up'\n"),
+    # Only the site folds: an upper-case direction fails, as traverse --dir CW does.
+    fails("analyze-upper-case-direction", ["analyze", "--state", "K,CW"], 2,
+          "error: direction must be cw or ccw, got 'CW'\n"),
     fails("long-analyze-state", ["analyze", "--state", LONG_X[:10_000]], 2,
           f"error: state must be SITE,DIR[,ROLE], got {cut(repr(LONG_X[:10_000]))}\n"),
     fails("long-analyze-direction", ["analyze", "--state", f"K,{LONG_X}"], 2,

@@ -20,7 +20,6 @@ from knot818.invariants import (
     _digit_width,
     _pack,
     _state_bound,
-    _state_floor,
     _trim,
     _unpack,
     alexander_from_braid,
@@ -327,12 +326,16 @@ def test_det_matches_leibniz(rows):
     assert matrix.det() == leibniz_det(matrix.rows)
 
 
+def column_norms(rows):
+    return [sum(abs(c) for p in col for c in p.coeffs) for col in zip(*rows)]
+
+
 def det_bound_and_base(rows):
     """The product of column L1 norms ``PolyMatrix.det`` bounds with, and its B.
 
     B^2 = 2^(8 * width) for the fewest bytes ``width`` that hold the bound.
     """
-    bound = math.prod(sum(abs(c) for p in col for c in p.coeffs) for col in zip(*rows))
+    bound = math.prod(column_norms(rows))
     return bound, 2 ** (4 * (bound.bit_length() // 8 + 1))
 
 
@@ -520,8 +523,7 @@ def test_state_bound_holds_every_coefficient(braid):
     assert trees[0] <= _state_bound(braid) == min(map(degree_product, graphs))
 
 
-# A short word whose state bound is computed in full (its letter counts
-# give only 4) and still lands above the column norms' product.
+# A short word whose state bound lands above the column norms' product.
 STATES_ABOVE_NORMS = BraidWord(4, (1, 2, 3, 3, 2, 1, 3, 2, 1))
 
 
@@ -563,44 +565,67 @@ def test_det_width_is_the_column_norms_when_the_state_bound_is_wider():
 
 
 @given(patterned_knot_braids())
+@example(BraidWord(2, (1,)))  # rho - I = (-t - 1): S = 1 and a column norm of 2
 @example(STATES_ABOVE_NORMS)
 @example(LADDER.full_cycle(8))
 @example(LADDER.torus(35))
 @settings(max_examples=60, deadline=None)
 def test_det_packs_at_the_smaller_bound(braid):
     matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
-    column_norms = det_bound_and_base(matrix.rows)[0]
-    entries = max(abs(c) for row in matrix.rows for p in row for c in p.coeffs)
-    smaller = min(column_norms, max(_state_bound(braid), entries))
+    norms = column_norms(matrix.rows)
+    smaller = min(math.prod(norms), max(_state_bound(braid), max(norms)))
     assert matrix.det_bound(braid) == smaller
     assert packed_bounds(braid)[-1] == smaller
 
 
-@given(patterned_knot_braids())
-@example(BraidWord(5, (1, 2, 3, 4)))  # S = 1; each gap has one letter, and those count for nothing
-@settings(max_examples=60, deadline=None)
-def test_state_floor_is_below_the_state_bound(braid):
-    assert _state_floor(braid) <= _state_bound(braid)
-
-
-def test_state_floor_examples():
-    # (1 2 ... 7)^35: 35 letters on each generator, 105 segments in the
-    # even gaps 2, 4, 6 and 140 in the odd ones; far above the column
-    # norms' 10 bits, so det_bound never scans the segments.
-    assert _state_floor(LADDER.torus(35)) == 2**104
-    assert _state_floor(STATES_ABOVE_NORMS) == 4  # 3 segments in gap 2
-    assert _state_floor(BraidWord(2, (1,) * 5)) == 1  # the even class has no segments
-
-
-def test_det_bound_takes_the_largest_entry_coefficient_past_the_states():
-    # The formula min(product, max(S, largest entry coefficient)) on a
-    # matrix that is not rho - I, so that an entry outgrows S = 3 of the
-    # trefoil sigma_1^3: columns of norms 100 and 2.
+def test_det_bound_takes_the_largest_column_norm_past_the_states():
+    # The formula min(product, max(S, largest column norm)) on matrices
+    # that are not rho - I, so that a column outgrows S = 3 of the
+    # trefoil sigma_1^3.
     trefoil = BraidWord(2, (1, 1, 1))
     assert _state_bound(trefoil) == 3
-    assert PolyMatrix(((poly(0, 100), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 100
-    assert PolyMatrix(((poly(0, 2, -2), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 3
-    assert PolyMatrix(((poly(0, 1), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 2
+    assert PolyMatrix(((poly(0, 100), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 100  # norms 100, 2
+    assert PolyMatrix(((poly(0, 2, -2), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 4  # norms 4, 2
+    assert PolyMatrix(((poly(0, 1, 1), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 3  # norms 2, 2
+    assert PolyMatrix(((poly(0, 1), ZERO), (ZERO, poly(0, 1, 1)))).det_bound(trefoil) == 2  # product 2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((poly(0, 200), ZERO), (ZERO, poly(0, 1, 1))),  # det 200 + 200t
+        ((poly(0, 100), poly(0, -1)), (poly(0, 100), poly(0, 1))),  # every entry fits a byte; det 200 does not
+    ],
+    ids=["entry-past-a-byte", "column-past-a-byte"],
+)
+def test_det_packs_past_the_states_at_the_largest_column_norm(rows):
+    # With S = 3 alone the digit would be one byte, too narrow for 200.
+    matrix = PolyMatrix(rows)
+    assert matrix.det(BraidWord(2, (1, 1, 1))) == leibniz_det(matrix.rows)
+    assert matrix.det_bound(BraidWord(2, (1, 1, 1))) == 200
+
+
+WIDE_BRAIDS = [
+    BraidWord(strands, tuple(map(int, text.split())))
+    for seed in range(10)
+    for strands, text in load_script("inputs", PERFBENCH).wide_braids(seed)
+]
+
+
+@pytest.mark.parametrize(
+    "braids",
+    [WIDE_BRAIDS, [braid for _, braid in LADDER.ladder() if braid.strands != 3]],
+    ids=["wide-seeds-0-9", "ladder"],
+)
+def test_det_packs_as_wide_as_at_the_largest_entry_coefficient(braids):
+    # On the benchmark's wide words and the ladder's rungs that reach det,
+    # the largest column norm in place of the largest entry coefficient
+    # leaves the digit width unchanged.
+    for braid in braids:
+        matrix = burau_reduced(braid) - PolyMatrix.identity(braid.strands - 1)
+        entries = max(abs(c) for row in matrix.rows for p in row for c in p.coeffs)
+        by_entries = min(det_bound_and_base(matrix.rows)[0], max(_state_bound(braid), entries))
+        assert _digit_width(matrix.det_bound(braid)) == _digit_width(by_entries), braid
 
 
 # Alexander polynomials computed independently, by a dense Burau matrix

@@ -94,7 +94,12 @@ def test_start_spec_text():
 def test_start_spec_parses_what_it_prints():
     for spec in all_specs():
         assert StartSpec.parse(str(spec)) == spec
-    assert StartSpec.parse(" a , CCW , Under ") == StartSpec("A", CCW, Role.UNDER)
+    assert StartSpec.parse(" a , ccw , under ") == StartSpec("A", CCW, Role.UNDER)
+    # Only the site folds; direction and role are lower case, as traverse --dir and --role take them.
+    with pytest.raises(InvalidStartSpecError, match="^direction must be cw or ccw, got 'CCW'$"):
+        StartSpec.parse("a,CCW,under")
+    with pytest.raises(InvalidStartSpecError, match="^entry role must be over or under, got 'Under'$"):
+        StartSpec.parse("a,ccw,Under")
     # Only ASCII folds: dotless i would upper-case to I, sharp s to SS.
     for site in ("ı", "ß"):
         with pytest.raises(InvalidStartSpecError, match=f"^start site must be one of A..L, got '{site}'$"):
