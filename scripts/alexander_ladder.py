@@ -8,9 +8,12 @@ Each rung is one knot-closure braid; the script prints the best of
 ``knot818 build`` prints; for ``annular_embed`` at its default 64
 samples per letter (the sampling of the benchmark and of ``knot818
 embed``), so that an embedding cost superlinear in the word shows on
-the long rungs; and for ``winding_number`` on that embedding.
-``embed_peak_b`` is the ``tracemalloc`` peak of one more, untimed
-``annular_embed``, in bytes per sample it holds.  The rungs:
+the long rungs; and for ``winding_number`` on that embedding.  The
+stages are timed round-robin: each of the ``--repeat`` rounds runs
+every stage once, in column order, so that a slow stretch of the
+machine falls on one round of every column rather than on all rounds
+of one.  ``embed_peak_b`` is the ``tracemalloc`` peak of one more,
+untimed ``annular_embed``, in bytes per sample it holds.  The rungs:
 
 - 3 strands at 50, 200, 800, 3000 and 6000 letters: generators
   alternate 1, 2 with seeded random signs (when that closes to a link,
@@ -68,13 +71,15 @@ def ladder() -> list[tuple[str, BraidWord]]:
     )
 
 
-def best_ms(fn, repeat: int) -> float:
-    best = float("inf")
+def best_ms(stages, repeat: int) -> list[float]:
+    """Best wall time of each stage, in ms, over ``repeat`` rounds that each run every stage once, in order."""
+    best = [float("inf")] * len(stages)
     for _ in range(repeat):
-        start = perf_counter()
-        fn()
-        best = min(best, perf_counter() - start)
-    return best * 1e3
+        for i, fn in enumerate(stages):
+            start = perf_counter()
+            fn()
+            best[i] = min(best[i], perf_counter() - start)
+    return [b * 1e3 for b in best]
 
 
 def traced_embed(braid: BraidWord):
@@ -105,13 +110,18 @@ def main(argv=None) -> int:
         det = matrix.det(braid)
         bits = max(abs(c).bit_length() for c in det.coeffs)
         bound_bits = matrix.det_bound(braid).bit_length()
-        burau = best_ms(lambda: burau_reduced(braid), args.repeat)
-        det_ms = best_ms(lambda: matrix.det(braid), args.repeat)
-        alexander = best_ms(lambda: alexander_from_braid(braid), args.repeat)
-        closure = best_ms(lambda: closure_diagram(braid), args.repeat)
-        embed = best_ms(lambda: annular_embed(braid), args.repeat)
         embedding, peak_b = traced_embed(braid)
-        winding = best_ms(lambda: winding_number(embedding), args.repeat)
+        burau, det_ms, alexander, closure, embed, winding = best_ms(
+            (
+                lambda: burau_reduced(braid),
+                lambda: matrix.det(braid),
+                lambda: alexander_from_braid(braid),
+                lambda: closure_diagram(braid),
+                lambda: annular_embed(braid),
+                lambda: winding_number(embedding),
+            ),
+            args.repeat,
+        )
         print(
             f"{name:<16} {braid.strands:>7} {len(braid):>7} {burau:>10.2f} {det_ms:>10.2f} {alexander:>12.2f}"
             f" {closure:>10.2f} {embed:>10.2f} {winding:>10.2f} {bits:>8} {bound_bits:>10} {peak_b:>12.1f}"

@@ -356,6 +356,12 @@ def winding_number(embedding: AnnularEmbedding) -> int:
     x > 0; upward there counts +1, downward -1.  Every loop must be
     closed (else :class:`OpenLoopError`), and no vertex may be within
     1e-12 of the origin.
+
+    The vertices are scanned in runs.  A run of vertices beyond the band
+    |y| <= 1e-12 on the current side is passed with one comparison each,
+    since none of them changes side or can be near the origin; only the
+    vertex that ends a run takes the full rule.  The count, the band and
+    the errors are those of a vertex-by-vertex pass.
     """
     total = 0
     for pts in embedding.loops:
@@ -363,7 +369,26 @@ def winding_number(embedding: AnnularEmbedding) -> int:
             raise OpenLoopError("loop is not a closed polyline")
         prev = pts[0]
         up = prev.imag > 0
-        for z in pts:
+        it = iter(pts)
+        while True:
+            # Pass the run of vertices beyond the band on the current side,
+            # one comparison each: none of them flips or is near the origin.
+            # A NaN y fails the comparison and so ends the run.
+            if up:
+                for z in it:
+                    if not z.imag > 1e-12:
+                        break
+                    prev = z
+                else:
+                    break
+            else:
+                for z in it:
+                    if not z.imag < -1e-12:
+                        break
+                    prev = z
+                else:
+                    break
+            # z ends the run: it is across the band, in it or has a NaN y.
             # Only a vertex with |y| <= 1e-12 can be near the origin.
             y = z.imag
             if y > 1e-12:

@@ -380,6 +380,9 @@ def apply_errata(case_id: str, values: tuple[int, ...], rows: Mapping[int, tuple
     return tuple(fixed)
 
 
+_ONE_TO_TWENTY = list(range(1, 21))
+
+
 def case_multiset_violations(values: tuple[int, ...]) -> list[str]:
     """Diagnostics for a case whose values are not exactly {1..20}.
 
@@ -387,6 +390,8 @@ def case_multiset_violations(values: tuple[int, ...]) -> list[str]:
     place, naming its places in :data:`TABLE_KEYS` order; then each
     missing value.  Only those places are spelled out.
     """
+    if sorted(values) == _ONE_TO_TWENTY:
+        return []
     slots_by_value: dict[int, list[int]] = {}
     for slot, value in enumerate(values):
         slots_by_value.setdefault(value, []).append(slot)
@@ -401,7 +406,7 @@ def case_multiset_violations(values: tuple[int, ...]) -> list[str]:
             continue
         places = ", ".join(f"{site} {role}" for site, role in map(TABLE_KEYS.__getitem__, slots))
         diags.append(f"value {value} {what} at {places}")
-    for value in range(1, 21):
+    for value in _ONE_TO_TWENTY:
         if value not in slots_by_value:
             diags.append(f"value {value} missing")
     return diags

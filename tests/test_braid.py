@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PERFBENCH,
     MultiLoopError,
     ParallelStrandsError,
     braid_words,
@@ -17,6 +18,7 @@ from conftest import (
     crossing_sign_from_geometry,
     cut,
     knot_braids,
+    load_script,
     polyline,
 )
 from knot818 import braid as braid_module
@@ -699,10 +701,83 @@ _coordinates = st.one_of(_near_zero, st.integers(-3, 3).map(float), st.floats(-3
 @example([(1 + 1j, -1 - 1j, 1 + 1j)])  # edges through the origin, with a cross product of 0
 @settings(max_examples=300)
 def test_winding_number_matches_the_tuple_rule(loops):
+    _assert_tuple_rule(loops)
+
+
+def _assert_tuple_rule(loops):
     tuples = [tuple(map(_xy, loop)) for loop in loops]
     assert _winding_or_origin(lambda l: winding_number(AnnularEmbedding(loops=tuple(l))), loops) == (
         _winding_or_origin(_tuple_winding_number, tuples)
     )
+
+
+# Vertices beyond the 1e-12 band above the axis, where winding_number
+# passes a vertex with one comparison, and what may end a run of them: a
+# vertex in the band, at the origin or on the other side.  A run may
+# also reach the loop's closing vertex.
+_beyond_band = tuple(
+    complex(x, y)
+    for x in (-3.0, -1.0, -0.5, -0.0, 0.0, 1e-12, 0.5, 1.0, 3.0)
+    for y in (1.0000000000000002e-12, 2e-12, 0.25, 1.0, 3.0)
+)
+_above, _below = st.sampled_from(_beyond_band), st.sampled_from([-z for z in _beyond_band])
+
+
+def _run_end(side):
+    return st.one_of(
+        st.builds(complex, _coordinates, _near_zero),
+        st.sampled_from((0j, complex(-0.0, -0.0), complex(5e-324, -0.0))),
+        _below if side is _above else _above,
+    )
+
+
+@st.composite
+def run_loops(draw):
+    """A closed loop of up to four runs of 1-40 same-side vertices, each ended as above or by the loop's end."""
+    pts = []
+    for _ in range(draw(st.integers(1, 4))):
+        side = draw(st.sampled_from((_above, _below)))
+        size = draw(st.integers(1, 40))
+        pts += draw(st.lists(side, min_size=size, max_size=size))
+        pts += draw(st.lists(_run_end(side), max_size=1))
+    return (*pts, pts[0])
+
+
+def _run(y, n=30):
+    """n vertices at height y, left to right across x = 0."""
+    return tuple(complex(x - n // 2, y) for x in range(n))
+
+
+def _closed(*pts):
+    return (*pts, pts[0])
+
+
+@given(st.lists(run_loops(), min_size=1, max_size=3))
+@example([_closed(*_run(1.0), *_run(2.0))])  # never leaves y > 0
+@example([_closed(*_run(1.0), *reversed(_run(-1.0)))])  # clockwise, down across x > 0 after a long run
+@example([_closed(*_run(1.0), complex(2.0, math.nan), *_run(1.0), *_run(-1.0))])  # a NaN y inside a run
+# y exactly on the band's edges and -0.0, each after a long run on either side
+@example([_closed(*_run(1.0), complex(3.0, 1e-12), *_run(-1.0), complex(3.0, -1e-12),
+                  *_run(2.0), complex(-3.0, -0.0), *_run(-2.0), complex(3.0, -0.0))])
+@example([_closed(*_run(-1.0), complex(-3.0, -1e-12), *_run(1.0), complex(-3.0, 1e-12))])
+@example([_closed(*_run(1.0), *_run(-1.0), 0j)])  # at the origin just before the closing vertex
+@example([_closed(*_run(1.0), *_run(-1.0)), _closed(*_run(-1.0), *_run(1.0), 0j, *_run(1.0))])  # clean, then not
+@settings(max_examples=300)
+def test_winding_number_matches_the_tuple_rule_past_long_runs(loops):
+    _assert_tuple_rule(loops)
+
+
+_INPUTS = load_script("inputs", PERFBENCH)
+
+
+@pytest.mark.parametrize(
+    "strands, text",
+    _INPUTS.long_braids(0)[7::8] + _INPUTS.wide_braids(0)[4::10],
+    ids=["long-400-alternating", "long-400-random", "wide-6", "wide-8"],
+)
+def test_winding_number_matches_the_tuple_rule_on_benchmark_embeddings(strands, text):
+    emb = annular_embed(BraidWord(strands, tuple(map(int, text.split()))), tuple(range(1, strands + 1)), 64)
+    assert winding_number(emb) == _tuple_winding_number([tuple(map(_xy, loop)) for loop in emb.loops]) == strands
 
 
 def test_winding_counts_vertices_on_the_positive_axis_once():

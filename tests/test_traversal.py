@@ -349,6 +349,15 @@ def test_multiset_violations_clean_case():
     assert case_multiset_violations(cases["a"]) == []
 
 
+@given(st.permutations(range(1, 21)))
+def test_any_permutation_of_one_to_twenty_is_clean(values):
+    assert case_multiset_violations(tuple(values)) == []
+
+
+def test_one_to_nineteen_misses_twenty():
+    assert case_multiset_violations(tuple(range(1, 20))) == ["value 20 missing"]
+
+
 def _case_a_with(changes):
     """Case a's values with the ``(site, role): value`` entries of ``changes`` replaced."""
     return tuple({**CASE_A, **changes}[key] for key in TABLE_KEYS)
