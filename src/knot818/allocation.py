@@ -10,11 +10,12 @@ deviation from it, and a mismatch flag.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
 from operator import add
-from typing import NamedTuple, Sequence
 
-from .diagram import CLASS_SITES, LETTER_SITES, SiteClass
+from .diagram import CLASS_SITES, LETTER_SITES
 from .errors import DomainError
 from .traversal import StateEnsemble, TraversalTable
 
@@ -23,11 +24,10 @@ class IncompleteAllocationError(DomainError, ValueError):
     """An allocation holds other than twelve site totals."""
 
 
-class SiteAllocation(NamedTuple):
+class SiteAllocation(namedtuple("SiteAllocation", "source totals")):
     """Integer totals of the twelve sites in A..L order, tagged with their source."""
 
-    source: str
-    totals: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def grand_total(self) -> int:
@@ -50,17 +50,16 @@ def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     return _summed(ensemble.label, tuple(map(sum, zip(*(table.values for table in ensemble.tables)))))
 
 
-class ClassStats(NamedTuple):
-    site_class: SiteClass
-    entries: tuple[tuple[str, int], ...]
-    mean: Fraction
-    max_deviation: Fraction
-    mismatch: bool
+class ClassStats(namedtuple("ClassStats", "site_class entries mean max_deviation mismatch")):
+    """One class's ``(site, total)`` entries, with their exact mean and largest deviation as Fractions."""
+
+    __slots__ = ()
 
 
-class DefectReport(NamedTuple):
-    source: str
-    classes: tuple[ClassStats, ...]
+class DefectReport(namedtuple("DefectReport", "source classes")):
+    """The :class:`ClassStats` of each class, in report order, tagged with their source."""
+
+    __slots__ = ()
 
 
 # Each class, its sites and their run in LETTER_SITES, in report order.

@@ -16,11 +16,10 @@ the sign of its braid letter.
 
 from __future__ import annotations
 
-import cmath
-import math
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from itertools import chain, count, cycle, repeat
 from operator import add, mul
-from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .diagram import DiagramWord, Role, Visit, canonical_818
 from .errors import DomainError, UsageError, clip, clip_count
@@ -54,12 +53,12 @@ class OpenLoopError(DomainError, ValueError):
     """A loop handed to the winding count does not end where it starts."""
 
 
-def first_bad_letter(letters: Sequence[int], strands: int) -> Optional[int]:
+def first_bad_letter(letters: Sequence[int], strands: int) -> int | None:
     """Index of the first letter that names no generator on ``strands`` strands, or None."""
     return next((i for i, l in enumerate(letters) if l == 0 or abs(l) > strands - 1), None)
 
 
-class BraidWord(NamedTuple("BraidWord", [("strands", int), ("letters", tuple[int, ...])])):
+class BraidWord(namedtuple("BraidWord", "strands letters")):
     """A word in the braid group on ``strands`` strands.
 
     Letters are nonzero integers: i means the positive generator at
@@ -157,16 +156,14 @@ def require_knot_closure(braid: BraidWord) -> list[int]:
 BRAID_818 = BraidWord(3, (1, -2, 1, -2, 1, -2, 1, -2))
 
 
-class SignedCrossing(NamedTuple):
-    """One crossing of a closure: the slot of its letter, its sign and its site.
+class SignedCrossing(namedtuple("SignedCrossing", "id sign site")):
+    """One crossing of a closure: the slot of its letter, its sign (+1 or -1) and its site.
 
     The DiagramWord returned alongside holds its two visits,
     ``Visit(site, Role.OVER)`` and ``Visit(site, Role.UNDER)``.
     """
 
-    id: int
-    sign: int
-    site: str
+    __slots__ = ()
 
 
 # The marked-point rule holds only on the main annular shape: four turns
@@ -204,7 +201,7 @@ def closure_diagram(
         word = canonical_818()
     else:
         visits: list[Visit] = []
-        slot_label: list[Optional[str]] = [None] * len(letters)
+        slot_label: list[str | None] = [None] * len(letters)
         numbers = map(str, count(1))
         for k in range(len(loop) - 1):
             entry, exit_pos = loop[k], loop[k + 1]
@@ -224,30 +221,26 @@ def closure_diagram(
     return word, crossings
 
 
-class CrossingMarker(NamedTuple):
-    """Geometry of one crossing in an embedding.
+class CrossingMarker(namedtuple("CrossingMarker", "crossing sign point over_direction under_direction")):
+    """Geometry of one crossing in an embedding: its slot, its sign, a point and two directions.
 
     The point and directions are complex numbers x + yj.  Directions are
     the curve tangents of the two strands at the shared point, in walk
     order parameterization (unnormalized).
     """
 
-    crossing: int
-    sign: int
-    point: complex
-    over_direction: complex
-    under_direction: complex
+    __slots__ = ()
 
 
-class AnnularEmbedding(NamedTuple):
-    """Sampled planar picture of a braid closure around the origin.
+class AnnularEmbedding(namedtuple("AnnularEmbedding", "loops markers", defaults=((),))):
+    """Sampled planar picture of a braid closure around the origin: loops and crossing markers.
 
     Each loop is a closed polyline (first point repeated at the end) of
-    complex points x + yj.
+    complex points x + yj; ``markers`` holds a :class:`CrossingMarker` per
+    crossing, or nothing.
     """
 
-    loops: tuple[tuple[complex, ...], ...]
-    markers: tuple[CrossingMarker, ...] = ()
+    __slots__ = ()
 
 
 # The most samples an embedding takes (at most about 43 bytes each while
@@ -256,7 +249,7 @@ MAX_SAMPLES = 2_000_000
 
 
 def annular_embed(
-    braid: BraidWord, radii: Optional[Sequence[float]] = None, slots_per_letter: int = 64
+    braid: BraidWord, radii: Sequence[float] | None = None, slots_per_letter: int = 64
 ) -> AnnularEmbedding:
     """Sample the closure as concentric arcs with cosine-eased strand swaps.
 
@@ -270,6 +263,9 @@ def annular_embed(
     three samples per turn (the empty word at any sampling) and, before
     anything is allocated, more than :data:`MAX_SAMPLES` in all.
     """
+    import cmath  # here, and math below, so that build and invariants never load them
+    import math
+
     letters = len(braid.letters)
     if slots_per_letter < 1:
         raise BadSamplingError(f"slots_per_letter must be at least 1, got {clip_count(slots_per_letter)}")
@@ -413,5 +409,7 @@ def winding_number(embedding: AnnularEmbedding) -> int:
 
 def winding_phase(embedding: AnnularEmbedding) -> float:
     """Total angle swept around the origin: 2*pi times :func:`winding_number`."""
+    import math
+
     return 2.0 * math.pi * winding_number(embedding)
 

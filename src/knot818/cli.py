@@ -15,20 +15,43 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 
-from .braid import BRAID_818, annular_embed, closure_diagram, winding_number
-from .diagram import Role
 from .errors import DomainError, UsageError, clip, clip_count, clip_path, too_many_digits
-from .notation import emit_extended_gauss, parse_braid_word
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # each command imports these only when it runs
     from . import allocation as alloc
     from . import traversal as trav
 
+# braid.BRAID_818, the default of --braid and --strands, written out so
+# that a parser is built without importing braid; tests pin the two equal.
+BRAID_818_TEXT = "1 -2 1 -2 1 -2 1 -2"
+BRAID_818_STRANDS = 3
+
 
 class SamePathError(UsageError, ValueError):
     """--out and --markers name one file, so the markers would overwrite the points."""
+
+
+class _Formatter(argparse.HelpFormatter):
+    """argparse's help formatter, which reads the terminal width only when it first formats text.
+
+    argparse makes a formatter for every option it adds, and the base
+    class reads the width, importing shutil, as it is made.
+    """
+
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
+        super().__init__(prog, indent_increment, max_help_position, width=0)
+        del self._width, self._max_help_position  # set by __getattr__ on first read
+        self._sizes = (max_help_position, width)
+
+    def __getattr__(self, name):
+        if name not in ("_width", "_max_help_position"):
+            raise AttributeError(name)
+        sized = argparse.HelpFormatter(self._prog, self._indent_increment, *self._sizes)  # the base class's rule
+        self._width, self._max_help_position = sized._width, sized._max_help_position
+        return getattr(self, name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -36,6 +59,9 @@ class _Parser(argparse.ArgumentParser):
 
     Its invalid-choice wording is the same on every CPython release.
     """
+
+    def __init__(self, prog: str, **kwargs):
+        super().__init__(prog, formatter_class=_Formatter, **kwargs)
 
     def parse_args(self, args=None, namespace=None):
         args, extras = self.parse_known_args(args, namespace)
@@ -153,6 +179,10 @@ def _report_lines(report: alloc.DefectReport, grand_total: int, fmt: str) -> Ite
 
 
 def cmd_build(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from .braid import closure_diagram
+    from .diagram import Role
+    from .notation import emit_extended_gauss, parse_braid_word
+
     braid = parse_braid_word(args.braid, args.strands)
     word, crossings = closure_diagram(braid, insert_vertices=args.vertices == "auto")
     return 0, [
@@ -165,6 +195,7 @@ def cmd_build(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 def cmd_invariants(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from .invariants import alexander_from_braid
+    from .notation import parse_braid_word
 
     braid = parse_braid_word(args.braid, args.strands)
     poly = alexander_from_braid(braid)
@@ -173,12 +204,13 @@ def cmd_invariants(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
         f"alexander: {poly}",
         f"writhe: {braid.exponent_sum}",
         f"phase: {2 * braid.strands}π",
-        f"determinant: {abs(poly.evaluate(-1))}",
+        f"determinant: {abs(poly.at_unit(-1))}",
     ]
 
 
 def cmd_traverse(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import traversal as trav
+    from .diagram import Role
 
     role = Role(args.role) if args.role else None
     spec = trav.StartSpec(args.start, trav.Direction(args.dir), role)
@@ -222,6 +254,9 @@ def cmd_check_fixture(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def cmd_embed(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
+    from .braid import annular_embed, winding_number
+    from .notation import parse_braid_word
+
     if args.markers is not None and os.path.realpath(args.markers) == os.path.realpath(args.out):
         raise SamePathError(f"--out and --markers name one file: {clip_path(args.markers)}")
     braid = parse_braid_word(args.braid, args.strands)
@@ -244,42 +279,36 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 
 
 def _add_braid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--braid",
-        default=" ".join(map(str, BRAID_818.letters)),
-        help="braid word, signed generator indices",
-    )
-    parser.add_argument("--strands", type=clipped_int, default=BRAID_818.strands, help="number of strands")
+    parser.add_argument("--braid", default=BRAID_818_TEXT, help="braid word, signed generator indices")
+    parser.add_argument("--strands", type=clipped_int, default=BRAID_818_STRANDS, help="number of strands")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="knot818", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("build", help="walk a braid closure into a diagram word")
+def _build_args(p: argparse.ArgumentParser) -> None:
     _add_braid_args(p)
     p.add_argument("--vertices", choices=("auto", "off"), default="auto", help="auto: where the vertex rule applies")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("invariants", help="alexander polynomial, writhe, winding phase")
+
+def _invariants_args(p: argparse.ArgumentParser) -> None:
     _add_braid_args(p)
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("traverse", help="one traversal table of the main diagram")
+
+def _traverse_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start", required=True, help="site letter A..L")
     p.add_argument("--dir", choices=("cw", "ccw"), default="cw")
     p.add_argument("--role", choices=("over", "under"), default=None, help="entry role at shoulders")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_traverse)
 
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
     # argparse from 3.13 on wraps a usage line inside a mutually exclusive
     # group; this pins the wording of 3.10-3.12 at 80 columns.
-    p = sub.add_parser(
-        "analyze",
-        help="allocation totals and defect report",
-        usage="%(prog)s [-h]\n"
+    p.usage = (
+        "%(prog)s [-h]\n"
         "                       [--ensemble {reps10,all40,with-mirrors} | --state STATE]\n"
-        "                       [--format {text,csv,json}]",
+        "                       [--format {text,csv,json}]"
     )
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ensemble", choices=("reps10", "all40", "with-mirrors"), default="reps10")
@@ -287,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("check-fixture", help="match the reference tables against the ensemble")
+
+def _check_fixture_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("fixture", nargs="?", type=file_path, default=None, help="fixture CSV (default: shipped)")
     p.add_argument(
         "--errata",
@@ -299,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_check_fixture)
 
-    p = sub.add_parser("embed", help="write sampled closure coordinates to CSV")
+
+def _embed_args(p: argparse.ArgumentParser) -> None:
     _add_braid_args(p)
     p.add_argument("--out", type=file_path, required=True, help="output CSV path")
     p.add_argument("--markers", type=file_path, default=None, help="crossing marker CSV path (written after --out)")
@@ -307,10 +338,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-per-slot", type=positive_int, default=64)
     p.set_defaults(func=cmd_embed)
 
+
+class _Parsers(Mapping):
+    """Subcommand name -> parser, each built when it is first read; ``fills[name]`` adds its options."""
+
+    def __init__(self, prog: str):
+        self.prog = prog
+        self.fills = {}
+        self._built = {}
+
+    def __getitem__(self, name: str) -> argparse.ArgumentParser:
+        if name not in self._built:
+            fill = self.fills[name]
+            self._built[name] = parser = _Parser(prog=f"{self.prog} {name}")
+            fill(parser)
+        return self._built[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.fills)
+
+    def __len__(self) -> int:
+        return len(self.fills)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    """argparse's subcommand action over :class:`_Parsers`.
+
+    ``knot818 -h``, the usage line and the invalid-choice error read only
+    the names and help lines, so a run builds the parser of its own
+    command alone.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.choices = self._name_parser_map = _Parsers(self._prog_prefix)
+
+    def add_command(self, name: str, help: str, fill) -> None:
+        """List ``name`` with its ``help`` line; ``fill`` adds its options once its parser is built."""
+        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
+        self.choices.fills[name] = fill
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="knot818", description=__doc__.splitlines()[0])
+    # Without a prog, argparse formats a usage line to make one.
+    sub = parser.add_subparsers(dest="command", required=True, prog="knot818", action=_Subcommands)
+    sub.add_command("build", "walk a braid closure into a diagram word", _build_args)
+    sub.add_command("invariants", "alexander polynomial, writhe, winding phase", _invariants_args)
+    sub.add_command("traverse", "one traversal table of the main diagram", _traverse_args)
+    sub.add_command("analyze", "allocation totals and defect report", _analyze_args)
+    sub.add_command("check-fixture", "match the reference tables against the ensemble", _check_fixture_args)
+    sub.add_command("embed", "write sampled closure coordinates to CSV", _embed_args)
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -15,10 +15,11 @@ a different rotation are distinct objects but cyclically equivalent
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping, Sequence
 from enum import Enum
-from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .errors import clip
+from .errors import UsageError, clip
 
 
 class TextEnum(Enum):
@@ -81,6 +82,10 @@ ROTATION_RELABEL = {
 }
 
 
+class UnknownSiteError(UsageError, ValueError):
+    """A site label that is neither a letter A..L nor a string of digits."""
+
+
 def site_class(label: str) -> SiteClass:
     """Classify a site label.
 
@@ -92,12 +97,13 @@ def site_class(label: str) -> SiteClass:
         return cls
     if label.isdigit():
         return SiteClass.CROSSING
-    raise ValueError(f"unknown site label {label!r}")
+    raise UnknownSiteError(f"unknown site label {label!r}")
 
 
-class Visit(NamedTuple):
-    site: str
-    role: Role
+class Visit(namedtuple("Visit", "site role")):
+    """One meeting of the curve with a site: its label and its :class:`Role` there."""
+
+    __slots__ = ()
 
 
 ROLE_PREFIX = {Role.OVER: "O", Role.UNDER: "U", Role.THROUGH: "V"}
@@ -174,7 +180,7 @@ _BRANCH_ORDERS = ((Role.THROUGH,),)
 _CROSSING_ORDERS = ((Role.OVER, Role.UNDER), (Role.UNDER, Role.OVER))
 
 
-def visit_problem(label: str, roles: Sequence[Role]) -> Optional[str]:
+def visit_problem(label: str, roles: Sequence[Role]) -> str | None:
     """Why a site's visits break the visit rule, or None when they keep it.
 
     ``roles`` are the label's roles in word order.  A branch center is
@@ -213,23 +219,22 @@ def validate_word(word: DiagramWord) -> list[str]:
     return diags
 
 
-class EquivalenceWitness(NamedTuple):
+class EquivalenceWitness(namedtuple("EquivalenceWitness", "offset reversed_ mapping")):
     """Certificate that two words draw the same closed curve.
 
     ``apply`` replays it: reverse ``w1`` if ``reversed_``, rotate the
-    basepoint by ``offset``, rename sites through ``mapping``.
+    basepoint by ``offset``, rename sites through ``mapping`` (a site ->
+    site mapping).
     """
 
-    offset: int
-    reversed_: bool
-    mapping: Mapping[str, str]
+    __slots__ = ()
 
     def apply(self, word: DiagramWord) -> DiagramWord:
         w = word.reversed_() if self.reversed_ else word
         return w.rotated(self.offset).relabeled(self.mapping)
 
 
-def cyclic_equivalent(w1: DiagramWord, w2: DiagramWord) -> Optional[EquivalenceWitness]:
+def cyclic_equivalent(w1: DiagramWord, w2: DiagramWord) -> EquivalenceWitness | None:
     """Search for a rotation/reversal/relabeling carrying w1 onto w2.
 
     The relabeling must be a class-preserving bijection (branch centers

@@ -6,7 +6,6 @@ that escapes a command is a bug.
 """
 
 import sys
-from typing import Optional, Union
 
 
 class Knot818Error(Exception):
@@ -39,7 +38,7 @@ def clip_path(path: str) -> str:
     return f"...{path[-ECHO_LIMIT:]} ({len(path)} characters)"
 
 
-def clip_count(count: Union[int, str]) -> str:
+def clip_count(count: int | str) -> str:
     """A count for an error message, clipped like outside text; an integer
     with more digits than CPython converts to a string shows its size in bits."""
     try:
@@ -48,7 +47,7 @@ def clip_count(count: Union[int, str]) -> str:
         return f"{'a negative' if count < 0 else 'an'} integer of {count.bit_length()} bits"
 
 
-def too_many_digits(text: str) -> Optional[str]:
+def too_many_digits(text: str) -> str | None:
     """For text ``int`` refused: why, when it is a decimal integer with more
     digits than CPython converts from a string, else None."""
     body = text.strip()

@@ -28,8 +28,9 @@ of Kauffman states (:func:`_state_bound`), often far lower, and
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from math import prod
-from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .braid import BraidWord, require_knot_closure
 from .laurent import ONE, InexactDivisionError, LaurentPoly
@@ -77,8 +78,8 @@ def _unpack(x: int, width: int) -> list[int]:
     return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
-class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...], ...])])):
-    """Square matrix over the integer Laurent ring."""
+class PolyMatrix(namedtuple("PolyMatrix", "rows")):
+    """Square matrix over the integer Laurent ring: a tuple of rows, each a tuple of :class:`LaurentPoly`."""
 
     __slots__ = ()
 
@@ -101,16 +102,16 @@ class PolyMatrix(NamedTuple("PolyMatrix", [("rows", tuple[tuple[LaurentPoly, ...
         )
 
     # tuple's + and * would concatenate or repeat the rows
-    def __add__(self, other: object) -> NoReturn:
+    def __add__(self, other: object):
         raise TypeError(f"unsupported operand type(s) for +: 'PolyMatrix' and {type(other).__name__!r}")
 
-    def __radd__(self, other: object) -> NoReturn:
+    def __radd__(self, other: object):
         raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'PolyMatrix'")
 
-    def __mul__(self, other: object) -> NoReturn:
+    def __mul__(self, other: object):
         raise TypeError(f"unsupported operand type(s) for *: 'PolyMatrix' and {type(other).__name__!r}")
 
-    def __rmul__(self, other: object) -> NoReturn:
+    def __rmul__(self, other: object):
         raise TypeError(f"unsupported operand type(s) for *: {type(other).__name__!r} and 'PolyMatrix'")
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":

@@ -13,8 +13,8 @@ constructor trims, so two equal polynomials are equal tuples.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -25,7 +25,7 @@ class ZeroArgumentError(ValueError):
     """Evaluation point 0 is outside the Laurent domain."""
 
 
-class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[int, ...])])):
+class LaurentPoly(namedtuple("LaurentPoly", "min_exp coeffs")):
     __slots__ = ()
 
     def __new__(cls, min_exp: int = 0, coeffs: Sequence[int] = ()) -> "LaurentPoly":
@@ -152,23 +152,37 @@ class LaurentPoly(NamedTuple("LaurentPoly", [("min_exp", int), ("coeffs", tuple[
 
     # -- evaluation and display ----------------------------------------
 
-    def evaluate(self, t0: Union[int, Fraction]) -> Fraction:
-        """Exact value at a nonzero rational point.
+    def evaluate(self, t0):
+        """Exact value, a Fraction, at a nonzero rational point t0 (an int or a Fraction).
 
         With t0 = p/q, Horner's rule runs on integers: the numerator
         sums c_k * p^k * q^(deg - k), and one Fraction takes q^deg.
+        :meth:`at_unit` gives the value at 1 or -1 without loading
+        ``fractions``.
         """
-        x = Fraction(t0)
+        import fractions  # here, so only evaluation loads it; cheaper per call than `from ... import`
+
+        x = fractions.Fraction(t0)
         if x == 0:
             raise ZeroArgumentError("cannot evaluate at t = 0")
         if self.is_zero:
-            return Fraction(0)
+            return fractions.Fraction(0)
         p, q = x.numerator, x.denominator
         num, qk = 0, 1
         for c in reversed(self.coeffs):
             num = num * p + c * qk
             qk *= q
-        return Fraction(num, q ** (len(self.coeffs) - 1)) * x ** self.min_exp
+        return fractions.Fraction(num, q ** (len(self.coeffs) - 1)) * x ** self.min_exp
+
+    def at_unit(self, sign: int) -> int:
+        """Exact value at t = sign, for sign 1 or -1, as an int.
+
+        Since sign**2 == 1, the sum of c_k * sign**(min_exp + k) is the
+        even-k coefficients plus sign times the odd-k ones, times
+        sign**(min_exp % 2).
+        """
+        even, odd = sum(self.coeffs[::2]), sum(self.coeffs[1::2])
+        return (even + sign * odd) * sign ** (self.min_exp % 2)
 
     def __str__(self) -> str:
         if self.is_zero:

@@ -14,7 +14,7 @@ negated when that visit is the over pass.
 from __future__ import annotations
 
 from .braid import BraidWord, InvalidBraidError, first_bad_letter
-from .diagram import ROLE_PREFIX, DiagramWord, Role, SiteClass, Visit, site_class, visit_problem
+from .diagram import ROLE_PREFIX, DiagramWord, Role, SiteClass, UnknownSiteError, Visit, site_class, visit_problem
 from .errors import UsageError, clip, clip_count, too_many_digits
 
 
@@ -57,7 +57,7 @@ def parse_extended_gauss(text: str) -> DiagramWord:
             raise UnknownTokenError(idx, f"unrecognized token {clip(repr(token))}")
         try:
             cls = site_class(label)
-        except ValueError:
+        except UnknownSiteError:
             raise UnknownTokenError(idx, f"unrecognized label in token {clip(repr(token))}") from None
         if (cls is SiteClass.BRANCH_CENTER) != (role is Role.THROUGH):
             raise RoleMismatchError(idx, f"role prefix {token[0]!r} does not fit site {clip(repr(label))}")

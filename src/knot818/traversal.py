@@ -16,13 +16,13 @@ a case cannot be matched raw.
 
 from __future__ import annotations
 
-import csv
 import io
 import os.path
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import partial
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .diagram import (
     BRANCH_SITES,
@@ -50,6 +50,10 @@ class EmptyEnsembleError(DomainError, ValueError):
     pass
 
 
+class DuplicateStartError(DomainError, ValueError):
+    """Two tables of an ensemble share a start spec and a mirror flag."""
+
+
 class FixtureParseError(UsageError, ValueError):
     pass
 
@@ -69,7 +73,7 @@ TABLE_KEYS = tuple((s, r) for s in SHOULDER_SITES for r in (Role.OVER, Role.UNDE
 _SLOT = {key: i for i, key in enumerate(TABLE_KEYS)}
 
 
-class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction), ("entry_role", Optional[Role])])):
+class StartSpec(namedtuple("StartSpec", "site direction entry_role")):
     """Where and how a traversal begins.
 
     Branch centers take no entry role (the single through visit is the
@@ -78,7 +82,7 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
 
     __slots__ = ()
 
-    def __new__(cls, site: str, direction: Direction, entry_role: Optional[Role] = None) -> "StartSpec":
+    def __new__(cls, site: str, direction: Direction, entry_role: Role | None = None) -> "StartSpec":
         site = site.upper() if site.isascii() else site  # no other text (dotless i, sharp s) folds onto a site
         if site not in LETTER_SITES:
             raise InvalidStartSpecError(f"start site must be one of A..L, got {clip(repr(site))}")
@@ -116,12 +120,10 @@ class StartSpec(NamedTuple("StartSpec", [("site", str), ("direction", Direction)
         return f"{self.site},{self.direction.value},{self.entry_role.value}"
 
 
-class TraversalTable(NamedTuple):
-    """Values 1..20 assigned to the twenty visits, in :data:`TABLE_KEYS` order."""
+class TraversalTable(namedtuple("TraversalTable", "start values mirrored", defaults=(False,))):
+    """Values 1..20 assigned to the twenty visits, in :data:`TABLE_KEYS` order, from a :class:`StartSpec`."""
 
-    start: StartSpec
-    values: tuple[int, ...]
-    mirrored: bool = False
+    __slots__ = ()
 
     @property
     def entries(self) -> tuple[tuple[str, Role, int], ...]:
@@ -132,13 +134,13 @@ class TraversalTable(NamedTuple):
         return f"mirror({self.start})" if self.mirrored else str(self.start)
 
 
-def _slots(word: DiagramWord) -> Optional[tuple[int, ...]]:
+def _slots(word: DiagramWord) -> tuple[int, ...] | None:
     """The :data:`TABLE_KEYS` slot of each visit, in word order, or ``None``
     unless :func:`~knot818.diagram.validate_word` accepts the word."""
     return None if validate_word(word) else tuple(_SLOT[v] for v in word)
 
 
-def _traverse(slots: Optional[tuple[int, ...]], start: StartSpec) -> TraversalTable:
+def _traverse(slots: tuple[int, ...] | None, start: StartSpec) -> TraversalTable:
     if slots is None:
         raise TableUndefinedError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
     # A model word holds each key once, and StartSpec fits the role to the site.
@@ -176,11 +178,11 @@ def _spec_index(tables: Sequence[TraversalTable]) -> dict[tuple, int]:
     """Each table's index by ``((site, direction, entry_role), mirrored)``; no key may repeat."""
     index = {(t.start, t.mirrored): i for i, t in enumerate(tables)}
     if len(index) != len(tables):
-        raise ValueError("duplicate start specs in ensemble")
+        raise DuplicateStartError("duplicate start specs in ensemble")
     return index
 
 
-class StateEnsemble(NamedTuple("StateEnsemble", [("label", str), ("tables", tuple[TraversalTable, ...])])):
+class StateEnsemble(namedtuple("StateEnsemble", "label tables")):
     """A labeled, nonempty collection of tables with pairwise distinct start specs."""
 
     __slots__ = ()
@@ -295,6 +297,8 @@ def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     A file, pipe or device alike is read in chunks, at most one chunk past
     :data:`MAX_FIXTURE_BYTES`, and rejected if it holds more.
     """
+    import csv
+
     with open(path, "rb") as fh:
         data = b"".join(islice(iter(partial(fh.read, _READ_CHUNK), b""), MAX_FIXTURE_BYTES // _READ_CHUNK + 1))
     if len(data) > MAX_FIXTURE_BYTES:
@@ -319,7 +323,7 @@ def _read_rows(path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
 
 def load_table_fixture(path) -> dict[str, tuple[int, ...]]:
     """Each case's values in :data:`TABLE_KEYS` order, from CSV with header ``case,site,role,value``."""
-    cases: dict[str, list[Optional[int]]] = {}  # values by TABLE_KEYS slot
+    cases: dict[str, list[int | None]] = {}  # values by TABLE_KEYS slot
     for lineno, (case_id, site, role_name, value_text) in _read_rows(path, ["case", "site", "role", "value"]):
         slot = _row_slot(lineno, site, role_name)
         value = _parse_int(lineno, value_text, "value")
@@ -418,25 +422,26 @@ class MatchStatus(TextEnum):
     UNMATCHED = "UNMATCHED"
 
 
-class CaseResult(NamedTuple):
-    case_id: str
-    status: MatchStatus
-    witness: Optional[TraversalTable]
-    violations: tuple[str, ...]
+class CaseResult(namedtuple("CaseResult", "case_id status witness violations")):
+    """A fixture case's :class:`MatchStatus`, the table it matched (or None) and its multiset violations."""
+
+    __slots__ = ()
 
     @property
     def erratum_applied(self) -> bool:
         return self.status is MatchStatus.MATCHED_WITH_ERRATUM
 
 
-class FixtureReport(NamedTuple):
-    results: tuple[CaseResult, ...]
+class FixtureReport(namedtuple("FixtureReport", "results")):
+    """A :class:`CaseResult` per fixture case."""
+
+    __slots__ = ()
 
 
 def check_fixture(
     ensemble: StateEnsemble,
     fixture: Mapping[str, tuple[int, ...]],
-    errata: Optional[Mapping[str, Mapping[int, tuple[int, int]]]] = None,
+    errata: Mapping[str, Mapping[int, tuple[int, int]]] | None = None,
 ) -> FixtureReport:
     """Match every fixture case against the ensemble and its mirrors.
 

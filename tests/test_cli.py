@@ -26,9 +26,11 @@ import knot818
 from knot818 import cli, invariants
 from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
 from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip, clip_path
+from knot818.diagram import UnknownSiteError
 from knot818.invariants import ZeroPolynomialError
+from knot818.notation import parse_braid_word
 from knot818.laurent import InexactDivisionError, ZeroArgumentError
-from knot818.traversal import MAX_FIXTURE_BYTES
+from knot818.traversal import MAX_FIXTURE_BYTES, DuplicateStartError
 
 
 def run(capsys, *argv):
@@ -46,6 +48,14 @@ def test_build_defaults(capsys):
         "vertices: 4",
         "gauss: VK UG OC UD OE VJ UF OB UC OH VI UE OA UB OG VL UH OD UA OF",
     ]
+
+
+def test_braid_defaults_are_braid_818():
+    # The parser writes the default braid out, so that it is built without importing braid.
+    for command in ("build", "invariants", "embed"):
+        args = cli.build_parser().parse_args([command, "--out", "x.csv"][: 3 if command == "embed" else 1])
+        assert args.braid == " ".join(map(str, BRAID_818.letters))
+        assert parse_braid_word(args.braid, args.strands) == BRAID_818
 
 
 def test_build_trefoil(capsys):
@@ -281,6 +291,27 @@ def test_option_surface_is_pinned():
         "embed": braid | {"--out", "--markers", "--radii", "--points-per-slot"},
     }
     assert sum(map(len, surface.values())) == 20
+
+
+def test_a_run_builds_only_its_own_parser(capsys, monkeypatch):
+    built = []
+
+    class Recording(cli._Parser):
+        def __init__(self, prog, **kwargs):
+            built.append(prog)
+            super().__init__(prog, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Recording)
+    for argv, code, progs in [
+        (["traverse", "--start", "K"], 0, ["knot818", "knot818 traverse"]),
+        (["analyze", "--state", "K"], 2, ["knot818", "knot818 analyze"]),
+        (["-h"], 0, ["knot818"]),
+        (["bogus"], 2, ["knot818"]),
+    ]:
+        built.clear()
+        assert cli.main(argv) == code
+        assert built == progs, argv
+    capsys.readouterr()
 
 
 def _usage_error(command, message):
@@ -711,44 +742,47 @@ def _modules_loaded_by(code, cwd=None):
     return set(ast.literal_eval(result.stdout.splitlines()[-1]))
 
 
-# what `build` never runs: the table path, the invariants and JSON output
-_NOT_FOR_BUILD = {
-    "knot818.traversal",
-    "knot818.allocation",
-    "knot818.invariants",
-    "knot818.laurent",
-    "fractions",
-    "decimal",
-    "json",
-}
+# The stdlib modules a command loads only when it uses them: the exact
+# arithmetic, the sampling geometry, the JSON and CSV formats, and what
+# argparse loads only to format text (shutil, for the terminal width).
+# No command uses typing.
+_WATCHED = {"fractions", "decimal", "cmath", "json", "csv", "shutil", "typing"}
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
     loaded = _modules_loaded_by("import knot818.cli")
     assert not {"dataclasses", "inspect", "importlib.resources", "pathlib"} & loaded
-    assert not _NOT_FOR_BUILD & loaded
+    assert not _WATCHED & loaded
+    assert {m for m in loaded if m.startswith("knot818.")} == _CLI_SET
     assert {m for m in _modules_loaded_by("import knot818") if m.startswith("knot818.")} == set()
 
 
-_BUILD_SET = {"knot818.cli", "knot818.braid", "knot818.diagram", "knot818.notation", "knot818.errors"}
+_CLI_SET = {"knot818.cli", "knot818.errors"}
+_BRAID_SET = {"knot818.braid", "knot818.diagram", "knot818.notation"}
+_TABLE_SET = {"knot818.diagram", "knot818.traversal"}
 
 
 @pytest.mark.parametrize(
-    "argv, extra",
+    "argv, code, extra",
     [
-        (["build"], set()),
-        (["embed", "--out", "points.csv"], set()),
-        (["embed", "--out", "p.csv", "--markers", "m.csv"], set()),
-        (["traverse", "--start", "A", "--role", "under"], {"knot818.traversal"}),
-        (["check-fixture"], {"knot818.traversal"}),
-        (["invariants"], {"knot818.invariants", "knot818.laurent", "fractions", "decimal"}),
-        (["analyze", "--format", "json"], {"knot818.traversal", "knot818.allocation", "fractions", "decimal", "json"}),
+        (["build"], 0, _BRAID_SET),
+        (["embed", "--out", "points.csv"], 0, _BRAID_SET | {"cmath"}),
+        (["embed", "--out", "p.csv", "--markers", "m.csv"], 0, _BRAID_SET | {"cmath"}),
+        (["traverse", "--start", "A", "--role", "under"], 0, _TABLE_SET),
+        (["check-fixture"], 1, _TABLE_SET | {"csv"}),
+        (["invariants"], 0, _BRAID_SET | {"knot818.invariants", "knot818.laurent"}),
+        (["analyze", "--format", "json"], 0, _TABLE_SET | {"knot818.allocation", "fractions", "decimal", "json"}),
+        # argparse loads shutil to print help, a usage line or an error
+        (["-h"], 0, {"shutil"}),
+        (["traverse", "--role", "under"], 2, {"shutil"}),
     ],
-    ids=["build", "embed", "embed-markers", "traverse", "check-fixture", "invariants", "analyze"],
+    ids=["build", "embed", "embed-markers", "traverse", "check-fixture", "invariants", "analyze", "help", "usage-error"],
 )
-def test_each_command_loads_only_what_it_runs(tmp_path, argv, extra):
-    loaded = _modules_loaded_by(f"import knot818.cli; knot818.cli.main({argv!r})", cwd=tmp_path)
-    assert {m for m in loaded if m.startswith("knot818.")} | (_NOT_FOR_BUILD & loaded) == _BUILD_SET | extra
+def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, extra):
+    # The run's own stderr is set aside, then the exit code checked.
+    run = f"import io, knot818.cli; sys.stderr = io.StringIO(); rc = knot818.cli.main({argv!r}); sys.stderr = sys.__stderr__"
+    loaded = _modules_loaded_by(f"{run}; assert rc == {code}, rc", cwd=tmp_path)
+    assert {m for m in loaded if m.startswith("knot818.")} | (_WATCHED & loaded) == _CLI_SET | extra
 
 
 def test_package_namespace_is_what_perfbench_imports():
@@ -779,7 +813,7 @@ def test_package_namespace_is_what_perfbench_imports():
 def test_every_error_class_is_in_one_family():
     arithmetic = {InexactDivisionError, ZeroArgumentError, ZeroPolynomialError}
     classes = set(_defined_exceptions()) - {Knot818Error, UsageError, DomainError}
-    assert arithmetic | {cli.SamePathError, InvalidBraidError, NotAKnotError} <= classes
+    assert arithmetic | {cli.SamePathError, InvalidBraidError, NotAKnotError, UnknownSiteError, DuplicateStartError} <= classes
     for cls in classes:
         families = [family for family in (UsageError, DomainError) if issubclass(cls, family)]
         if cls in arithmetic:
@@ -806,6 +840,41 @@ def test_no_error_class_is_an_orphan():
     raised = {cls for cls in classes if cls.__name__ in _raised_names()}
     for cls in classes:
         assert any(issubclass(sub, cls) for sub in raised), cls
+
+
+# Every record of the library: its fields and their defaults.
+RECORDS = {
+    "allocation.SiteAllocation": ("source totals", {}),
+    "allocation.ClassStats": ("site_class entries mean max_deviation mismatch", {}),
+    "allocation.DefectReport": ("source classes", {}),
+    "braid.BraidWord": ("strands letters", {}),
+    "braid.SignedCrossing": ("id sign site", {}),
+    "braid.CrossingMarker": ("crossing sign point over_direction under_direction", {}),
+    "braid.AnnularEmbedding": ("loops markers", {"markers": ()}),
+    "diagram.Visit": ("site role", {}),
+    "diagram.EquivalenceWitness": ("offset reversed_ mapping", {}),
+    "invariants.PolyMatrix": ("rows", {}),
+    "laurent.LaurentPoly": ("min_exp coeffs", {}),
+    "traversal.StartSpec": ("site direction entry_role", {}),
+    "traversal.TraversalTable": ("start values mirrored", {"mirrored": False}),
+    "traversal.StateEnsemble": ("label tables", {}),
+    "traversal.CaseResult": ("case_id status witness violations", {}),
+    "traversal.FixtureReport": ("results", {}),
+}
+
+
+def test_records_keep_their_fields_and_no_instance_dict():
+    found = {}
+    for info in pkgutil.iter_modules(knot818.__path__):
+        module = importlib.import_module(f"knot818.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and hasattr(obj, "_fields") and obj.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = obj
+    assert set(found) == set(RECORDS)
+    for name, cls in found.items():
+        fields, defaults = RECORDS[name]
+        assert (cls._fields, cls._field_defaults) == (tuple(fields.split()), defaults), name
+        assert cls.__dictoffset__ == 0, name  # __slots__ = () all the way up
 
 
 def test_internal_errors_exit_one(capsys, monkeypatch):

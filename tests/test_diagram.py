@@ -15,6 +15,7 @@ from knot818.diagram import (
     EquivalenceWitness,
     Role,
     SiteClass,
+    UnknownSiteError,
     Visit,
     canonical_818,
     cyclic_equivalent,
@@ -63,7 +64,7 @@ def test_site_classes():
     assert site_class("H") is SiteClass.OUTER_SHOULDER
     assert site_class("K") is SiteClass.BRANCH_CENTER
     assert site_class("17") is SiteClass.CROSSING
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownSiteError, match="^unknown site label 'z'$"):
         site_class("z")
 
 

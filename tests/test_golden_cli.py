@@ -12,6 +12,10 @@ change to that output is intended:
 The benchmark's ``cli`` workload pins the other commands: each of its
 ``CLI_INVOCATIONS`` must print its ``perfbench/golden`` file.  That
 table is read from the benchmark's source, which is not imported.
+
+``data/cli_help.json`` holds the stdout of ``knot818 -h`` and of
+``knot818 <command> -h`` for each command at 80 columns, as CPython
+3.11 prints it; argparse words its help differently on other releases.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from knot818 import cli
 from knot818.diagram import BRANCH_SITES, LETTER_SITES
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.json"
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 _STARTS = [
@@ -88,6 +93,14 @@ def test_cli_output_matches_perfbench_golden(monkeypatch, tmp_path, argv, code, 
     result = _run(argv)
     golden = (PERFBENCH / "golden" / f"{name}.stdout").read_bytes()
     assert (result["exit"], result["stdout"].encode("utf-8")) == (code, golden)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse words its help differently on other releases")
+@pytest.mark.parametrize("line", list(json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))))
+def test_help_matches_golden(monkeypatch, line):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = json.loads(HELP_GOLDEN.read_text(encoding="utf-8"))[line]
+    assert _run(line.split()) == {"exit": 0, "stdout": want}
 
 
 def test_golden_lists_every_invocation(golden):

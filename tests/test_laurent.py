@@ -112,6 +112,21 @@ def test_evaluate_matches_the_term_sum(min_exp, coeffs, point):
     assert value == expected
 
 
+@given(st.integers(-40, 40), st.lists(st.integers(-10**30, 10**30), max_size=12))
+@example(-3, [1, -5, 10, -13, 10, -5, 1])  # the Alexander polynomial of 8_18, |value at -1| = 45
+@example(-1, [3])
+@example(0, [])
+def test_at_unit_is_the_integer_value_at_one_and_minus_one(min_exp, coeffs):
+    p = LaurentPoly(min_exp, tuple(coeffs))
+    for sign in (1, -1):
+        value = p.at_unit(sign)
+        assert type(value) is int
+        assert value == p.evaluate(sign)
+    assert type(p.evaluate(Fraction(1, 2))) is Fraction
+    with pytest.raises(ZeroArgumentError):
+        p.evaluate(0)
+
+
 def test_rendering():
     poly = LaurentPoly(0, (1, -5, 10, -13, 10, -5, 1))
     assert str(poly) == "1 - 5*t + 10*t^2 - 13*t^3 + 10*t^4 - 5*t^5 + t^6"

@@ -42,6 +42,25 @@ def test_alexander_ladder_quick(capsys):
     assert all(40 < float(row[11]) < 60 for row in rows)
 
 
+def test_cold_start_quick(capsys):
+    script = load_script("cold_start")
+    assert script.main(["--quick", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["child", "min_ms", "q1_ms", "median_ms", "q3_ms"]
+    rows = [line.split() for line in lines[1:]]
+    assert [row[0] for row in rows] == ["bare", "argparse", "build", "traverse"]
+    # one round: its one time is the minimum and every quartile
+    assert all(float(row[1]) > 0 and len(set(row[1:])) == 1 for row in rows)
+
+
+def test_cold_start_runs_the_benchmark_commands():
+    script = load_script("cold_start")
+    names = [name for name, _code, _want in script.children(script.SRC)]
+    assert names == [
+        "bare", "argparse", "build", "invariants", "traverse", "analyze", "check_fixture_errata", "check_fixture", "embed"
+    ]
+
+
 def test_alexander_ladder_rungs_close_to_knots():
     script = load_script("alexander_ladder")
     rungs = script.ladder()

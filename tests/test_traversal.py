@@ -21,6 +21,7 @@ from knot818.errors import DomainError
 from knot818.traversal import (
     REPRESENTATIVE_SITES,
     Direction,
+    DuplicateStartError,
     EmptyEnsembleError,
     FixtureParseError,
     MAX_FIXTURE_BYTES,
@@ -228,7 +229,7 @@ def test_rotation_orbits_need_a_closed_ensemble():
 
 def test_rotation_orbits_reject_a_table_listed_twice():
     tables = enumerate_all().tables
-    with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
+    with pytest.raises(DuplicateStartError, match="^duplicate start specs in ensemble$"):
         rotation_orbits(tables + tables[-1:])
 
 
@@ -260,9 +261,9 @@ def test_traverse_errors():
 
 def test_ensemble_rejects_duplicate_specs():
     table = traverse(canonical_818(), StartSpec("K", CW))
-    with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
+    with pytest.raises(DuplicateStartError, match="^duplicate start specs in ensemble$"):
         StateEnsemble("dup", (table, table))
-    with pytest.raises(ValueError, match="^duplicate start specs in ensemble$"):
+    with pytest.raises(DuplicateStartError, match="^duplicate start specs in ensemble$"):
         StateEnsemble("one", (table,))._replace(tables=(table, table))
 
 
