@@ -40,7 +40,7 @@ import tracemalloc
 from time import perf_counter
 
 from knot818.braid import BraidWord, annular_embed, closure_diagram, winding_number
-from knot818.cli import positive_int
+from knot818.cli import argparse_type, positive_int
 from knot818.invariants import PolyMatrix, alexander_from_braid, burau_reduced
 
 
@@ -96,7 +96,9 @@ def traced_embed(braid: BraidWord):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run only the two smallest 3-strand rungs")
-    parser.add_argument("--repeat", type=positive_int, default=3, help="runs per stage; the best is printed (default 3)")
+    parser.add_argument(
+        "--repeat", type=argparse_type(positive_int), default=3, help="runs per stage; the best is printed (default 3)"
+    )
     args = parser.parse_args(argv)
 
     rungs = ladder()[:2] if args.quick else ladder()

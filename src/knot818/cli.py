@@ -12,20 +12,21 @@ unwritable file), 3 domain precondition violated (a
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import DomainError, UsageError, clip, clip_count, clip_path, too_many_digits
 
 TYPE_CHECKING = False
-if TYPE_CHECKING:  # each command imports these only when it runs
+if TYPE_CHECKING:  # each command imports these only when it runs, and build_parser argparse
+    import argparse
+
     from . import allocation as alloc
     from . import traversal as trav
 
 # braid.BRAID_818, the default of --braid and --strands, written out so
-# that a parser is built without importing braid; tests pin the two equal.
+# that the option table needs no import of braid; tests pin the two equal.
 BRAID_818_TEXT = "1 -2 1 -2 1 -2 1 -2"
 BRAID_818_STRANDS = 3
 
@@ -34,85 +35,58 @@ class SamePathError(UsageError, ValueError):
     """--out and --markers name one file, so the markers would overwrite the points."""
 
 
-class _Formatter(argparse.HelpFormatter):
-    """argparse's help formatter, which reads the terminal width only when it first formats text.
-
-    argparse makes a formatter for every option it adds, and the base
-    class reads the width, importing shutil, as it is made.
-    """
-
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None):
-        super().__init__(prog, indent_increment, max_help_position, width=0)
-        del self._width, self._max_help_position  # set by __getattr__ on first read
-        self._sizes = (max_help_position, width)
-
-    def __getattr__(self, name):
-        if name not in ("_width", "_max_help_position"):
-            raise AttributeError(name)
-        sized = argparse.HelpFormatter(self._prog, self._indent_increment, *self._sizes)  # the base class's rule
-        self._width, self._max_help_position = sized._width, sized._max_help_position
-        return getattr(self, name)
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with the outside text its invalid-choice and unrecognized-arguments errors echo clipped.
-
-    Its invalid-choice wording is the same on every CPython release.
-    """
-
-    def __init__(self, prog: str, **kwargs):
-        super().__init__(prog, formatter_class=_Formatter, **kwargs)
-
-    def parse_args(self, args=None, namespace=None):
-        args, extras = self.parse_known_args(args, namespace)
-        if extras:
-            self.error(f"unrecognized arguments: {clip(' '.join(extras))}")
-        return args
-
-    def _check_value(self, action, value):
-        # The wording of CPython 3.10-3.12, which later releases change
-        # (3.13.13 prints the choices through str(), without quotes).
-        if action.choices is not None and value not in action.choices:
-            choices = ", ".join(map(repr, action.choices))
-            raise argparse.ArgumentError(action, f"invalid choice: {clip(repr(value))} (choose from {choices})")
+class OptionValueError(UsageError, ValueError):
+    """An option value its type function rejects; argparse prints the message as that option's error."""
 
 
 def clipped_int(text: str) -> int:
-    """argparse type ``int``, with the text its error echoes clipped."""
+    """Type function ``int``, with the text its error echoes clipped."""
     try:
         return int(text)
     except ValueError:
         why = too_many_digits(text)
-        raise argparse.ArgumentTypeError(f"int value {why}" if why else f"invalid int value: {clip(repr(text))}") from None
+        raise OptionValueError(f"int value {why}" if why else f"invalid int value: {clip(repr(text))}") from None
 
 
 def positive_int(text: str) -> int:
-    """argparse type for options that must be at least 1."""
+    """Type function for options that must be at least 1."""
     try:
         value = int(text)
     except ValueError:
         why = too_many_digits(text)
-        raise argparse.ArgumentTypeError(
-            f"integer {why}" if why else f"expected a positive integer, got {clip(repr(text))}"
-        ) from None
+        message = f"integer {why}" if why else f"expected a positive integer, got {clip(repr(text))}"
+        raise OptionValueError(message) from None
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {clip_count(value)}")
+        raise OptionValueError(f"must be at least 1, got {clip_count(value)}")
     return value
 
 
 def file_path(text: str) -> str:
-    """argparse type for a file path, which the OS cannot take with a NUL byte in it."""
+    """Type function for a file path, which the OS cannot take with a NUL byte in it."""
     if "\0" in text:
-        raise argparse.ArgumentTypeError(f"path has a NUL byte: {clip(repr(text))}")
+        raise OptionValueError(f"path has a NUL byte: {clip(repr(text))}")
     return text
 
 
 def radii_list(text: str) -> tuple[float, ...]:
-    """argparse type for a comma separated list of radii."""
+    """Type function for a comma separated list of radii."""
     try:
         return tuple(float(r) for r in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bad radii list {clip(repr(text))}") from None
+        raise OptionValueError(f"bad radii list {clip(repr(text))}") from None
+
+
+def argparse_type(kind):
+    """The type function ``kind`` for argparse, which prints its OptionValueError's message as it is."""
+    import argparse
+
+    def convert(text: str):
+        try:
+            return kind(text)
+        except OptionValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _json_lines(payload: dict) -> list[str]:
@@ -278,126 +252,148 @@ def cmd_embed(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     return 0, lines
 
 
-def _add_braid_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--braid", default=BRAID_818_TEXT, help="braid word, signed generator indices")
-    parser.add_argument("--strands", type=clipped_int, default=BRAID_818_STRANDS, help="number of strands")
+# Each subcommand's function, help line and options, as add_argument
+# keywords: the type function (str when none is named), default, choices,
+# required, nargs and help.  build_parser builds argparse from this
+# table, and _plain reads a plain command line by it.
+_BRAID = {
+    "--braid": dict(default=BRAID_818_TEXT, help="braid word, signed generator indices"),
+    "--strands": dict(type=clipped_int, default=BRAID_818_STRANDS, help="number of strands"),
+}
+_FORMAT = {"--format": dict(choices=("text", "csv", "json"), default="text")}
+OPTIONS = {
+    "build": (cmd_build, "walk a braid closure into a diagram word", {
+        **_BRAID,
+        "--vertices": dict(choices=("auto", "off"), default="auto", help="auto: where the vertex rule applies"),
+    }),
+    "invariants": (cmd_invariants, "alexander polynomial, writhe, winding phase", _BRAID),
+    "traverse": (cmd_traverse, "one traversal table of the main diagram", {
+        "--start": dict(required=True, help="site letter A..L"),
+        "--dir": dict(choices=("cw", "ccw"), default="cw"),
+        "--role": dict(choices=("over", "under"), default=None, help="entry role at shoulders"),
+        **_FORMAT,
+    }),
+    "analyze": (cmd_analyze, "allocation totals and defect report", {
+        "--ensemble": dict(choices=("reps10", "all40", "with-mirrors"), default="reps10"),
+        "--state": dict(default=None, help="single start spec, e.g. K,cw or A,ccw,under"),
+        **_FORMAT,
+    }),
+    "check-fixture": (cmd_check_fixture, "match the reference tables against the ensemble", {
+        "fixture": dict(nargs="?", type=file_path, default=None, help="fixture CSV (default: shipped)"),
+        "--errata": dict(
+            nargs="?", type=file_path, const="", default=None, help="errata CSV; bare flag uses the shipped errata"
+        ),
+    }),
+    "embed": (cmd_embed, "write sampled closure coordinates to CSV", {
+        **_BRAID,
+        "--out": dict(type=file_path, required=True, help="output CSV path"),
+        "--markers": dict(type=file_path, default=None, help="crossing marker CSV path (written after --out)"),
+        "--radii": dict(type=radii_list, help="comma separated radii (default 1..strands)"),
+        "--points-per-slot": dict(type=positive_int, default=64),
+    }),
+}
+EXCLUSIVE = ("--ensemble", "--state")  # analyze takes at most one of them
 
 
-def _build_args(p: argparse.ArgumentParser) -> None:
-    _add_braid_args(p)
-    p.add_argument("--vertices", choices=("auto", "off"), default="auto", help="auto: where the vertex rule applies")
-    p.set_defaults(func=cmd_build)
+def _plain(argv: Sequence[str]):
+    """The namespace argparse returns for a plain command line, or None to leave ``argv`` to argparse.
 
-
-def _invariants_args(p: argparse.ArgumentParser) -> None:
-    _add_braid_args(p)
-    p.set_defaults(func=cmd_invariants)
-
-
-def _traverse_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--start", required=True, help="site letter A..L")
-    p.add_argument("--dir", choices=("cw", "ccw"), default="cw")
-    p.add_argument("--role", choices=("over", "under"), default=None, help="entry role at shoulders")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_traverse)
-
-
-def _analyze_args(p: argparse.ArgumentParser) -> None:
-    # argparse from 3.13 on wraps a usage line inside a mutually exclusive
-    # group; this pins the wording of 3.10-3.12 at 80 columns.
-    p.usage = (
-        "%(prog)s [-h]\n"
-        "                       [--ensemble {reps10,all40,with-mirrors} | --state STATE]\n"
-        "                       [--format {text,csv,json}]"
-    )
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--ensemble", choices=("reps10", "all40", "with-mirrors"), default="reps10")
-    group.add_argument("--state", default=None, help="single start spec, e.g. K,cw or A,ccw,under")
-    p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p.set_defaults(func=cmd_analyze)
-
-
-def _check_fixture_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("fixture", nargs="?", type=file_path, default=None, help="fixture CSV (default: shipped)")
-    p.add_argument(
-        "--errata",
-        nargs="?",
-        type=file_path,
-        const="",
-        default=None,
-        help="errata CSV; bare flag uses the shipped errata",
-    )
-    p.set_defaults(func=cmd_check_fixture)
-
-
-def _embed_args(p: argparse.ArgumentParser) -> None:
-    _add_braid_args(p)
-    p.add_argument("--out", type=file_path, required=True, help="output CSV path")
-    p.add_argument("--markers", type=file_path, default=None, help="crossing marker CSV path (written after --out)")
-    p.add_argument("--radii", type=radii_list, help="comma separated radii (default 1..strands)")
-    p.add_argument("--points-per-slot", type=positive_int, default=64)
-    p.set_defaults(func=cmd_embed)
-
-
-class _Parsers(Mapping):
-    """Subcommand name -> parser, each built when it is first read; ``fills[name]`` adds its options."""
-
-    def __init__(self, prog: str):
-        self.prog = prog
-        self.fills = {}
-        self._built = {}
-
-    def __getitem__(self, name: str) -> argparse.ArgumentParser:
-        if name not in self._built:
-            fill = self.fills[name]
-            self._built[name] = parser = _Parser(prog=f"{self.prog} {name}")
-            fill(parser)
-        return self._built[name]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.fills)
-
-    def __len__(self) -> int:
-        return len(self.fills)
-
-
-class _Subcommands(argparse._SubParsersAction):
-    """argparse's subcommand action over :class:`_Parsers`.
-
-    ``knot818 -h``, the usage line and the invalid-choice error read only
-    the names and help lines, so a run builds the parser of its own
-    command alone.
+    Plain is a command, then exact names from its table as ``--name
+    value`` (a value that does not start with ``-``) or ``--name=value``,
+    check-fixture's bare ``--errata`` and one fixture path; each value
+    passes its type function and choices, every required option is
+    given, and not both of EXCLUSIVE.  A repeated option keeps its last
+    value, as in argparse.
     """
+    if not argv or argv[0] not in OPTIONS:
+        return None
+    command, *tokens = argv
+    func, _summary, options = OPTIONS[command]
+    given = {}
+    while tokens:
+        token = tokens.pop(0)
+        name, eq, value = token.partition("=")
+        if not token.startswith("-"):  # the fixture path, once
+            name, value = "fixture", token
+            if name not in options or name in given:
+                return None
+        elif name not in options:  # -h, --, an abbreviation, an unknown name
+            return None
+        elif not eq:
+            if tokens and not tokens[0].startswith("-"):
+                value = tokens.pop(0)
+            elif options[name].get("nargs") == "?":
+                value = options[name]["const"]
+            else:
+                return None
+        try:
+            value = options[name].get("type", str)(value)
+        except OptionValueError:
+            return None
+        if value not in options[name].get("choices", (value,)):
+            return None
+        given[name] = value
+    if all(name in given for name in EXCLUSIVE) or any(
+        spec.get("required") and name not in given for name, spec in options.items()
+    ):
+        return None
+    from types import SimpleNamespace
 
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self.choices = self._name_parser_map = _Parsers(self._prog_prefix)
-
-    def add_command(self, name: str, help: str, fill) -> None:
-        """List ``name`` with its ``help`` line; ``fill`` adds its options once its parser is built."""
-        self._choices_actions.append(self._ChoicesPseudoAction(name, (), help))
-        self.choices.fills[name] = fill
+    values = {name.lstrip("-").replace("-", "_"): given.get(name, spec.get("default")) for name, spec in options.items()}
+    return SimpleNamespace(command=command, func=func, **values)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="knot818", description=__doc__.splitlines()[0])
-    # Without a prog, argparse formats a usage line to make one.
-    sub = parser.add_subparsers(dest="command", required=True, prog="knot818", action=_Subcommands)
-    sub.add_command("build", "walk a braid closure into a diagram word", _build_args)
-    sub.add_command("invariants", "alexander polynomial, writhe, winding phase", _invariants_args)
-    sub.add_command("traverse", "one traversal table of the main diagram", _traverse_args)
-    sub.add_command("analyze", "allocation totals and defect report", _analyze_args)
-    sub.add_command("check-fixture", "match the reference tables against the ensemble", _check_fixture_args)
-    sub.add_command("embed", "write sampled closure coordinates to CSV", _embed_args)
+    """argparse's parser for :data:`OPTIONS`, which prints help, a usage line or an error."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse's parser, with the outside text its invalid-choice and unrecognized-arguments errors echo clipped.
+
+        Its invalid-choice wording is the same on every CPython release.
+        """
+
+        def parse_args(self, args=None, namespace=None):
+            args, extras = self.parse_known_args(args, namespace)
+            if extras:
+                self.error(f"unrecognized arguments: {clip(' '.join(extras))}")
+            return args
+
+        def _check_value(self, action, value):
+            # The wording of CPython 3.10-3.12, which later releases change
+            # (3.13.13 prints the choices through str(), without quotes).
+            if action.choices is not None and value not in action.choices:
+                choices = ", ".join(map(repr, action.choices))
+                raise argparse.ArgumentError(action, f"invalid choice: {clip(repr(value))} (choose from {choices})")
+
+    parser = Parser(prog="knot818", description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (func, summary, options) in OPTIONS.items():
+        p = group = sub.add_parser(command, help=summary)
+        if command == "analyze":
+            # argparse from 3.13 on wraps a usage line inside a mutually exclusive
+            # group; this pins the wording of 3.10-3.12 at 80 columns.
+            p.usage = (
+                "%(prog)s [-h]\n"
+                "                       [--ensemble {reps10,all40,with-mirrors} | --state STATE]\n"
+                "                       [--format {text,csv,json}]"
+            )
+            group = p.add_mutually_exclusive_group()
+        for name, spec in options.items():
+            kind = argparse_type(spec.get("type", str))
+            (group if name in EXCLUSIVE else p).add_argument(name, **{**spec, "type": kind})
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else 0
+    argv = sys.argv[1:] if argv is None else argv
+    args = _plain(argv)
+    if args is None:  # argparse reads it, and prints help, a usage line or an error
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code) if exc.code is not None else 0
     try:
         code, lines = args.func(args)
         # One write, after the command has finished, so a failed run prints nothing.

@@ -20,10 +20,12 @@ from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import crossing_sign_from_geometry, cut, cut_path, knot_braids
+from test_golden_cli import _perfbench_invocations
 import knot818
-from knot818 import cli, invariants
+from knot818 import allocation, cli, invariants
 from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
 from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip, clip_path
 from knot818.diagram import UnknownSiteError
@@ -291,26 +293,116 @@ def test_option_surface_is_pinned():
         "embed": braid | {"--out", "--markers", "--radii", "--points-per-slot"},
     }
     assert sum(map(len, surface.values())) == 20
+    assert {command: set(options) for command, (_func, _help, options) in cli.OPTIONS.items()} == surface
 
 
-def test_a_run_builds_only_its_own_parser(capsys, monkeypatch):
+# Tokens for command lines the matcher must read as argparse does or leave
+# to it: every long name, abbreviations, values of every type and choice,
+# values that start with "-", "--", NUL, help and unknown names.
+_LONG_NAMES = sorted({name for _func, _summary, options in cli.OPTIONS.values() for name in options if name[0] == "-"})
+# Values each type function takes, and values of every kind
+_PLAIN = {
+    str: ["K,cw", "A", "1 -2 1 -2", "a=b", ""],
+    cli.clipped_int: ["3", "2", "+4"],
+    cli.positive_int: ["64", "8"],
+    cli.file_path: ["a.csv", "b.csv", ""],
+    cli.radii_list: ["1,2,3", "2"],
+}
+_VALUES = [
+    "0", "1_0", " 4 ", "x", "1 -2 1 -2", "A,ccw,under", "1;2", "\0", "-5", "-1 2", "-", "-h", "--", "--start",
+    "cw", "over", "all40", "off", "json",
+]
+_HOSTILE = ["-h", "--help", "--", "-", "--bogus", "-x", "\0", "bogus", *sorted({n[:k] for n in _LONG_NAMES for k in (3, 5)})]
+
+
+@st.composite
+def _command_lines(draw):
+    """A command line of options from the command's table, then some tokens inserted or removed."""
+    command = draw(st.sampled_from(list(cli.OPTIONS)))
+    options = cli.OPTIONS[command][2]
+    required = [name for name, spec in options.items() if spec.get("required")]
+    argv = [command]
+    for name in required + draw(st.lists(st.sampled_from(list(options)), max_size=5)):
+        spec = options[name]
+        value = draw(st.sampled_from(spec.get("choices") or _PLAIN[spec.get("type", str)]))
+        shapes = [[value]] if name == "fixture" else [[name, value]] * 4 + [[f"{name}={value}"]] * 2 + [[name]]
+        argv += draw(st.sampled_from(shapes))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(_HOSTILE + _VALUES + _LONG_NAMES)))
+    return argv
+
+
+@given(_command_lines())
+@example(["check-fixture", "--errata", "e.csv", "f.csv"])
+@example(["check-fixture", "f.csv", "--errata"])
+@example(["analyze", "--state=K,cw", "--format", "json", "--format", "csv"])
+@example(["embed", "--out", "a.csv", "--radii=1,2,3", "--points-per-slot", "8"])
+@settings(derandomize=True, max_examples=800, deadline=None)
+def test_the_matcher_reads_a_command_line_as_argparse_does_or_leaves_it(argv):
+    plain = cli._plain(argv)
+    if plain is not None:  # argparse parses it, to the same namespace
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parsed = cli.build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse rejects {argv!r}: {err.getvalue()}")
+        assert vars(plain) == vars(parsed)
+
+
+@pytest.mark.parametrize(
+    "argv, plain",
+    [
+        *[(param.values[0], True) for param in _perfbench_invocations()],
+        (["build", "--strands=3", "--braid=1"], True),
+        (["invariants", "--strands", "3", "--strands", "3"], True),
+        (["check-fixture", "--errata", "e.csv", "f.csv"], True),
+        (["check-fixture", "f.csv", "--errata"], True),
+        (["build", "--str", "3"], False),  # an abbreviation
+        (["build", "--braid", "-1 2 -1 2 -1 2 -1 2"], False),  # a value that starts with "-"
+        (["build", "--strands", "-5"], False),
+        (["build", "--", "x"], False),
+        (["build", "-h"], False),
+        (["build", "--strands", "x"], False),  # the type function fails
+        (["build", "--vertices", "on"], False),  # not a choice
+        (["build", "--braid"], False),  # no value
+        (["traverse"], False),  # --start is required
+        (["analyze", "--ensemble", "all40", "--state", "K,cw"], False),
+        (["check-fixture", "a.csv", "b.csv"], False),
+        (["check-fixture", "\0"], False),
+        ([], False),
+        (["bogus"], False),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_plain_command_lines_skip_argparse(argv, plain):
+    assert (cli._plain(argv) is not None) == plain
+
+
+def test_only_help_and_errors_build_a_parser(capsys, monkeypatch):
     built = []
 
-    class Recording(cli._Parser):
-        def __init__(self, prog, **kwargs):
-            built.append(prog)
-            super().__init__(prog, **kwargs)
+    def recording():
+        built.append(1)
+        return build_parser()
 
-    monkeypatch.setattr(cli, "_Parser", Recording)
-    for argv, code, progs in [
-        (["traverse", "--start", "K"], 0, ["knot818", "knot818 traverse"]),
-        (["analyze", "--state", "K"], 2, ["knot818", "knot818 analyze"]),
-        (["-h"], 0, ["knot818"]),
-        (["bogus"], 2, ["knot818"]),
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", recording)
+    for argv, code, parsers in [
+        (["traverse", "--start", "K"], 0, 0),
+        (["check-fixture", "--errata"], 0, 0),
+        (["build", "--str", "3"], 0, 1),  # an abbreviation
+        (["analyze", "--state", "K"], 2, 0),  # a UsageError of the command, not of the parser
+        (["-h"], 0, 1),
+        (["bogus"], 2, 1),
+        (["traverse"], 2, 1),
     ]:
         built.clear()
         assert cli.main(argv) == code
-        assert built == progs, argv
+        assert len(built) == parsers, argv
     capsys.readouterr()
 
 
@@ -743,10 +835,10 @@ def _modules_loaded_by(code, cwd=None):
 
 
 # The stdlib modules a command loads only when it uses them: the exact
-# arithmetic, the sampling geometry, the JSON and CSV formats, and what
-# argparse loads only to format text (shutil, for the terminal width).
-# No command uses typing.
-_WATCHED = {"fractions", "decimal", "cmath", "json", "csv", "shutil", "typing"}
+# arithmetic, the sampling geometry, the JSON and CSV formats, and
+# argparse, which with shutil (for the terminal width) loads only to
+# print help, a usage line or an error.  No command uses typing.
+_WATCHED = {"fractions", "decimal", "cmath", "json", "csv", "shutil", "typing", "argparse"}
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
@@ -772,9 +864,9 @@ _TABLE_SET = {"knot818.diagram", "knot818.traversal"}
         (["check-fixture"], 1, _TABLE_SET | {"csv"}),
         (["invariants"], 0, _BRAID_SET | {"knot818.invariants", "knot818.laurent"}),
         (["analyze", "--format", "json"], 0, _TABLE_SET | {"knot818.allocation", "fractions", "decimal", "json"}),
-        # argparse loads shutil to print help, a usage line or an error
-        (["-h"], 0, {"shutil"}),
-        (["traverse", "--role", "under"], 2, {"shutil"}),
+        # argparse, and shutil with it, load only to print help, a usage line or an error
+        (["-h"], 0, {"argparse", "shutil"}),
+        (["traverse", "--role", "under"], 2, {"argparse", "shutil"}),
     ],
     ids=["build", "embed", "embed-markers", "traverse", "check-fixture", "invariants", "analyze", "help", "usage-error"],
 )
@@ -898,10 +990,10 @@ def test_internal_errors_exit_one(capsys, monkeypatch):
 
 @pytest.mark.parametrize("error", [MemoryError(), RuntimeError()])
 def test_an_internal_error_without_a_message_names_its_class(capsys, monkeypatch, error):
-    def boom(_args):
+    def boom(*_args):
         raise error
 
-    monkeypatch.setattr(cli, "cmd_analyze", boom)
+    monkeypatch.setattr(allocation, "defect_report", boom)
     assert run(capsys, "analyze") == (1, "", f"internal error: {type(error).__name__}\n")
 
 

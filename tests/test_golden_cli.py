@@ -4,8 +4,12 @@
 for every start spec (csv and json), of ``analyze`` for every ensemble
 (all three formats) and of ``analyze --state`` for every start spec
 (json).  A mirror table has the same site totals as its table, so the
-per-state reports cover all eighty tables.  Re-capture it only when a
-change to that output is intended:
+per-state reports cover all eighty tables.  Its last rows are command
+lines argparse parses in shapes beyond ``--name value``: an abbreviation,
+the ``=`` form, a repeated option, a value that starts with ``-``, and a
+``--errata`` path followed by the fixture path; the shipped data
+directory is written ``<data>`` in their keys.  Re-capture it only when
+a change to that output is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
@@ -29,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from knot818 import cli
+from knot818 import cli, traversal
 from knot818.diagram import BRANCH_SITES, LETTER_SITES
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -56,7 +60,19 @@ INVOCATIONS = [
     for fmt in ("text", "csv", "json")
 ] + [
     ["analyze", "--state", spec, "--format", "json"] for spec in _STATE_SPECS
+] + [
+    ["build", "--str", "3"],
+    ["build", "--strands=3", "--braid=1"],
+    ["invariants", "--strands", "3", "--strands", "3"],
+    ["build", "--braid", "-1 2 -1 2 -1 2 -1 2"],
+    ["check-fixture", "--errata", traversal.shipped_errata_path(), traversal.shipped_fixture_path()],
 ]
+DATA_DIR = str(Path(traversal.shipped_fixture_path()).parent)
+
+
+def key(argv: list[str]) -> str:
+    """An invocation's key in the golden: its argv joined by spaces, the shipped data directory as ``<data>``."""
+    return " ".join(argv).replace(DATA_DIR, "<data>")
 
 
 def _run(argv: list[str]) -> dict:
@@ -71,9 +87,9 @@ def golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("argv", INVOCATIONS, ids=" ".join)
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=key)
 def test_cli_output_matches_golden(golden, argv):
-    assert _run(argv) == golden[" ".join(argv)]
+    assert _run(argv) == golden[key(argv)]
 
 
 def _perfbench_invocations():
@@ -105,11 +121,11 @@ def test_help_matches_golden(monkeypatch, line):
 
 def test_golden_lists_every_invocation(golden):
     assert len(_START_ARGS) == len(_STATE_SPECS) == 40
-    assert list(golden) == [" ".join(argv) for argv in INVOCATIONS]
+    assert list(golden) == [key(argv) for argv in INVOCATIONS]
 
 
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
-    captured = {" ".join(argv): _run(argv) for argv in INVOCATIONS}
+    captured = {key(argv): _run(argv) for argv in INVOCATIONS}
     GOLDEN.write_text(json.dumps(captured, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(captured)} invocations to {GOLDEN}", file=sys.stderr)

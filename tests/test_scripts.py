@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -46,11 +47,32 @@ def test_cold_start_quick(capsys):
     script = load_script("cold_start")
     assert script.main(["--quick", "--repeat", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["child", "min_ms", "q1_ms", "median_ms", "q3_ms"]
+    assert lines[0].split() == ["child", "min_ms", "q1_ms", "median_ms", "q3_ms", "margin_ms"]
     rows = [line.split() for line in lines[1:]]
     assert [row[0] for row in rows] == ["bare", "argparse", "build", "traverse"]
-    # one round: its one time is the minimum and every quartile
-    assert all(float(row[1]) > 0 and len(set(row[1:])) == 1 for row in rows)
+    # one round: its one time is the minimum and every quartile, and its
+    # margin is that time less the argparse floor's
+    assert all(float(row[1]) > 0 and len(set(row[1:5])) == 1 for row in rows)
+    floor = float(rows[1][1])
+    assert all(abs(float(row[5]) - (float(row[1]) - floor)) <= 0.011 for row in rows)
+    assert rows[1][5] == "0.00"
+
+
+def test_cold_start_margin_is_the_median_of_round_differences():
+    script = load_script("cold_start")
+    # differences 9, 5 and 25; the medians alone differ by 15
+    assert script.margin([10.0, 20.0, 30.0], [1.0, 15.0, 5.0]) == 9.0
+
+
+def test_cold_start_leaves_no_bytecode_in_the_checkout(monkeypatch, tmp_path, capsys):
+    script = load_script("cold_start")
+    src = tmp_path / "src"
+    shutil.copytree(script.SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(script, "SRC", src)
+    assert script.main(["--quick", "--repeat", "1"]) == 0
+    capsys.readouterr()
+    assert list(src.rglob("__pycache__")) == []
+    assert list(src.rglob("*.pyc")) == []
 
 
 def test_cold_start_runs_the_benchmark_commands():
