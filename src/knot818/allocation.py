@@ -5,15 +5,17 @@ shoulders, the single through value at branch centers) always spends the
 same budget, 210 per table, but the split across the four sites of a
 class is uneven for any single table.  The defect report makes that
 precise with exact rationals: per class, the mean, the largest absolute
-deviation from it, and a mismatch flag.
+deviation from it, and a mismatch flag.  The rationals are two-integer
+records in lowest terms, so the report needs no ``fractions``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
+from math import copysign, gcd, inf
 from operator import add
+from sys import hash_info
 
 from .diagram import CLASS_SITES, LETTER_SITES
 from .errors import DomainError
@@ -50,8 +52,49 @@ def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     return _summed(ensemble.label, tuple(map(sum, zip(*(table.values for table in ensemble.tables)))))
 
 
+class Ratio(namedtuple("Ratio", "numerator denominator")):
+    """An exact rational ``numerator/denominator`` in lowest terms, its denominator positive.
+
+    :func:`defect_report` builds it reduced.  It prints as a ``Fraction``
+    prints (``22``, ``17/2``, ``-3/2``), equals the int or ``Fraction`` of
+    the same value and hashes as they do, but equals no plain tuple.  It has
+    no arithmetic and no order.
+    """
+
+    __slots__ = ()
+
+    def __str__(self) -> str:
+        numerator, denominator = self
+        return f"{numerator}/{denominator}" if denominator != 1 else str(numerator)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, tuple):
+            return isinstance(other, Ratio) and tuple.__eq__(self, other)
+        try:  # an int or a Fraction, by its lowest terms
+            return self.numerator == other.numerator and self.denominator == other.denominator
+        except AttributeError:
+            return NotImplemented
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __hash__(self) -> int:
+        # Python's hash of a rational p/q: that of the integer p * q**-1
+        # modulo the hash modulus, or of a signed infinity when q has no inverse.
+        numerator, denominator = self
+        if denominator % hash_info.modulus == 0:
+            return hash(copysign(inf, numerator))
+        return hash(numerator * pow(denominator, -1, hash_info.modulus))
+
+    def _undefined(self, other: object):
+        return NotImplemented  # a TypeError, never a tuple's order, concatenation or repetition
+
+    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _undefined
+
+
 class ClassStats(namedtuple("ClassStats", "site_class entries mean max_deviation mismatch")):
-    """One class's ``(site, total)`` entries, with their exact mean and largest deviation as Fractions."""
+    """One class's ``(site, total)`` entries, with their exact mean and largest deviation as Ratios."""
 
     __slots__ = ()
 
@@ -62,6 +105,9 @@ class DefectReport(namedtuple("DefectReport", "source classes")):
     __slots__ = ()
 
 
+# Builds a Ratio from its two terms without a Python-level call.
+_new = tuple.__new__
+
 # Each class, its sites and their run in LETTER_SITES, in report order.
 _CLASS_SPANS = tuple(
     (cls, sites, slice(LETTER_SITES.index(sites[0]), LETTER_SITES.index(sites[-1]) + 1)) for cls, sites in CLASS_SITES
@@ -71,14 +117,15 @@ _CLASS_SPANS = tuple(
 def defect_report(allocation: SiteAllocation) -> DefectReport:
     """Exact per-class statistics of an allocation over all twelve sites.
 
-    For a class of n totals v summing to S, the mean is ``Fraction(S, n)``
-    and the largest deviation is ``Fraction(max |n*v - S|, n)``: since
+    For a class of n totals v summing to S, the mean is ``S/n`` and the
+    largest deviation is ``max |n*v - S| / n``: since
     ``|v - S/n| = |n*v - S| / n``, every deviation is an integer over the
     same denominator n, so the maximum of the integers divided once by n
-    is exactly the maximum of the rational deviations, reduced the same
-    way by ``Fraction``.  That maximum integer is
-    ``max(n*max(v) - S, S - n*min(v))``, since ``n*v - S`` grows with v,
-    and the class is a mismatch exactly when ``min(v) != max(v)``.
+    is exactly the maximum of the rational deviations.  That maximum
+    integer is ``D = max(n*max(v) - S, S - n*min(v))``, since ``n*v - S``
+    grows with v, and the class is a mismatch exactly when
+    ``min(v) != max(v)``.  D is ``+-(S - n*v)`` for some v, so
+    ``gcd(D, n) = gcd(S, n)``: one gcd reduces both ratios.
     """
     totals = allocation.totals
     if len(totals) != len(LETTER_SITES):
@@ -87,6 +134,8 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
     for cls, sites, span in _CLASS_SPANS:
         values = totals[span]
         n, total, lo, hi = len(values), sum(values), min(values), max(values)
-        mean, max_deviation = Fraction(total, n), Fraction(max(n * hi - total, total - n * lo), n)
+        g = gcd(total, n)
+        mean = _new(Ratio, (total // g, n // g))
+        max_deviation = _new(Ratio, (max(n * hi - total, total - n * lo) // g, n // g))
         stats.append(ClassStats(cls, tuple(zip(sites, values)), mean, max_deviation, lo != hi))
     return DefectReport(allocation.source, tuple(stats))

@@ -1,5 +1,6 @@
 """Site allocation totals and per-class defect statistics."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from knot818.allocation import (
     CLASS_SITES,
     ClassStats,
     IncompleteAllocationError,
+    Ratio,
     SiteAllocation,
     defect_report,
     ensemble_totals,
@@ -196,9 +198,39 @@ def test_defect_report_matches_rational_definition(drawn):
     for stats, (cls, sites) in zip(report.classes, CLASS_SITES):
         expected = _rational_class_stats(cls, sites, [totals[s] for s in sites])
         assert stats == expected
-        assert type(stats.mean) is type(expected.mean) is Fraction
-        assert type(stats.max_deviation) is type(expected.max_deviation) is Fraction
+        assert expected == stats
+        for ratio, fraction in ((stats.mean, expected.mean), (stats.max_deviation, expected.max_deviation)):
+            assert type(ratio) is Ratio and type(fraction) is Fraction
+            assert hash(ratio) == hash(fraction)
+            assert str(ratio) == str(fraction)
         assert type(stats.mismatch) is bool
+
+
+def test_ratios_print_compare_and_hash_as_fractions():
+    # inner shoulders A..D, outer shoulders E..H, branch centers I..L
+    totals = (32, 22, 12, 22, -1, -2, -1, -2, 11, 6, 1, 16)
+    branch, outer, inner = defect_report(SiteAllocation("drawn", totals)).classes
+    assert [(str(c.mean), str(c.max_deviation)) for c in (inner, branch, outer)] == [
+        ("22", "10"),  # 88/4 and 40/4
+        ("17/2", "15/2"),  # 34/4 and 30/4
+        ("-3/2", "1/2"),
+    ]
+    assert inner.mean == 22 == inner.mean
+    assert hash(inner.mean) == hash(22)
+    assert branch.mean == Fraction(17, 2) == branch.mean
+    assert branch.mean != Fraction(17, 4) != branch.mean
+    assert branch.mean != (17, 2) != branch.mean
+    assert hash(outer.mean) == hash(Fraction(-3, 2))
+    assert branch.max_deviation != outer.mean
+    for numerator in (1, -1):  # a denominator with no inverse modulo the hash modulus
+        assert hash(Ratio(numerator, sys.hash_info.modulus)) == hash(Fraction(numerator, sys.hash_info.modulus))
+    balanced = defect_report(SiteAllocation("flat", (5,) * 12)).classes[0]
+    assert balanced.max_deviation == 0 == balanced.max_deviation
+    assert str(balanced.max_deviation) == "0"
+    with pytest.raises(TypeError):
+        branch.mean < inner.mean
+    with pytest.raises(TypeError):
+        branch.mean + inner.mean
 
 
 def _keyed_totals(value_rows):

@@ -863,12 +863,24 @@ _TABLE_SET = {"knot818.diagram", "knot818.traversal"}
         (["traverse", "--start", "A", "--role", "under"], 0, _TABLE_SET),
         (["check-fixture"], 1, _TABLE_SET | {"csv"}),
         (["invariants"], 0, _BRAID_SET | {"knot818.invariants", "knot818.laurent"}),
-        (["analyze", "--format", "json"], 0, _TABLE_SET | {"knot818.allocation", "fractions", "decimal", "json"}),
+        (["analyze", "--format", "json"], 0, _TABLE_SET | {"knot818.allocation", "json"}),
+        (["analyze", "--state", "A,cw,over"], 0, _TABLE_SET | {"knot818.allocation"}),
         # argparse, and shutil with it, load only to print help, a usage line or an error
         (["-h"], 0, {"argparse", "shutil"}),
         (["traverse", "--role", "under"], 2, {"argparse", "shutil"}),
     ],
-    ids=["build", "embed", "embed-markers", "traverse", "check-fixture", "invariants", "analyze", "help", "usage-error"],
+    ids=[
+        "build",
+        "embed",
+        "embed-markers",
+        "traverse",
+        "check-fixture",
+        "invariants",
+        "analyze",
+        "analyze-text",
+        "help",
+        "usage-error",
+    ],
 )
 def test_each_command_loads_only_what_it_runs(tmp_path, argv, code, extra):
     # The run's own stderr is set aside, then the exit code checked.
@@ -937,6 +949,7 @@ def test_no_error_class_is_an_orphan():
 # Every record of the library: its fields and their defaults.
 RECORDS = {
     "allocation.SiteAllocation": ("source totals", {}),
+    "allocation.Ratio": ("numerator denominator", {}),
     "allocation.ClassStats": ("site_class entries mean max_deviation mismatch", {}),
     "allocation.DefectReport": ("source classes", {}),
     "braid.BraidWord": ("strands letters", {}),
