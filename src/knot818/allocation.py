@@ -92,6 +92,9 @@ class Ratio(namedtuple("Ratio", "numerator denominator")):
 
     __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _undefined
 
+    def __radd__(self, other: object):  # returning NotImplemented would fall through to tuple concatenation
+        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'Ratio'")
+
 
 class ClassStats(namedtuple("ClassStats", "site_class entries mean max_deviation mismatch")):
     """One class's ``(site, total)`` entries, with their exact mean and largest deviation as Ratios."""

@@ -231,6 +231,8 @@ def test_ratios_print_compare_and_hash_as_fractions():
         branch.mean < inner.mean
     with pytest.raises(TypeError):
         branch.mean + inner.mean
+    with pytest.raises(TypeError):  # never tuple concatenation
+        (17, 2) + branch.mean
 
 
 def _keyed_totals(value_rows):

@@ -428,7 +428,7 @@ LONG_LETTER = "1" + "0" * 3_999
 MANY_DIGITS = "1" * 5_000
 LONG_RADII = ",".join(["1"] * 2_500)
 LONG_WALK = " ".join(["1"] * 2_001)  # 1000 strands * 2001 letters, one over the walk cap
-FIELD_OVER_LIMIT = "1" * 200_000  # one CSV cell over the csv module's 131072-character limit
+FIELD_OVER_LIMIT = "1" * 200_000  # one CSV cell of 200,000 characters
 # A relative path longer than any file name the OS takes, so opening it fails and nothing is written.
 LONG_PATH = "p" * 6_005
 # A missing file in a deep directory: the error keeps the path's tail (conftest.cut_path), so its name.
@@ -527,11 +527,14 @@ FAILURES = [
           "error: line 3: duplicate erratum D over in case h\n"),
     fails("errata-empty-case-id", ["check-fixture", "--errata", "{tmp}/empty_case_errata.csv"], 2,
           "error: line 2: empty case id\n"),
-    # A cell over the csv module's field limit is a parse error, not an internal one.
+    # A cell of any length is read whole and judged by its column's check.
     fails("check-fixture-field-too-long", ["check-fixture", "{tmp}/field_too_long.csv"], 2,
-          "error: line 2: field larger than field limit (131072)\n"),
+          f"error: line 2: value {cut(repr(FIELD_OVER_LIMIT))} has more than 4300 digits\n"),
     fails("errata-field-too-long", ["check-fixture", "--errata", "{tmp}/field_too_long_errata.csv"], 2,
-          "error: line 2: field larger than field limit (131072)\n"),
+          f"error: line 2: corrected_value {cut(repr(FIELD_OVER_LIMIT))} has more than 4300 digits\n"),
+    # A NUL byte is text like any other, on every CPython.
+    fails("check-fixture-nul-cell", ["check-fixture", "{tmp}/nul_site.csv"], 2,
+          "error: line 2: unknown site 'A\\x00'\n"),
     # A file over the byte limit is refused before the rest of it is read.
     fails("check-fixture-over-limit", ["check-fixture", "{tmp}/over_limit.csv"], 2,
           f"error: {{tmp}}/over_limit.csv: larger than {MAX_FIXTURE_BYTES} bytes\n"),
@@ -725,7 +728,7 @@ def write_failure_files(root):
     for name, row in [
         ("long_site", f"a,{LONG_X},over,1"), ("long_value", f"a,A,over,{LONG_X}"), ("long_case", f"{LONG_X},A,over,1"),
         ("many_digits", f"a,A,over,{MANY_DIGITS}"),
-        ("field_too_long", f"a,A,over,{FIELD_OVER_LIMIT}"),
+        ("field_too_long", f"a,A,over,{FIELD_OVER_LIMIT}"), ("nul_site", "a,A\0,over,1"),
     ]:
         (files / f"{name}.csv").write_text(f"case,site,role,value\n{row}\n", encoding="utf-8")
     header = "case,site,role,value,corrected_value\n"
@@ -835,10 +838,11 @@ def _modules_loaded_by(code, cwd=None):
 
 
 # The stdlib modules a command loads only when it uses them: the exact
-# arithmetic, the sampling geometry, the JSON and CSV formats, and
-# argparse, which with shutil (for the terminal width) loads only to
-# print help, a usage line or an error.  No command uses typing.
-_WATCHED = {"fractions", "decimal", "cmath", "json", "csv", "shutil", "typing", "argparse"}
+# arithmetic, the sampling geometry, the JSON format, re (which json and
+# argparse load), and argparse, which with shutil (for the terminal
+# width) loads only to print help, a usage line or an error.  No command
+# uses typing, and none uses csv: the fixture reader splits lines itself.
+_WATCHED = {"fractions", "decimal", "cmath", "json", "re", "csv", "shutil", "typing", "argparse"}
 
 
 def test_cli_import_leaves_out_the_heavy_stdlib_modules():
@@ -861,13 +865,14 @@ _TABLE_SET = {"knot818.diagram", "knot818.traversal"}
         (["embed", "--out", "points.csv"], 0, _BRAID_SET | {"cmath"}),
         (["embed", "--out", "p.csv", "--markers", "m.csv"], 0, _BRAID_SET | {"cmath"}),
         (["traverse", "--start", "A", "--role", "under"], 0, _TABLE_SET),
-        (["check-fixture"], 1, _TABLE_SET | {"csv"}),
+        (["check-fixture"], 1, _TABLE_SET),
+        (["check-fixture", "--errata"], 0, _TABLE_SET),
         (["invariants"], 0, _BRAID_SET | {"knot818.invariants", "knot818.laurent"}),
-        (["analyze", "--format", "json"], 0, _TABLE_SET | {"knot818.allocation", "json"}),
+        (["analyze", "--format", "json"], 0, _TABLE_SET | {"knot818.allocation", "json", "re"}),
         (["analyze", "--state", "A,cw,over"], 0, _TABLE_SET | {"knot818.allocation"}),
         # argparse, and shutil with it, load only to print help, a usage line or an error
-        (["-h"], 0, {"argparse", "shutil"}),
-        (["traverse", "--role", "under"], 2, {"argparse", "shutil"}),
+        (["-h"], 0, {"argparse", "re", "shutil"}),
+        (["traverse", "--role", "under"], 2, {"argparse", "re", "shutil"}),
     ],
     ids=[
         "build",
@@ -875,6 +880,7 @@ _TABLE_SET = {"knot818.diagram", "knot818.traversal"}
         "embed-markers",
         "traverse",
         "check-fixture",
+        "check-fixture-errata",
         "invariants",
         "analyze",
         "analyze-text",

@@ -15,7 +15,8 @@ a change to that output is intended:
 
 The benchmark's ``cli`` workload pins the other commands: each of its
 ``CLI_INVOCATIONS`` must print its ``perfbench/golden`` file.  That
-table is read from the benchmark's source, which is not imported.
+table is read as ``scripts/cold_start.py`` reads it, from the
+benchmark's source, which is not imported.
 
 ``data/cli_help.json`` holds the stdout of ``knot818 -h`` and of
 ``knot818 <command> -h`` for each command at 80 columns, as CPython
@@ -24,7 +25,6 @@ table is read from the benchmark's source, which is not imported.
 
 from __future__ import annotations
 
-import ast
 import contextlib
 import io
 import json
@@ -33,12 +33,12 @@ from pathlib import Path
 
 import pytest
 
+from conftest import PERFBENCH, load_script
 from knot818 import cli, traversal
 from knot818.diagram import BRANCH_SITES, LETTER_SITES
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.json"
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 _STARTS = [
     (site, direction, role)
@@ -93,14 +93,8 @@ def test_cli_output_matches_golden(golden, argv):
 
 
 def _perfbench_invocations():
-    """``(name, argv, exit code)`` for each row of perfbench's CLI_INVOCATIONS."""
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text(encoding="utf-8"))
-    (table,) = (
-        node.value
-        for node in tree.body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["CLI_INVOCATIONS"]
-    )
-    return [pytest.param(argv, code, name, id=name) for name, argv, code in ast.literal_eval(table)]
+    """``(argv, exit code, name)`` for each row of perfbench's CLI_INVOCATIONS, read by ``scripts/cold_start.py``."""
+    return [pytest.param(argv, code, name, id=name) for name, argv, code in load_script("cold_start").invocations()]
 
 
 @pytest.mark.parametrize("argv, code, name", _perfbench_invocations())

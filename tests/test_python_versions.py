@@ -1,15 +1,15 @@
 """The command line behaves the same on every installed CPython of the declared range.
 
 ``pyproject.toml`` declares ``requires-python = ">=3.10"``, and the code
-has version branches (``errors.too_many_digits``, the csv module's NUL
-handling).  Each other CPython 3.10 or newer that is installed runs one
-stdlib-only child: it calls ``cli.main`` on the golden commands of
-``tests/data/cli_golden.json``, on perfbench's ``CLI_INVOCATIONS`` and on
-every argv of the failure table, and must print what the same child
-prints under the interpreter running the tests: exit codes, stdout and
-stderr.  Interpreters are looked for only under the pyenv versions
-directory (``$PYENV_ROOT/versions``, else ``~/.pyenv/versions``) and as
-``python3.N`` in the directories of ``PATH``; one runs per version.
+has a version branch (``errors.too_many_digits``).  Each other CPython
+3.10 or newer that is installed runs one stdlib-only child: it calls
+``cli.main`` on the golden commands of ``tests/data/cli_golden.json``, on
+perfbench's ``CLI_INVOCATIONS`` and on every argv of the failure table,
+and must print what the same child prints under the interpreter running
+the tests: exit codes, stdout and stderr.  Interpreters are looked for
+only under the pyenv versions directory (``$PYENV_ROOT/versions``, else
+``~/.pyenv/versions``) and as ``python3.N`` in the directories of
+``PATH``; one runs per version.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cut_path, relabel_table, table_value
+from conftest import cut, cut_path, relabel_table, table_value
 from knot818.diagram import (
     LETTER_SITES,
     ROTATION_RELABEL,
@@ -282,6 +282,20 @@ def test_shipped_fixture_shape():
     assert all(len(values) == 20 for values in cases.values())
 
 
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_fixture_with_other_line_ends_matches_everything(tmp_path, newline):
+    paths = []
+    for shipped in (shipped_fixture_path(), shipped_errata_path()):
+        path = tmp_path / Path(shipped).name
+        path.write_bytes(Path(shipped).read_bytes().replace(b"\n", newline))
+        paths.append(path)
+    fixture, errata = load_table_fixture(paths[0]), load_errata(paths[1])
+    assert fixture == load_table_fixture(shipped_fixture_path())
+    report = check_fixture(enumerate_representatives(), fixture, errata)
+    assert len(report.results) == 11
+    assert all(r.status is not MatchStatus.UNMATCHED for r in report.results)
+
+
 def test_case_a_in_fixture_matches_traversal():
     assert assignment(load_table_fixture(shipped_fixture_path())["a"]) == CASE_A
 
@@ -481,11 +495,15 @@ def test_fixture_parse_incomplete_case(tmp_path):
         ("case,site,role,value\nx,A,over,seven\n", "line 2: value 'seven' is not an integer"),
         ("case,site,role,value\nx,A,over,1\nx,A,over,2\n", "line 3: duplicate entry A over in case x"),
         ("case,site,role,value\nx,A,over,1\nx,I,through,2\n", "line 3: case x incomplete (2 of 20 entries)"),
-        # The csv module's own limit is a parse error like any other.
+        # A cell of any length is read whole and judged by its column's check.
         pytest.param(
-            f"case,site,role,value\nx,A,over,{'1' * 200_000}\n", "line 2: field larger than field limit (131072)",
+            f"case,site,role,value\nx,A,over,{'1' * 200_000}\n",
+            f"line 2: value {cut(repr('1' * 200_000))} has more than 4300 digits",
             id="field-limit",
         ),
+        # No cell is quoted: a quote is text like any other, and every comma splits.
+        pytest.param('case,site,role,value\nx,"A",over,1\n', """line 2: unknown site '"A"'""", id="quote-is-literal"),
+        pytest.param('case,site,role,value\n"a,b",A,over,1\n', "line 2: expected 4 fields, got 5", id="quote-splits"),
     ],
 )
 def test_fixture_parse_messages(tmp_path, body, message):
@@ -549,7 +567,9 @@ def test_errata_parse_row_key_messages(tmp_path, site, role, message):
         pytest.param(["h,D,over,12,2", "h,D,over,12,2"], "line 3: duplicate erratum D over in case h", id="repeated"),
         pytest.param(["h,D,over,12,2", ",D,over,12,2"], "line 3: empty case id", id="empty-case"),
         pytest.param(
-            [f"h,D,over,12,{'2' * 200_000}"], "line 2: field larger than field limit (131072)", id="field-limit"
+            [f"h,D,over,12,{'2' * 200_000}"],
+            f"line 2: corrected_value {cut(repr('2' * 200_000))} has more than 4300 digits",
+            id="field-limit",
         ),
     ],
 )
