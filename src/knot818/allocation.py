@@ -18,7 +18,7 @@ from operator import add
 from sys import hash_info
 
 from .diagram import CLASS_SITES, LETTER_SITES
-from .errors import DomainError
+from .errors import DomainError, Record
 from .traversal import StateEnsemble, TraversalTable
 
 
@@ -26,7 +26,7 @@ class IncompleteAllocationError(DomainError, ValueError):
     """An allocation holds other than twelve site totals."""
 
 
-class SiteAllocation(namedtuple("SiteAllocation", "source totals")):
+class SiteAllocation(Record, namedtuple("SiteAllocation", "source totals")):
     """Integer totals of the twelve sites in A..L order, tagged with their source."""
 
     __slots__ = ()
@@ -52,7 +52,7 @@ def ensemble_totals(ensemble: StateEnsemble) -> SiteAllocation:
     return _summed(ensemble.label, tuple(map(sum, zip(*(table.values for table in ensemble.tables)))))
 
 
-class Ratio(namedtuple("Ratio", "numerator denominator")):
+class Ratio(Record, namedtuple("Ratio", "numerator denominator")):
     """An exact rational ``numerator/denominator`` in lowest terms, its denominator positive.
 
     :func:`defect_report` builds it reduced.  It prints as a ``Fraction``
@@ -62,6 +62,7 @@ class Ratio(namedtuple("Ratio", "numerator denominator")):
     """
 
     __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = Record._undefined
 
     def __str__(self) -> str:
         numerator, denominator = self
@@ -87,22 +88,14 @@ class Ratio(namedtuple("Ratio", "numerator denominator")):
             return hash(copysign(inf, numerator))
         return hash(numerator * pow(denominator, -1, hash_info.modulus))
 
-    def _undefined(self, other: object):
-        return NotImplemented  # a TypeError, never a tuple's order, concatenation or repetition
 
-    __lt__ = __le__ = __gt__ = __ge__ = __add__ = __mul__ = __rmul__ = _undefined
-
-    def __radd__(self, other: object):  # returning NotImplemented would fall through to tuple concatenation
-        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'Ratio'")
-
-
-class ClassStats(namedtuple("ClassStats", "site_class entries mean max_deviation mismatch")):
+class ClassStats(Record, namedtuple("ClassStats", "site_class entries mean max_deviation mismatch")):
     """One class's ``(site, total)`` entries, with their exact mean and largest deviation as Ratios."""
 
     __slots__ = ()
 
 
-class DefectReport(namedtuple("DefectReport", "source classes")):
+class DefectReport(Record, namedtuple("DefectReport", "source classes")):
     """The :class:`ClassStats` of each class, in report order, tagged with their source."""
 
     __slots__ = ()

@@ -22,7 +22,7 @@ from itertools import chain, count, cycle, repeat
 from operator import add, mul
 
 from .diagram import DiagramWord, Role, Visit, canonical_818
-from .errors import DomainError, UsageError, clip, clip_count
+from .errors import DomainError, Record, UsageError, clip, clip_count
 
 
 class InvalidBraidError(UsageError, ValueError):
@@ -58,7 +58,7 @@ def first_bad_letter(letters: Sequence[int], strands: int) -> int | None:
     return next((i for i, l in enumerate(letters) if l == 0 or abs(l) > strands - 1), None)
 
 
-class BraidWord(namedtuple("BraidWord", "strands letters")):
+class BraidWord(Record, namedtuple("BraidWord", "strands letters")):
     """A word in the braid group on ``strands`` strands.
 
     Letters are nonzero integers: i means the positive generator at
@@ -76,10 +76,6 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
             raise InvalidBraidError(f"letter {clip_count(letters[bad])} out of range for {clip_count(strands)} strands")
         return super().__new__(cls, strands, letters)
 
-    @classmethod  # so that _replace, too, builds through __new__
-    def _make(cls, fields: Iterable) -> "BraidWord":
-        return cls(*fields)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -89,8 +85,12 @@ class BraidWord(namedtuple("BraidWord", "strands letters")):
 
     @property
     def is_knot_closure(self) -> bool:
-        """Whether the closure is one component: one loop of its walk."""
-        return len(_walk_loops(self)) == 1
+        """Whether the closure is one component, under :func:`require_knot_closure`'s bounds."""
+        try:
+            require_knot_closure(self)
+        except NotAKnotError:
+            return False
+        return True
 
 
 def _walk_loops(braid: BraidWord) -> list[list[int]]:
@@ -156,7 +156,7 @@ def require_knot_closure(braid: BraidWord) -> list[int]:
 BRAID_818 = BraidWord(3, (1, -2, 1, -2, 1, -2, 1, -2))
 
 
-class SignedCrossing(namedtuple("SignedCrossing", "id sign site")):
+class SignedCrossing(Record, namedtuple("SignedCrossing", "id sign site")):
     """One crossing of a closure: the slot of its letter, its sign (+1 or -1) and its site.
 
     The DiagramWord returned alongside holds its two visits,
@@ -221,7 +221,7 @@ def closure_diagram(
     return word, crossings
 
 
-class CrossingMarker(namedtuple("CrossingMarker", "crossing sign point over_direction under_direction")):
+class CrossingMarker(Record, namedtuple("CrossingMarker", "crossing sign point over_direction under_direction")):
     """Geometry of one crossing in an embedding: its slot, its sign, a point and two directions.
 
     The point and directions are complex numbers x + yj.  Directions are
@@ -232,7 +232,7 @@ class CrossingMarker(namedtuple("CrossingMarker", "crossing sign point over_dire
     __slots__ = ()
 
 
-class AnnularEmbedding(namedtuple("AnnularEmbedding", "loops markers", defaults=((),))):
+class AnnularEmbedding(Record, namedtuple("AnnularEmbedding", "loops markers", defaults=((),))):
     """Sampled planar picture of a braid closure around the origin: loops and crossing markers.
 
     Each loop is a closed polyline (first point repeated at the end) of

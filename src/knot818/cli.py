@@ -62,7 +62,9 @@ def positive_int(text: str) -> int:
 
 
 def file_path(text: str) -> str:
-    """Type function for a file path, which the OS cannot take with a NUL byte in it."""
+    """Type function for a file path, which the OS cannot take empty or with a NUL byte in it."""
+    if not text:
+        raise OptionValueError("path is empty")
     if "\0" in text:
         raise OptionValueError(f"path has a NUL byte: {clip(repr(text))}")
     return text
@@ -210,10 +212,10 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
 def cmd_check_fixture(args: argparse.Namespace) -> tuple[int, Iterable[str]]:
     from . import traversal as trav
 
-    fixture = trav.load_table_fixture(args.fixture or trav.shipped_fixture_path())
+    fixture = trav.load_table_fixture(trav.shipped_fixture_path() if args.fixture is None else args.fixture)
     errata = None
-    if args.errata is not None:  # the bare flag gives ""
-        errata = trav.load_errata(args.errata or trav.shipped_errata_path())
+    if args.errata is not None:  # the bare flag gives True
+        errata = trav.load_errata(trav.shipped_errata_path() if args.errata is True else args.errata)
     report = trav.check_fixture(trav.enumerate_representatives(), fixture, errata)
     lines = []
     for result in report.results:
@@ -280,8 +282,9 @@ OPTIONS = {
     }),
     "check-fixture": (cmd_check_fixture, "match the reference tables against the ensemble", {
         "fixture": dict(nargs="?", type=file_path, default=None, help="fixture CSV (default: shipped)"),
+        # The bare flag gives True: argparse would pass a string const to file_path, which refuses "".
         "--errata": dict(
-            nargs="?", type=file_path, const="", default=None, help="errata CSV; bare flag uses the shipped errata"
+            nargs="?", type=file_path, const=True, default=None, help="errata CSV; bare flag uses the shipped errata"
         ),
     }),
     "embed": (cmd_embed, "write sampled closure coordinates to CSV", {
@@ -322,8 +325,9 @@ def _plain(argv: Sequence[str]):
         elif not eq:
             if tokens and not tokens[0].startswith("-"):
                 value = tokens.pop(0)
-            elif options[name].get("nargs") == "?":
-                value = options[name]["const"]
+            elif options[name].get("nargs") == "?":  # its const, unconverted as argparse passes a non-string one
+                given[name] = options[name]["const"]
+                continue
             else:
                 return None
         try:

@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Mapping, Sequence
 from enum import Enum
 
-from .errors import UsageError, clip
+from .errors import Record, UsageError, clip
 
 
 class TextEnum(Enum):
@@ -100,7 +100,7 @@ def site_class(label: str) -> SiteClass:
     raise UnknownSiteError(f"unknown site label {label!r}")
 
 
-class Visit(namedtuple("Visit", "site role")):
+class Visit(Record, namedtuple("Visit", "site role")):
     """One meeting of the curve with a site: its label and its :class:`Role` there."""
 
     __slots__ = ()
@@ -219,7 +219,7 @@ def validate_word(word: DiagramWord) -> list[str]:
     return diags
 
 
-class EquivalenceWitness(namedtuple("EquivalenceWitness", "offset reversed_ mapping")):
+class EquivalenceWitness(Record, namedtuple("EquivalenceWitness", "offset reversed_ mapping")):
     """Certificate that two words draw the same closed curve.
 
     ``apply`` replays it: reverse ``w1`` if ``reversed_``, rotate the

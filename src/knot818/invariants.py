@@ -29,10 +29,11 @@ of Kauffman states (:func:`_state_bound`), often far lower, and
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from math import prod
 
 from .braid import BraidWord, require_knot_closure
+from .errors import Record
 from .laurent import ONE, InexactDivisionError, LaurentPoly
 
 
@@ -78,19 +79,16 @@ def _unpack(x: int, width: int) -> list[int]:
     return [int.from_bytes(digits[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
-class PolyMatrix(namedtuple("PolyMatrix", "rows")):
+class PolyMatrix(Record, namedtuple("PolyMatrix", "rows")):
     """Square matrix over the integer Laurent ring: a tuple of rows, each a tuple of :class:`LaurentPoly`."""
 
     __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = Record._undefined
 
     def __new__(cls, rows: tuple[tuple[LaurentPoly, ...], ...]) -> "PolyMatrix":
         if any(len(row) != len(rows) for row in rows):
             raise ValueError("matrix must be square")
         return super().__new__(cls, rows)
-
-    @classmethod  # so that _replace, too, builds through __new__
-    def _make(cls, fields: Iterable) -> "PolyMatrix":
-        return cls(*fields)
 
     @classmethod
     def identity(cls, dim: int) -> "PolyMatrix":
@@ -100,19 +98,6 @@ class PolyMatrix(namedtuple("PolyMatrix", "rows")):
                 for i in range(dim)
             )
         )
-
-    # tuple's + and * would concatenate or repeat the rows
-    def __add__(self, other: object):
-        raise TypeError(f"unsupported operand type(s) for +: 'PolyMatrix' and {type(other).__name__!r}")
-
-    def __radd__(self, other: object):
-        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'PolyMatrix'")
-
-    def __mul__(self, other: object):
-        raise TypeError(f"unsupported operand type(s) for *: 'PolyMatrix' and {type(other).__name__!r}")
-
-    def __rmul__(self, other: object):
-        raise TypeError(f"unsupported operand type(s) for *: {type(other).__name__!r} and 'PolyMatrix'")
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):

@@ -14,7 +14,9 @@ constructor trims, so two equal polynomials are equal tuples.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
+
+from .errors import Record
 
 
 class InexactDivisionError(ArithmeticError):
@@ -25,8 +27,9 @@ class ZeroArgumentError(ValueError):
     """Evaluation point 0 is outside the Laurent domain."""
 
 
-class LaurentPoly(namedtuple("LaurentPoly", "min_exp coeffs")):
+class LaurentPoly(Record, namedtuple("LaurentPoly", "min_exp coeffs")):
     __slots__ = ()
+    __lt__ = __le__ = __gt__ = __ge__ = Record._undefined
 
     def __new__(cls, min_exp: int = 0, coeffs: Sequence[int] = ()) -> "LaurentPoly":
         coeffs = tuple(coeffs)
@@ -39,10 +42,6 @@ class LaurentPoly(namedtuple("LaurentPoly", "min_exp coeffs")):
         if lo == hi:
             return super().__new__(cls, 0, ())
         return super().__new__(cls, min_exp + lo, coeffs[lo:hi])
-
-    @classmethod  # so that _replace, too, builds through __new__
-    def _make(cls, fields: Iterable) -> "LaurentPoly":
-        return cls(*fields)
 
     # -- structure ---------------------------------------------------
 
@@ -78,10 +77,6 @@ class LaurentPoly(namedtuple("LaurentPoly", "min_exp coeffs")):
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(self.min_exp, tuple(-c for c in self.coeffs))
 
-    def __radd__(self, other: object) -> "LaurentPoly":
-        # returning NotImplemented would fall through to tuple concatenation
-        raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and 'LaurentPoly'")
-
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -99,10 +94,6 @@ class LaurentPoly(namedtuple("LaurentPoly", "min_exp coeffs")):
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return LaurentPoly(self.min_exp + other.min_exp, tuple(out))
-
-    def __rmul__(self, other: object) -> "LaurentPoly":
-        # without it, int * poly would repeat the tuple
-        return NotImplemented
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:

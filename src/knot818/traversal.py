@@ -19,7 +19,7 @@ from __future__ import annotations
 import io
 import os.path
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
 from itertools import islice
 from operator import itemgetter
@@ -35,7 +35,7 @@ from .diagram import (
     canonical_818,
     validate_word,
 )
-from .errors import DomainError, UsageError, clip, clip_path, too_many_digits
+from .errors import DomainError, Record, UsageError, clip, clip_path, too_many_digits
 
 
 class InvalidStartSpecError(UsageError, ValueError):
@@ -73,7 +73,7 @@ TABLE_KEYS = tuple((s, r) for s in SHOULDER_SITES for r in (Role.OVER, Role.UNDE
 _SLOT = {key: i for i, key in enumerate(TABLE_KEYS)}
 
 
-class StartSpec(namedtuple("StartSpec", "site direction entry_role")):
+class StartSpec(Record, namedtuple("StartSpec", "site direction entry_role")):
     """Where and how a traversal begins.
 
     Branch centers take no entry role (the single through visit is the
@@ -93,10 +93,6 @@ class StartSpec(namedtuple("StartSpec", "site direction entry_role")):
             if entry_role not in (Role.OVER, Role.UNDER):
                 raise InvalidStartSpecError(f"shoulder start {site} needs an over or under entry role")
         return super().__new__(cls, site, direction, entry_role)
-
-    @classmethod  # so that _replace, too, builds through __new__
-    def _make(cls, fields: Iterable) -> "StartSpec":
-        return cls(*fields)
 
     @classmethod
     def parse(cls, text: str) -> "StartSpec":
@@ -120,7 +116,7 @@ class StartSpec(namedtuple("StartSpec", "site direction entry_role")):
         return f"{self.site},{self.direction.value},{self.entry_role.value}"
 
 
-class TraversalTable(namedtuple("TraversalTable", "start values mirrored", defaults=(False,))):
+class TraversalTable(Record, namedtuple("TraversalTable", "start values mirrored", defaults=(False,))):
     """Values 1..20 assigned to the twenty visits, in :data:`TABLE_KEYS` order, from a :class:`StartSpec`."""
 
     __slots__ = ()
@@ -182,7 +178,7 @@ def _spec_index(tables: Sequence[TraversalTable]) -> dict[tuple, int]:
     return index
 
 
-class StateEnsemble(namedtuple("StateEnsemble", "label tables")):
+class StateEnsemble(Record, namedtuple("StateEnsemble", "label tables")):
     """A labeled, nonempty collection of tables with pairwise distinct start specs."""
 
     __slots__ = ()
@@ -192,10 +188,6 @@ class StateEnsemble(namedtuple("StateEnsemble", "label tables")):
             raise EmptyEnsembleError(f"ensemble {label!r} has no tables")
         _spec_index(tables)
         return super().__new__(cls, label, tables)
-
-    @classmethod  # so that _replace, too, builds through __new__
-    def _make(cls, fields: Iterable) -> "StateEnsemble":
-        return cls(*fields)
 
 
 def _ensemble(label: str, sites: Sequence[str]) -> StateEnsemble:
@@ -419,7 +411,7 @@ class MatchStatus(TextEnum):
     UNMATCHED = "UNMATCHED"
 
 
-class CaseResult(namedtuple("CaseResult", "case_id status witness violations")):
+class CaseResult(Record, namedtuple("CaseResult", "case_id status witness violations")):
     """A fixture case's :class:`MatchStatus`, the table it matched (or None) and its multiset violations."""
 
     __slots__ = ()
@@ -429,7 +421,7 @@ class CaseResult(namedtuple("CaseResult", "case_id status witness violations")):
         return self.status is MatchStatus.MATCHED_WITH_ERRATUM
 
 
-class FixtureReport(namedtuple("FixtureReport", "results")):
+class FixtureReport(Record, namedtuple("FixtureReport", "results")):
     """A :class:`CaseResult` per fixture case."""
 
     __slots__ = ()

@@ -153,6 +153,11 @@ def test_walk_bounds_come_before_the_walk(monkeypatch):
     with pytest.raises(LongWalkError) as exc:
         closure_diagram(BraidWord(30, (1,)))
     assert str(exc.value) == "strands * letters must be at most 24, got 30 * 1"
+    # is_knot_closure keeps the same bounds, and reads too few letters as False.
+    with pytest.raises(LongWalkError) as exc:
+        BraidWord(3, BRAID_818.letters + (1,)).is_knot_closure
+    assert str(exc.value) == "strands * letters must be at most 24, got 3 * 9"
+    assert BraidWord(5, (1, 2)).is_knot_closure is False
 
 
 HUGE = 10**3999  # a 4,000-digit count, as --strands or --points-per-slot may give

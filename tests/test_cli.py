@@ -8,6 +8,7 @@ import hashlib
 import importlib
 import io
 import json
+import operator
 import os
 import pkgutil
 import re
@@ -27,7 +28,7 @@ from test_golden_cli import _perfbench_invocations
 import knot818
 from knot818 import allocation, cli, invariants
 from knot818.braid import BRAID_818, BraidWord, InvalidBraidError, NotAKnotError, annular_embed, winding_number
-from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, UsageError, clip, clip_path
+from knot818.errors import ECHO_LIMIT, DomainError, Knot818Error, Record, UsageError, clip, clip_path
 from knot818.diagram import UnknownSiteError
 from knot818.invariants import ZeroPolynomialError
 from knot818.notation import parse_braid_word
@@ -605,6 +606,16 @@ FAILURES = [
     ],
     fails("long-embed-nul-path", ["embed", "--out", LONG_X + "\0"], 2,
           _usage_error("embed", f"argument --out: path has a NUL byte: {cut(repr(LONG_X + chr(0)))}")),
+    # An empty path names no file, and never stands for a shipped one.
+    *[
+        fails(f"{name}-empty-path", argv, 2, _usage_error(argv[0], f"argument {option}: path is empty"))
+        for name, option, argv in [
+            ("check-fixture", "fixture", ["check-fixture", ""]),
+            ("errata", "--errata", ["check-fixture", "--errata", ""]),
+            ("errata-equals", "--errata", ["check-fixture", "--errata="]),
+            ("embed-out", "--out", ["embed", "--out", ""]),
+        ]
+    ],
     # argparse lists every choice after the clipped value, so these two
     # lines are 197 and 171 characters long: bounded, but over a long row's 160.
     fails("clipped-command", [LONG_X], 2,
@@ -974,18 +985,52 @@ RECORDS = {
 }
 
 
-def test_records_keep_their_fields_and_no_instance_dict():
+def _record_classes():
+    """``{"module.Name": class}`` for every record the library defines."""
     found = {}
     for info in pkgutil.iter_modules(knot818.__path__):
         module = importlib.import_module(f"knot818.{info.name}")
         for name, obj in vars(module).items():
             if isinstance(obj, type) and hasattr(obj, "_fields") and obj.__module__ == module.__name__:
                 found[f"{info.name}.{name}"] = obj
+    return found
+
+
+def test_records_keep_their_fields_and_no_instance_dict():
+    found = _record_classes()
     assert set(found) == set(RECORDS)
     for name, cls in found.items():
         fields, defaults = RECORDS[name]
         assert (cls._fields, cls._field_defaults) == (tuple(fields.split()), defaults), name
         assert cls.__dictoffset__ == 0, name  # __slots__ = () all the way up
+        assert issubclass(cls, Record), name
+
+
+# The records with arithmetic of their own, which also refuse order.
+ARITHMETIC_VALUES = {"allocation.Ratio", "invariants.PolyMatrix", "laurent.LaurentPoly"}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_neither_concatenate_nor_repeat(name):
+    cls = _record_classes()[name]
+    record = tuple.__new__(cls, range(len(cls._fields)))  # any fields: no operator below reads them
+    operands = [(1,), 2] if name == "laurent.LaurentPoly" else [record, (1,), 2]  # a polynomial adds and multiplies
+    for other in operands:
+        for symbol, operate in (("+", operator.add), ("*", operator.mul)):
+            for left, right in ((record, other), (other, record)):
+                # A plain tuple operand makes CPython try tuple repetition, which takes only an int count.
+                if symbol == "*" and type(other) is tuple:
+                    message = f"can't multiply sequence by non-int of type '{cls.__name__}'"
+                else:
+                    message = f"unsupported operand type(s) for {symbol}: '{type(left).__name__}' and '{type(right).__name__}'"
+                with pytest.raises(TypeError) as exc:
+                    operate(left, right)
+                assert str(exc.value) == message, (left, symbol, right)
+    if name in ARITHMETIC_VALUES:
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            for left, right in ((record, record), (record, 2), (2, record)):
+                with pytest.raises(TypeError, match=r"^'[<>]=?' not supported between instances of "):
+                    compare(left, right)
 
 
 def test_internal_errors_exit_one(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Every module of the library, of scripts/ and of tests/ uses each name it imports,
-no library module imports another module's private name, and every public
-name the library defines has a reader outside tests/."""
+no library module imports another module's private name, every public
+name the library defines has a reader outside tests/, and the record rules
+are written once, in errors.Record."""
 
 import ast
 from pathlib import Path
@@ -140,3 +141,46 @@ def test_the_check_finds_a_name_only_tests_read():
 
 def test_every_public_name_has_a_reader():
     assert _unread(*_sources()) == []
+
+
+# errors.Record alone holds the record rules, and only the arithmetic values
+# compare by a rule of their own: any rich comparison slows every == on its type.
+RECORD_RULES = {"_make", "__radd__", "__rmul__"}
+RICH_COMPARISONS = {"__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"}
+ARITHMETIC_VALUES = {"allocation.py: Ratio", "invariants.py: PolyMatrix", "laurent.py: LaurentPoly"}
+
+
+def _class_members(tree):
+    """``(class, name)`` for each method and assigned name in a class body."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for statement in node.body:
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield node.name, statement.name
+                elif isinstance(statement, ast.Assign):
+                    for target in statement.targets:
+                        yield from ((node.name, n.id) for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def _stray_record_rules(library):
+    """``file: Class.name`` for a record rule outside errors.Record, or a rich comparison outside the arithmetic values."""
+    return [
+        f"{name}: {cls}.{member}"
+        for name, source in sorted(library.items())
+        for cls, member in _class_members(ast.parse(source))
+        if (member in RECORD_RULES and f"{name}: {cls}" != "errors.py: Record")
+        or (member in RICH_COMPARISONS and f"{name}: {cls}" not in ARITHMETIC_VALUES)
+    ]
+
+
+def test_the_check_finds_a_stray_record_rule():
+    library, _outside = _sources()
+    library["braid.py"] += "\n\nclass Extra:\n    @classmethod\n    def _make(cls, fields):\n        pass\n\n    __eq__ = __radd__ = None\n"
+    library["laurent.py"] += "\n\nclass Other:\n    def __lt__(self, other):\n        pass\n"
+    assert _stray_record_rules(library) == [
+        "braid.py: Extra._make", "braid.py: Extra.__eq__", "braid.py: Extra.__radd__", "laurent.py: Other.__lt__"
+    ]
+
+
+def test_record_rules_are_written_once():
+    assert _stray_record_rules(_sources()[0]) == []
