@@ -36,10 +36,14 @@ class SiteAllocation(Record, namedtuple("SiteAllocation", "source totals")):
         return sum(self.totals)
 
 
+# Builds a record that has no __new__ of its own from its fields, without a Python-level call.
+_new = tuple.__new__
+
+
 def _summed(source: str, sums: Sequence[int]) -> SiteAllocation:
     """The allocation of twenty per-key sums in :data:`TABLE_KEYS` order: each
     shoulder's adjacent over and under slots added, then the through slots."""
-    return SiteAllocation(source, (*map(add, sums[0:16:2], sums[1:16:2]), *sums[16:]))
+    return _new(SiteAllocation, (source, (*map(add, sums[0:16:2], sums[1:16:2]), *sums[16:])))
 
 
 def site_totals(table: TraversalTable) -> SiteAllocation:
@@ -62,7 +66,7 @@ class Ratio(Record, namedtuple("Ratio", "numerator denominator")):
     """
 
     __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = Record._undefined
+    __lt__, __le__, __gt__, __ge__ = Record._unordered
 
     def __str__(self) -> str:
         numerator, denominator = self
@@ -101,9 +105,6 @@ class DefectReport(Record, namedtuple("DefectReport", "source classes")):
     __slots__ = ()
 
 
-# Builds a Ratio from its two terms without a Python-level call.
-_new = tuple.__new__
-
 # Each class, its sites and their run in LETTER_SITES, in report order.
 _CLASS_SPANS = tuple(
     (cls, sites, slice(LETTER_SITES.index(sites[0]), LETTER_SITES.index(sites[-1]) + 1)) for cls, sites in CLASS_SITES
@@ -133,5 +134,5 @@ def defect_report(allocation: SiteAllocation) -> DefectReport:
         g = gcd(total, n)
         mean = _new(Ratio, (total // g, n // g))
         max_deviation = _new(Ratio, (max(n * hi - total, total - n * lo) // g, n // g))
-        stats.append(ClassStats(cls, tuple(zip(sites, values)), mean, max_deviation, lo != hi))
-    return DefectReport(allocation.source, tuple(stats))
+        stats.append(_new(ClassStats, (cls, tuple(zip(sites, values)), mean, max_deviation, lo != hi)))
+    return _new(DefectReport, (allocation.source, tuple(stats)))

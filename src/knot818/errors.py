@@ -20,21 +20,40 @@ class DomainError(Knot818Error):
     """Well-formed input outside a precondition (exit 3)."""
 
 
+def _order_refusal(symbol: str):
+    """An order method that raises the TypeError CPython gives for ``symbol`` between unordered types."""
+
+    def refuse(self, other: object):
+        names = f"{type(self).__name__!r} and {type(other).__name__!r}"
+        raise TypeError(f"{symbol!r} not supported between instances of {names}")
+
+    return refuse
+
+
 class Record:
     """First base of every namedtuple record: ``class BraidWord(Record, namedtuple(...))``.
 
-    ``_make``, and so ``_replace``, builds through the class and its checks.
-    Tuple ``+`` and ``*`` are a TypeError.  Only LaurentPoly, PolyMatrix and
-    Ratio refuse order too (``__lt__ = ... = Record._undefined``): a rich
-    comparison sends every ``==`` on its type through a method lookup, and
-    400,000 dict lookups keyed by equal 2-field records took 0.053 s with
-    ``__lt__`` and 0.027 s without (CPython 3.11.7, best of 5).
+    ``_make``, and so ``_replace``, builds through the class and its checks,
+    from exactly as many items as the record has fields, as a namedtuple's
+    ``_make`` takes them.  A record whose class defines no ``__new__`` has
+    no check but that count, so the library may build it directly with
+    ``tuple.__new__(cls, fields)``; a record with a ``__new__`` of its own
+    is always built through it.  Tuple ``+`` and ``*`` are a TypeError.
+    Only LaurentPoly, PolyMatrix and Ratio refuse order too
+    (``__lt__, __le__, __gt__, __ge__ = Record._unordered``), against any
+    operand, a plain tuple included: a rich comparison sends every ``==``
+    on its type through a method lookup, and 400,000 dict lookups keyed by
+    equal 2-field records took 0.053 s with ``__lt__`` and 0.027 s without
+    (CPython 3.11.7, best of 5).
     """
 
     __slots__ = ()
 
     @classmethod
     def _make(cls, fields):
+        fields = tuple(fields)
+        if len(fields) != len(cls._fields):
+            raise TypeError(f"Expected {len(cls._fields)} arguments, got {len(fields)}")
         return cls(*fields)
 
     def _undefined(self, other: object):
@@ -44,6 +63,9 @@ class Record:
 
     def __radd__(self, other: object):  # returning NotImplemented would fall through to tuple concatenation
         raise TypeError(f"unsupported operand type(s) for +: {type(other).__name__!r} and {type(self).__name__!r}")
+
+    # Raised, not NotImplemented, which would let CPython order the record against a plain tuple as tuples.
+    _unordered = tuple(map(_order_refusal, ("<", "<=", ">", ">=")))
 
 
 ECHO_LIMIT = 40

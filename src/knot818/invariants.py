@@ -83,7 +83,7 @@ class PolyMatrix(Record, namedtuple("PolyMatrix", "rows")):
     """Square matrix over the integer Laurent ring: a tuple of rows, each a tuple of :class:`LaurentPoly`."""
 
     __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = Record._undefined
+    __lt__, __le__, __gt__, __ge__ = Record._unordered
 
     def __new__(cls, rows: tuple[tuple[LaurentPoly, ...], ...]) -> "PolyMatrix":
         if any(len(row) != len(rows) for row in rows):

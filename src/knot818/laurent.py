@@ -29,7 +29,7 @@ class ZeroArgumentError(ValueError):
 
 class LaurentPoly(Record, namedtuple("LaurentPoly", "min_exp coeffs")):
     __slots__ = ()
-    __lt__ = __le__ = __gt__ = __ge__ = Record._undefined
+    __lt__, __le__, __gt__, __ge__ = Record._unordered
 
     def __new__(cls, min_exp: int = 0, coeffs: Sequence[int] = ()) -> "LaurentPoly":
         coeffs = tuple(coeffs)

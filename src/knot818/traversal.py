@@ -20,7 +20,7 @@ import io
 import os.path
 from collections import namedtuple
 from collections.abc import Iterator, Mapping, Sequence
-from functools import partial
+from functools import cache, partial
 from itertools import islice
 from operator import itemgetter
 
@@ -52,6 +52,10 @@ class EmptyEnsembleError(DomainError, ValueError):
 
 class DuplicateStartError(DomainError, ValueError):
     """Two tables of an ensemble share a start spec and a mirror flag."""
+
+
+class UnclosedEnsembleError(DomainError, ValueError):
+    """An ensemble lacks the quarter-turn image of one of its tables."""
 
 
 class FixtureParseError(UsageError, ValueError):
@@ -136,18 +140,25 @@ def _slots(word: DiagramWord) -> tuple[int, ...] | None:
     return None if validate_word(word) else tuple(_SLOT[v] for v in word)
 
 
+# Builds a record that has no __new__ of its own from its fields, without a Python-level call.
+_new = tuple.__new__
+# Members _traverse compares against: a module global reads faster than an Enum class attribute.
+_CW = Direction.CW
+_THROUGH = Role.THROUGH
+
+
 def _traverse(slots: tuple[int, ...] | None, start: StartSpec) -> TraversalTable:
     if slots is None:
         raise TableUndefinedError(f"table undefined: not a {len(TABLE_KEYS)}-visit word of the 12-site model")
     # A model word holds each key once, and StartSpec fits the role to the site.
-    at = slots.index(_SLOT[start.site, start.entry_role or Role.THROUGH])
+    at = slots.index(_SLOT[start.site, start.entry_role or _THROUGH])
     # Clockwise is pinned to the stored visit order of canonical_818(): the
     # (K, cw) table reproduces fixture case a.
-    walk = slots[at:] + slots[:at] if start.direction is Direction.CW else slots[at::-1] + slots[:at:-1]
+    walk = slots[at:] + slots[:at] if start.direction is _CW else slots[at::-1] + slots[:at:-1]
     values = [0] * len(walk)
     for value, slot in enumerate(walk, 1):
         values[slot] = value
-    return TraversalTable(start, tuple(values))
+    return _new(TraversalTable, (start, tuple(values), False))
 
 
 def traverse(word: DiagramWord, start: StartSpec) -> TraversalTable:
@@ -167,7 +178,8 @@ _MIRROR_ORDER = itemgetter(*(_SLOT[site, role.swapped] for site, role in TABLE_K
 
 def mirror_table(table: TraversalTable) -> TraversalTable:
     """The same traversal on the mirror diagram: over and under values swap."""
-    return TraversalTable(table.start, _MIRROR_ORDER(table.values), mirrored=not table.mirrored)
+    start, values, mirrored = table
+    return _new(TraversalTable, (start, _MIRROR_ORDER(values), not mirrored))
 
 
 def _spec_index(tables: Sequence[TraversalTable]) -> dict[tuple, int]:
@@ -190,16 +202,27 @@ class StateEnsemble(Record, namedtuple("StateEnsemble", "label tables")):
         return super().__new__(cls, label, tables)
 
 
+@cache
+def _model_starts() -> tuple[tuple[int, ...], dict[str, tuple[StartSpec, ...]]]:
+    """Constants of the model, derived once, on first use, so that a command
+    that walks no ensemble does not pay for them: the slots of canonical_818(),
+    and each site's start specs by direction (cw first), then entry role (over
+    first, none at a branch center)."""
+    starts = {
+        site: tuple(
+            StartSpec(site, direction, role)
+            for direction in (Direction.CW, Direction.CCW)
+            for role in ((None,) if site in BRANCH_SITES else (Role.OVER, Role.UNDER))
+        )
+        for site in LETTER_SITES
+    }
+    return _slots(canonical_818()), starts
+
+
 def _ensemble(label: str, sites: Sequence[str]) -> StateEnsemble:
-    """Tables by site, then direction (cw first), then entry role (over first, none at a branch center)."""
-    slots = _slots(canonical_818())
-    tables = tuple(
-        _traverse(slots, StartSpec(site, direction, role))
-        for site in sites
-        for direction in (Direction.CW, Direction.CCW)
-        for role in ((None,) if site in BRANCH_SITES else (Role.OVER, Role.UNDER))
-    )
-    return StateEnsemble(label, tables)
+    """Tables by site, then direction, then entry role, as :func:`_model_starts` orders them."""
+    slots, starts = _model_starts()
+    return StateEnsemble(label, tuple(_traverse(slots, start) for site in sites for start in starts[site]))
 
 
 def enumerate_representatives() -> StateEnsemble:
@@ -242,7 +265,7 @@ def rotation_orbits(tables: Sequence[TraversalTable]) -> tuple[tuple[int, ...], 
             at = index.get(((ROTATION_RELABEL[site], direction, role), mirrored))
             if at is None:
                 rotated = StartSpec(ROTATION_RELABEL[site], direction, role)
-                raise ValueError(f"ensemble not closed under rotation at {rotated}")
+                raise UnclosedEnsembleError(f"ensemble not closed under rotation at {rotated}")
         if orbit:
             orbits.append(tuple(orbit))
     return tuple(orbits)

@@ -84,6 +84,11 @@ def crossing_sign_from_geometry(over_direction: complex, under_direction: comple
     return 1 if cross > 0 else -1
 
 
+def as_constructed(record, cls) -> bool:
+    """Whether ``record`` is a ``cls`` equal to what ``cls``'s constructor builds from its fields."""
+    return type(record) is cls and record == cls(*record)
+
+
 def table_value(table: TraversalTable, site: str, role: Role) -> int:
     """The value a table assigns the visit ``(site, role)``; KeyError if there is none."""
     return dict(zip(TABLE_KEYS, table.values))[site, role]

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import table_value, totals_by_site
+from conftest import as_constructed, table_value, totals_by_site
 from knot818.allocation import (
     CLASS_SITES,
     ClassStats,
+    DefectReport,
     IncompleteAllocationError,
     Ratio,
     SiteAllocation,
@@ -100,6 +101,22 @@ def test_all40_totals_balance_exactly():
         assert stats.max_deviation == 0
         values = {v for _, v in stats.entries}
         assert len(values) == 1
+
+
+def test_allocations_and_reports_are_as_constructed():
+    reps, full = enumerate_representatives(), enumerate_all()
+    ensembles = (reps, full, StateEnsemble("with-mirrors", tuple(with_mirrors(reps))))
+    allocations = [*map(site_totals, full.tables), *map(ensemble_totals, ensembles)]
+    assert len(allocations) == 43
+    for allocation in allocations:
+        assert as_constructed(allocation, SiteAllocation), allocation
+        assert type(allocation.totals) is tuple and len(allocation.totals) == len(LETTER_SITES), allocation
+        report = defect_report(allocation)
+        assert as_constructed(report, DefectReport), report
+        assert type(report.classes) is tuple and len(report.classes) == len(CLASS_SITES), report
+        for stats in report.classes:
+            assert as_constructed(stats, ClassStats), stats
+            assert as_constructed(stats.mean, Ratio) and as_constructed(stats.max_deviation, Ratio), stats
 
 
 def test_mirror_preserves_site_totals():

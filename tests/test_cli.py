@@ -1028,9 +1028,18 @@ def test_records_neither_concatenate_nor_repeat(name):
                 assert str(exc.value) == message, (left, symbol, right)
     if name in ARITHMETIC_VALUES:
         for compare in (operator.lt, operator.le, operator.gt, operator.ge):
-            for left, right in ((record, record), (record, 2), (2, record)):
+            for left, right in ((record, record), (record, (1,)), ((1,), record), (record, 2), (2, record)):
                 with pytest.raises(TypeError, match=r"^'[<>]=?' not supported between instances of "):
                     compare(left, right)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_make_takes_exactly_the_field_count(name):
+    cls = _record_classes()[name]
+    count = len(cls._fields)
+    for items in (range(count - 1), range(count + 1)):  # a default never fills a short _make
+        with pytest.raises(TypeError, match=f"^Expected {count} arguments, got {len(items)}$"):
+            cls._make(iter(items))
 
 
 def test_internal_errors_exit_one(capsys, monkeypatch):

@@ -1,7 +1,8 @@
 """Every module of the library, of scripts/ and of tests/ uses each name it imports,
 no library module imports another module's private name, every public
-name the library defines has a reader outside tests/, and the record rules
-are written once, in errors.Record."""
+name the library defines has a reader outside tests/, the record rules
+are written once, in errors.Record, and the library builds directly only
+the records that have no checks to skip."""
 
 import ast
 from pathlib import Path
@@ -184,3 +185,41 @@ def test_the_check_finds_a_stray_record_rule():
 
 def test_record_rules_are_written_once():
     assert _stray_record_rules(_sources()[0]) == []
+
+
+# tuple.__new__, or its alias _new, builds a record without its class's
+# __new__: only a record whose class has no __new__ of its own, and so no
+# check to skip, may be built that way.
+def _direct_builds(library):
+    """``file: Name`` for each ``tuple.__new__(Name, ...)`` or ``_new(Name, ...)`` whose Name
+    is not a record class of the library without a ``__new__`` of its own."""
+    trees = {name: ast.parse(source) for name, source in library.items()}
+    records = {
+        node.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(base, ast.Name) and base.id == "Record" for base in node.bases)
+    }
+    checked = {cls for tree in trees.values() for cls, member in _class_members(tree) if member == "__new__"}
+    builds = (
+        (name, ast.unparse(node.args[0]) if node.args else "")
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("_new", "tuple.__new__")
+    )
+    return [f"{name}: {target}" for name, target in builds if target not in records - checked]
+
+
+def test_the_check_finds_a_record_built_past_its_checks():
+    library, _outside = _sources()
+    library["traversal.py"] += (
+        "\n\nclass Plain:\n    pass\n\n\ndef stray():\n"
+        "    return _new(StartSpec, ()), tuple.__new__(Plain, ()), _new(TraversalTable, ()),"
+        " super().__new__(StartSpec)\n"
+    )
+    assert _direct_builds(library) == ["traversal.py: StartSpec", "traversal.py: Plain"]
+
+
+def test_records_are_built_directly_only_without_a_new_of_their_own():
+    assert _direct_builds(_sources()[0]) == []

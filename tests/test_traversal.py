@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cut, cut_path, relabel_table, table_value
+from conftest import as_constructed, cut, cut_path, relabel_table, table_value
 from knot818.diagram import (
     LETTER_SITES,
     ROTATION_RELABEL,
@@ -31,6 +31,8 @@ from knot818.traversal import (
     TABLE_KEYS,
     StateEnsemble,
     TableUndefinedError,
+    TraversalTable,
+    UnclosedEnsembleError,
     apply_errata,
     case_multiset_violations,
     check_fixture,
@@ -160,6 +162,28 @@ def test_ensembles_have_expected_shapes():
     assert REPRESENTATIVE_SITES == ("K", "F", "A")
 
 
+def test_ensembles_hold_the_tables_traverse_builds():
+    word = canonical_818()
+    starts = [
+        StartSpec(site, direction, role)
+        for site in LETTER_SITES
+        for direction in (CW, CCW)
+        for role in ((None,) if site in "IJKL" else (Role.OVER, Role.UNDER))
+    ]
+    fresh = [traverse(word, start) for start in starts]
+    full, reps = enumerate_all(), enumerate_representatives()
+    assert list(full.tables) == fresh
+    assert list(reps.tables) == [table for site in REPRESENTATIVE_SITES for table in fresh if table.start.site == site]
+    mirrors = with_mirrors(full)[40:]
+    assert [table.mirrored for table in mirrors] == [True] * 40
+    for table in (*full.tables, *mirrors, *reps.tables, *fresh):
+        assert as_constructed(table, TraversalTable), table
+        assert as_constructed(table.start, StartSpec), table
+        assert type(table.values) is tuple and all(type(value) is int for value in table.values), table
+    for ensemble in (full, reps):
+        assert as_constructed(ensemble, StateEnsemble)
+
+
 def test_with_mirrors_order_and_flags():
     pool = with_mirrors(enumerate_representatives())
     assert len(pool) == 20
@@ -222,7 +246,7 @@ def test_rotation_orbits_on_all40():
 
 
 def test_rotation_orbits_need_a_closed_ensemble():
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(UnclosedEnsembleError) as info:
         rotation_orbits(enumerate_representatives().tables)
     assert str(info.value) == "ensemble not closed under rotation at J,cw"
 
